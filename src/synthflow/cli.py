@@ -8,6 +8,12 @@ identical (config, inputs, seed) runs reproduce identical data artifacts
 byte for byte (manifests and the train log's wall_ms column carry wall-clock
 measurements and are the documented exception).
 
+Every artifact is replaced atomically: it is written to ``<name>.tmp`` and
+renamed over the old file only once complete, so a failed or interrupted
+command leaves the previous file or none, never a partial one. A train that
+diverges removes any ``model.sgmodel`` left by an earlier run, so generate
+and evaluate stop with exit code 5 instead of using a stale model.
+
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
 divergence, 5 missing prerequisite artifact.
 """
@@ -16,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,7 @@ from .dataio import (
     DatasetMatrix,
     FeatureSchema,
     RawTable,
+    atomic_write,
     clean_numeric,
     filter_by_label,
     load_dataset,
@@ -39,6 +46,8 @@ from .dataio import (
     parse_csv,
     save_dataset,
     schema_from_json,
+    write_csv,
+    write_json,
 )
 from .evaluator import EvalConfig, QualityReport, evaluate
 from .gan import (
@@ -69,6 +78,7 @@ IMPORTANCE_FILE = "feature_importance.csv"
 REPORT_MD_FILE = "report.md"
 
 LOW_SAMPLE_THRESHOLD = 5000
+TOP_FEATURES = 15
 
 # Reference quality targets printed next to measured values in reports.
 REFERENCE_RMSE_MEANS = 0.10
@@ -96,19 +106,6 @@ class RunConfig:
     has_header: bool | None = None
     gan: GanConfig = GanConfig()
     eval: EvalConfig = EvalConfig()
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "csv": list(self.csv),
-            "labels": list(self.labels),
-            "out": self.out,
-            "seed": self.seed,
-            "schema": self.schema,
-            "has_header": self.has_header,
-            "gan": self.gan.to_dict(),
-            "eval": self.eval.to_dict(),
-        }
 
     @property
     def out_dir(self) -> Path:
@@ -207,12 +204,6 @@ def load_run_config(
     return cfg
 
 
-def _write_atomic(path: Path, data: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(data, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_manifest(
     cfg: RunConfig,
     command: str,
@@ -227,7 +218,7 @@ def write_manifest(
         "command": command,
         "tool_version": __version__,
         "status": status,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "dataset_fingerprint": fingerprint,
         "artifacts": sorted(artifacts + [name]),
         "timings_ms": timings_ms,
@@ -235,7 +226,7 @@ def write_manifest(
     if extra:
         doc.update(extra)
     path = cfg.out_dir / name
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc, indent=2)
     return path
 
 
@@ -253,6 +244,18 @@ def _feature_slug(name: str) -> str:
 
 def histogram_file_name(feature: str) -> str:
     return f"hist_{_feature_slug(feature)}.csv"
+
+
+def _top_features(report: QualityReport, names: list[str]) -> list[tuple[str, float]]:
+    """The TOP_FEATURES largest importances; ties keep schema feature order."""
+    order = {n: i for i, n in enumerate(names)}
+    ranked = sorted(report.importances.items(), key=lambda kv: (-kv[1], order[kv[0]]))
+    return ranked[:TOP_FEATURES]
+
+
+def _save_model(model, path: Path) -> None:
+    with atomic_write(path) as fh:
+        fh.buffer.write(save_checkpoint(model))  # already UTF-8 bytes
 
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -303,8 +306,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         )
         lines.append(warning)
         print(warning, file=sys.stderr)
-    summary = "\n".join(lines) + "\n"
-    (cfg.out_dir / SUMMARY_FILE).write_text(summary, encoding="utf-8")
+    with atomic_write(cfg.out_dir / SUMMARY_FILE) as fh:
+        fh.write("\n".join(lines) + "\n")
 
     fingerprint = {
         "rows_parsed": parsed_rows,
@@ -342,7 +345,9 @@ def cmd_train(cfg: RunConfig) -> int:
         model, records = train(data, cfg.gan, progress)
     except TrainingDiverged as exc:
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        (cfg.out_dir / LASTGOOD_MODEL_FILE).write_bytes(save_checkpoint(exc.model))
+        # an earlier run's model no longer matches this run's manifest
+        (cfg.out_dir / MODEL_FILE).unlink(missing_ok=True)
+        _save_model(exc.model, cfg.out_dir / LASTGOOD_MODEL_FILE)
         write_train_log(exc.records, cfg.out_dir / TRAIN_LOG_FILE)
         write_manifest(
             cfg,
@@ -357,7 +362,7 @@ def cmd_train(cfg: RunConfig) -> int:
         return EXIT_DIVERGED
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    (cfg.out_dir / MODEL_FILE).write_bytes(save_checkpoint(model))
+    _save_model(model, cfg.out_dir / MODEL_FILE)
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
         cfg, "train", [MODEL_FILE, TRAIN_LOG_FILE], {"total": wall_ms}, fingerprint
@@ -386,15 +391,12 @@ def cmd_generate(cfg: RunConfig, count: int) -> int:
     model, data = _load_model_and_data(cfg)
     t0 = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, 1])
-    rows = generate(model, count, rng, stats=data.stats, clamp=True)
+    rows = generate(model, count, rng, stats=data.stats)
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     names = data.schema.feature_names()
     out_path = cfg.out_dir / SYNTH_FILE
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(f'"{n}"' if "," in n else n for n in names) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(out_path, names, (row.tolist() for row in rows))
     write_manifest(
         cfg, "generate", [SYNTH_FILE], {"total": wall_ms},
         {"rows": count, "features": len(names)},
@@ -406,35 +408,33 @@ def cmd_generate(cfg: RunConfig, count: int) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     model, data = _load_model_and_data(cfg)
     t0 = time.perf_counter()
-    synth = generate(
-        model, data.n_rows, np.random.default_rng([cfg.seed, 3]), clamp=True
-    )
+    synth = generate(model, data.n_rows, np.random.default_rng([cfg.seed, 3]))
     report = evaluate(data, synth, cfg.eval, np.random.default_rng([cfg.seed, 2]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     artifacts = [REPORT_JSON_FILE, IMPORTANCE_FILE]
-    _write_atomic(cfg.out_dir / REPORT_JSON_FILE, report.to_json())
+    with atomic_write(cfg.out_dir / REPORT_JSON_FILE) as fh:
+        fh.write(report.to_json())
 
     names = data.schema.feature_names()
-    order = {n: i for i, n in enumerate(names)}
-    ranked = sorted(report.importances.items(), key=lambda kv: (-kv[1], order[kv[0]]))
-    with open(cfg.out_dir / IMPORTANCE_FILE, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rank,feature,weight\n")
-        for rank, (name, weight) in enumerate(ranked[:15], start=1):
-            quoted = f'"{name}"' if "," in name else name
-            fh.write(f"{rank},{quoted},{weight!r}\n")
+    ranked = enumerate(_top_features(report, names), start=1)
+    write_csv(
+        cfg.out_dir / IMPORTANCE_FILE,
+        ("rank", "feature", "weight"),
+        ((rank, name, weight) for rank, (name, weight) in ranked),
+    )
 
     for hist in report.histograms:
         fname = histogram_file_name(hist.feature)
         artifacts.append(fname)
-        with open(cfg.out_dir / fname, "w", encoding="utf-8", newline="") as fh:
-            fh.write("feature,bin_low,bin_high,count_real,count_synth\n")
-            quoted = f'"{hist.feature}"' if "," in hist.feature else hist.feature
-            for k in range(len(hist.count_real)):
-                fh.write(
-                    f"{quoted},{hist.edges[k]!r},{hist.edges[k + 1]!r},"
-                    f"{hist.count_real[k]},{hist.count_synth[k]}\n"
-                )
+        write_csv(
+            cfg.out_dir / fname,
+            ("feature", "bin_low", "bin_high", "count_real", "count_synth"),
+            zip(
+                repeat(hist.feature), hist.edges, hist.edges[1:],
+                hist.count_real, hist.count_synth,
+            ),
+        )
 
     write_manifest(
         cfg, "evaluate", artifacts, {"total": wall_ms},
@@ -465,9 +465,6 @@ def cmd_report(cfg: RunConfig) -> int:
         manifests[doc.get("command", path.stem)] = doc
 
     names = data.schema.feature_names()
-    order = {n: i for i, n in enumerate(names)}
-    ranked = sorted(report.importances.items(), key=lambda kv: (-kv[1], order[kv[0]]))
-
     lines = [
         "# Synthetic flow quality report",
         "",
@@ -496,7 +493,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "| rank | feature | weight |",
         "|---|---|---|",
     ]
-    for rank, (name, weight) in enumerate(ranked[:15], start=1):
+    for rank, (name, weight) in enumerate(_top_features(report, names), start=1):
         lines.append(f"| {rank} | {name} | {weight:.4f} |")
     lines += ["", "## Histograms", ""]
     for hist in report.histograms:
@@ -519,7 +516,8 @@ def cmd_report(cfg: RunConfig) -> int:
         lines += [f"- `{name}`" for name in artifact_names]
     text = "\n".join(lines) + "\n"
 
-    _write_atomic(cfg.out_dir / REPORT_MD_FILE, text)
+    with atomic_write(cfg.out_dir / REPORT_MD_FILE) as fh:
+        fh.write(text)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     write_manifest(cfg, "report", [REPORT_MD_FILE], {"total": wall_ms})
     print(f"wrote {cfg.out_dir / REPORT_MD_FILE}")

@@ -6,13 +6,18 @@ are integer-coded through a frozen dictionary carried by the schema), drop
 columns are ignored, and the single label column keeps its text for
 filtering. Cleaning maps infinities to the column's finite extrema and drops
 rows with unparseable cells, so the resulting matrix is always finite.
+
+Every artifact file is written through :func:`atomic_write`, so a reader
+sees either the previous file or the complete new one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,62 @@ DATASET_VERSION = 1
 
 class DataError(ValueError):
     """Malformed input data or an impossible data request."""
+
+
+@contextmanager
+def atomic_write(path):
+    """Stream UTF-8 text to ``<path>.tmp``, then move it over ``path``.
+
+    The rename happens only when the block finishes; if it raises, the
+    temporary file is removed and ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc, indent: int | None = None) -> None:
+    """Write ``doc`` as one JSON document plus a trailing newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
+def _csv_line(cells) -> str:
+    return ",".join([
+        (f'"{c}"' if "," in c else c) if isinstance(c, str) else repr(c)
+        for c in cells
+    ]) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact one row at a time.
+
+    Text cells are quoted only when they contain a comma; every other cell
+    is its ``repr``, which round-trips floats exactly. Pass plain Python
+    numbers (``ndarray.tolist()``), not numpy scalars.
+    """
+    with atomic_write(path) as fh:
+        fh.write(_csv_line(header))
+        for row in rows:
+            fh.write(_csv_line(row))
+
+
+def config_from_dict(cls, data: dict):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Unknown keys are rejected and JSON lists become tuples.
+    """
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -120,9 +181,7 @@ def schema_from_json(path) -> FeatureSchema:
 
 
 def schema_to_json(schema: FeatureSchema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, schema.to_dict(), indent=2)
 
 
 @dataclass
@@ -356,30 +415,6 @@ def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
     return DatasetMatrix(data.features[mask], labels, data.stats, data.schema)
 
 
-def split(
-    data: DatasetMatrix, fraction: float, rng: np.random.Generator
-) -> tuple[DatasetMatrix, DatasetMatrix]:
-    """Deterministic shuffled split; part_a gets round(fraction * n) rows."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"split fraction must be in (0, 1), got {fraction}")
-    n = data.n_rows
-    if n < 2:
-        raise DataError(f"cannot split {n} rows")
-    perm = rng.permutation(n)
-    k = int(np.floor(fraction * n + 0.5))
-    idx_a, idx_b = perm[:k], perm[k:]
-
-    def take(idx):
-        return DatasetMatrix(
-            data.features[idx],
-            [data.labels[i] for i in idx],
-            data.stats,
-            data.schema,
-        )
-
-    return take(idx_a), take(idx_b)
-
-
 def save_dataset(data: DatasetMatrix, path) -> None:
     """Write the dataset cache as versioned JSON (exact float round-trip)."""
     doc = {
@@ -390,9 +425,7 @@ def save_dataset(data: DatasetMatrix, path) -> None:
         "labels": data.labels,
         "features": data.features.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_dataset(path) -> DatasetMatrix:

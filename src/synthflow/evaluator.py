@@ -17,11 +17,11 @@ estimate sum(residual) / sum(p*(1-p)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataio import DatasetMatrix, denormalize
+from .dataio import DatasetMatrix, config_from_dict, denormalize
 
 HISTOGRAM_BINS = 32
 
@@ -188,13 +188,11 @@ def gbm_fit(
     n_trees: int = 100,
     max_depth: int = 3,
     shrinkage: float = 0.1,
-    rng: np.random.Generator | None = None,
 ) -> GbmModel:
     """Boost regression trees on the logistic loss.
 
     Each round fits a tree to the residual (label - predicted probability)
-    with hessian weights p*(1-p). The ``rng`` argument is reserved for row
-    subsampling and is currently unused, so fitting is fully deterministic.
+    with hessian weights p*(1-p). Fitting is fully deterministic.
     """
     if not 0.0 < shrinkage <= 1.0:
         raise ValueError(f"shrinkage must be in (0, 1], got {shrinkage}")
@@ -243,19 +241,6 @@ def feature_importance(model: GbmModel) -> np.ndarray:
     return totals / s if s > 0 else totals
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def roc_auc(scores_real, scores_synth) -> tuple[float, list[tuple[float, float]]]:
     """AUC (Mann-Whitney form, ties count 1/2) plus the ROC staircase.
 
@@ -267,27 +252,20 @@ def roc_auc(scores_real, scores_synth) -> tuple[float, list[tuple[float, float]]
     synth = np.asarray(scores_synth, dtype=np.float64).ravel()
     if real.size == 0 or synth.size == 0:
         raise ValueError("both score sets must be nonempty")
-    combined = np.concatenate([real, synth])
-    ranks = _midranks(combined)
     n_r, n_s = real.size, synth.size
-    u = ranks[n_r:].sum() - n_s * (n_s + 1) / 2.0
+    _, inverse, counts = np.unique(
+        np.concatenate([real, synth]), return_inverse=True, return_counts=True
+    )
+    # tied scores share the mean of the 1-based ranks they span
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    u = midranks[inverse[n_r:]].sum() - n_s * (n_s + 1) / 2.0
     auc = u / (n_s * n_r)
 
-    points = [(0.0, 0.0)]
-    order = np.argsort(-combined, kind="stable")
-    is_synth = np.concatenate([np.zeros(n_r, bool), np.ones(n_s, bool)])[order]
-    sorted_scores = combined[order]
-    tp = fp = 0
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        block = is_synth[i : j + 1]
-        tp += int(block.sum())
-        fp += int(block.size - block.sum())
-        points.append((fp / n_r, tp / n_s))
-        i = j + 1
+    # thresholds sweep the distinct scores from the highest down
+    synth_counts = np.bincount(inverse[n_r:], minlength=counts.size)
+    tp = np.cumsum(synth_counts[::-1])
+    fp = np.cumsum((counts - synth_counts)[::-1])
+    points = [(0.0, 0.0)] + list(zip((fp / n_r).tolist(), (tp / n_s).tolist()))
     return float(auc), points
 
 
@@ -326,21 +304,6 @@ class FeatureHistogram:
     count_real: list[int]
     count_synth: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "edges": self.edges,
-            "count_real": self.count_real,
-            "count_synth": self.count_synth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureHistogram":
-        return cls(
-            data["feature"], list(data["edges"]),
-            list(data["count_real"]), list(data["count_synth"]),
-        )
-
 
 def default_histogram_features(feature_names) -> list[str]:
     preferred = [f for f in PREFERRED_HISTOGRAM_FEATURES if f in feature_names]
@@ -350,7 +313,7 @@ def default_histogram_features(feature_names) -> list[str]:
 
 
 def histogram_compare(
-    real, synth, feature_names, selected=None, bins: int = HISTOGRAM_BINS
+    real, synth, feature_names, selected=None
 ) -> list[FeatureHistogram]:
     """Paired histograms on the union range of both inputs.
 
@@ -379,8 +342,8 @@ def histogram_compare(
         hi = float(max(real[:, j].max(), synth[:, j].max()))
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        count_real, edges = np.histogram(real[:, j], bins=bins, range=(lo, hi))
-        count_synth, _ = np.histogram(synth[:, j], bins=bins, range=(lo, hi))
+        count_real, edges = np.histogram(real[:, j], HISTOGRAM_BINS, range=(lo, hi))
+        count_synth, _ = np.histogram(synth[:, j], HISTOGRAM_BINS, range=(lo, hi))
         out.append(
             FeatureHistogram(
                 name, edges.tolist(), count_real.tolist(), count_synth.tolist()
@@ -399,28 +362,9 @@ class EvalConfig:
     holdout_fraction: float = 0.3
     histogram_features: tuple[str, ...] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "shrinkage": self.shrinkage,
-            "holdout_fraction": self.holdout_fraction,
-            "histogram_features": (
-                list(self.histogram_features)
-                if self.histogram_features is not None
-                else None
-            ),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "EvalConfig":
-        known = dict(data)
-        if known.get("histogram_features") is not None:
-            known["histogram_features"] = tuple(known["histogram_features"])
-        unknown = set(known) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown eval config keys: {sorted(unknown)}")
-        return cls(**known)
+        return config_from_dict(cls, data)
 
 
 @dataclass
@@ -436,37 +380,15 @@ class QualityReport:
     n_real: int
     n_synth: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rmse_means": self.rmse_means,
-            "rmse_hist": self.rmse_hist,
-            "auc": self.auc,
-            "roc_points": [list(p) for p in self.roc_points],
-            "importances": self.importances,
-            "histograms": [h.to_dict() for h in self.histograms],
-            "n_real": self.n_real,
-            "n_synth": self.n_synth,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QualityReport":
-        return cls(
-            rmse_means=data["rmse_means"],
-            rmse_hist=data["rmse_hist"],
-            auc=data["auc"],
-            roc_points=[tuple(p) for p in data["roc_points"]],
-            importances=dict(data["importances"]),
-            histograms=[FeatureHistogram.from_dict(h) for h in data["histograms"]],
-            n_real=data["n_real"],
-            n_synth=data["n_synth"],
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "QualityReport":
-        return cls.from_dict(json.loads(text))
+        data = json.loads(text)
+        data["roc_points"] = [tuple(p) for p in data["roc_points"]]
+        data["histograms"] = [FeatureHistogram(**h) for h in data["histograms"]]
+        return cls(**data)
 
 
 def _stratified_split(labels: np.ndarray, holdout_fraction: float, rng):

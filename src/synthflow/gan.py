@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .dataio import DatasetMatrix, NormalizationStats, denormalize
+from .dataio import (
+    DatasetMatrix,
+    NormalizationStats,
+    config_from_dict,
+    denormalize,
+    write_csv,
+)
 from . import nets
 from .nets import MlpNetwork, NonFiniteError, ShapeError, as_batch
 
@@ -108,31 +114,9 @@ class GanConfig:
         base.update(overrides)
         return cls(**base)
 
-    def to_dict(self) -> dict:
-        return {
-            "gp_lambda": self.gp_lambda,
-            "lr": self.lr,
-            "rho": self.rho,
-            "epsilon": self.epsilon,
-            "noise_dim": self.noise_dim,
-            "batch_size": self.batch_size,
-            "critic_steps": self.critic_steps,
-            "gen_steps": self.gen_steps,
-            "generator_hidden": list(self.generator_hidden),
-            "critic_hidden": list(self.critic_hidden),
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "GanConfig":
-        known = dict(data)
-        for key in ("generator_hidden", "critic_hidden"):
-            if key in known:
-                known[key] = tuple(known[key])
-        unknown = set(known) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown gan config keys: {sorted(unknown)}")
-        return cls(**known)
+        return config_from_dict(cls, data)
 
 
 @dataclass
@@ -296,20 +280,11 @@ class TrainRecord:
     wall_ms: float
 
 
-TRAIN_LOG_COLUMNS = (
-    "step", "critic_loss", "generator_loss", "penalty_mean",
-    "grad_norm_mean", "wall_ms",
-)
+TRAIN_LOG_COLUMNS = tuple(f.name for f in fields(TrainRecord))
 
 
 def write_train_log(records: list[TrainRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRAIN_LOG_COLUMNS) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.step},{r.critic_loss!r},{r.generator_loss!r},"
-                f"{r.penalty_mean!r},{r.grad_norm_mean!r},{r.wall_ms!r}\n"
-            )
+    write_csv(path, TRAIN_LOG_COLUMNS, map(astuple, records))
 
 
 def train(
@@ -380,20 +355,17 @@ def generate(
     n: int,
     rng: np.random.Generator,
     stats: NormalizationStats | None = None,
-    clamp: bool = True,
 ) -> np.ndarray:
     """Sample n synthetic rows from the generator.
 
-    With ``clamp`` the raw outputs are clipped to [0, 1] (the normalized
-    feature range); with ``stats`` they are then mapped back to feature
-    units.
+    The raw outputs are clipped to [0, 1] (the normalized feature range);
+    with ``stats`` they are then mapped back to feature units.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     noise = rng.uniform(-1.0, 1.0, size=(n, model.config.noise_dim))
     out, _ = nets.mlp_forward(model.generator, noise)
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
+    out = np.clip(out, 0.0, 1.0)
     if stats is not None:
         out = denormalize(out, stats)
     return out
@@ -428,7 +400,7 @@ def save_checkpoint(model: GanModel) -> bytes:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "feature_count": model.feature_count,
         "generator": _net_to_dict(model.generator),
         "critic": _net_to_dict(model.critic),

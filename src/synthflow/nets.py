@@ -110,14 +110,6 @@ class MlpNetwork:
             out.append(layer.bias)
         return out
 
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork(
-            [
-                DenseLayer(l.weights.copy(), l.bias.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-
 
 @dataclass
 class ForwardCache:
@@ -131,28 +123,18 @@ class ForwardCache:
     preacts: list[np.ndarray]
 
 
-def build_mlp(
-    layer_sizes,
-    rng: np.random.Generator,
-    activations: list[str] | None = None,
-) -> MlpNetwork:
+def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
     """Initialize a dense network.
 
     ``layer_sizes`` is ``[in_dim, h1, ..., out_dim]``. Weights are uniform in
     ``[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]`` and biases
-    start at zero. Default activations are ReLU everywhere except a linear
-    output layer.
+    start at zero. Activations are ReLU everywhere except a linear output
+    layer.
     """
     sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output dim")
-    n_layers = len(sizes) - 1
-    if activations is None:
-        activations = [RELU] * (n_layers - 1) + [LINEAR]
-    if len(activations) != n_layers:
-        raise ValueError(
-            f"got {len(activations)} activations for {n_layers} layers"
-        )
+    activations = [RELU] * (len(sizes) - 2) + [LINEAR]
     layers = []
     for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -354,7 +336,11 @@ def rmsprop_step(
     params: list[np.ndarray], grads: list[np.ndarray], state: RmsPropState
 ) -> None:
     """One in-place update: cache <- rho*cache + (1-rho)*g^2, then
-    param <- param - lr*g/(sqrt(cache) + epsilon)."""
+    param <- param - lr*g/(sqrt(cache) + epsilon).
+
+    Every shape and gradient is checked before anything is mutated, so a
+    failed update leaves parameters and accumulators as they were.
+    """
     if not (len(params) == len(grads) == len(state.cache)):
         raise ShapeError(
             f"params/grads/state lengths differ: {len(params)}/{len(grads)}/"
@@ -367,17 +353,7 @@ def rmsprop_step(
             )
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {i}")
+    for p, g, c in zip(params, grads, state.cache):
         c *= state.rho
         c += (1.0 - state.rho) * g * g
         p -= state.lr * g / (np.sqrt(c) + state.epsilon)
-
-
-def sample_uniform(
-    rng: np.random.Generator, rows: int, cols: int, low: float, high: float
-) -> np.ndarray:
-    """I.i.d. uniform matrix in [low, high); deterministic for a fixed rng."""
-    if not low < high:
-        raise ValueError(f"low must be < high, got low={low}, high={high}")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dims must be >= 1, got {rows}x{cols}")
-    return rng.uniform(low, high, size=(rows, cols))

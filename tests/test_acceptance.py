@@ -143,7 +143,7 @@ def test_c4_toy_convergence():
     data = toy_attack_dataset()
     model, records = train(data, GanConfig.small(seed=7))
     assert len(records) == 2000  # well under the 10k step budget
-    synth = generate(model, data.n_rows, np.random.default_rng(123), clamp=True)
+    synth = generate(model, data.n_rows, np.random.default_rng(123))
     gaps = np.abs(synth.mean(axis=0) - data.features.mean(axis=0))
     assert (gaps <= 0.05).all(), f"mean gaps {gaps}"
     from synthflow.evaluator import rmse_quality

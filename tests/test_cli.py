@@ -148,6 +148,23 @@ def test_divergent_training_exit_code(tmp_path):
     assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
 
 
+def test_diverged_retrain_removes_earlier_model(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    assert (tmp_path / "run" / cli.MODEL_FILE).exists()
+    doc = json.loads(config.read_text())
+    doc["gan"].update(lr=1e200, gen_steps=20)
+    config.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(config, "train") == EXIT_DIVERGED
+    assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+    capsys.readouterr()
+    for verb in ("generate", "evaluate"):
+        assert run(config, verb) == EXIT_MISSING
+        assert "'train'" in capsys.readouterr().err
+
+
 def test_bad_config_rejected(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text('{"dataset": "nope"}')

@@ -17,6 +17,7 @@ from synthflow.dataio import (
     FeatureSchema,
     NormalizationStats,
     RawTable,
+    atomic_write,
     clean_numeric,
     denormalize,
     filter_by_label,
@@ -26,7 +27,6 @@ from synthflow.dataio import (
     save_dataset,
     schema_from_json,
     schema_to_json,
-    split,
 )
 
 TWO_COL = FeatureSchema(
@@ -218,32 +218,6 @@ def test_filter_zero_matches_lists_available():
         filter_by_label(data, {"teardrop"})
 
 
-# --------------------------------------------------------------------- split
-
-def test_split_sizes_and_determinism():
-    data = make_dataset(np.linspace(0, 1, 10)[:, None])
-    a1, b1 = split(data, 0.7, np.random.default_rng(3))
-    a2, b2 = split(data, 0.7, np.random.default_rng(3))
-    assert a1.n_rows == 7 and b1.n_rows == 3
-    assert np.array_equal(a1.features, a2.features)
-    assert np.array_equal(b1.features, b2.features)
-
-
-def test_split_partition_property():
-    data = make_dataset(np.linspace(0, 1, 9)[:, None])
-    a, b = split(data, 0.5, np.random.default_rng(0))
-    merged = sorted(a.features[:, 0].tolist() + b.features[:, 0].tolist())
-    assert merged == sorted(data.features[:, 0].tolist())
-
-
-def test_split_rejects_tiny_or_bad_fraction():
-    data = make_dataset([[0.5]])
-    with pytest.raises(DataError):
-        split(data, 0.5, np.random.default_rng(0))
-    with pytest.raises(DataError):
-        split(make_dataset([[0.1], [0.2]]), 1.0, np.random.default_rng(0))
-
-
 # --------------------------------------------------------- schema and caching
 
 def test_schema_validation():
@@ -253,6 +227,21 @@ def test_schema_validation():
         FeatureSchema((Column("a", NUMERIC), Column("a", LABEL)))
     with pytest.raises(DataError, match="categor"):
         Column("c", CATEGORICAL)
+
+
+def test_atomic_write_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old,bytes\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_write(path) as fh:
+            fh.write("new,partial")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old,bytes\n"
+    assert list(tmp_path.iterdir()) == [path]
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_bytes() == b"new\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_schema_json_round_trip(tmp_path):

@@ -397,7 +397,7 @@ def test_evaluate_report_contract():
     assert report.n_real == data.n_rows and report.n_synth == data.n_rows
     # round trip through JSON
     again = QualityReport.from_json(report.to_json())
-    assert again.to_dict() == report.to_dict()
+    assert again == report
 
 
 def test_evaluate_is_deterministic():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,7 +229,7 @@ def test_train_converges_on_constant_target():
     data = constant_dataset(0.5, n_rows=500)
     model, records = train(data, GanConfig.small(seed=3))
     assert len(records) == 2000
-    out = generate(model, 500, np.random.default_rng(5), clamp=True)
+    out = generate(model, 500, np.random.default_rng(5))
     assert abs(out.mean() - 0.5) <= 0.05
 
 
@@ -260,7 +262,7 @@ def test_train_progress_sink_sees_every_record():
 
 def test_generate_clamps_to_unit_range():
     model = tiny_model()
-    out = generate(model, 32, np.random.default_rng(0), clamp=True)
+    out = generate(model, 32, np.random.default_rng(0))
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -328,7 +330,7 @@ def test_config_validation():
 
 def test_config_dict_round_trip():
     cfg = GanConfig.small(seed=42)
-    assert GanConfig.from_dict(cfg.to_dict()) == cfg
+    assert GanConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError, match="unknown"):
         GanConfig.from_dict({"nope": 1})
 

@@ -17,7 +17,6 @@ from synthflow.nets import (
     penalty_param_grad,
     rmsprop_state,
     rmsprop_step,
-    sample_uniform,
 )
 
 from helpers import fd_input_grad, fd_param_grad, random_net_and_batch, rel_err
@@ -240,6 +239,15 @@ def test_rmsprop_nonfinite_gradient_names_parameter():
         rmsprop_step(params, [np.array([0.0]), np.array([np.inf])], state)
 
 
+def test_rmsprop_failed_step_changes_nothing():
+    params = [np.array([1.0]), np.array([2.0])]
+    state = rmsprop_state(params)
+    with pytest.raises(NonFiniteError, match="parameter 1"):
+        rmsprop_step(params, [np.array([1.0]), np.array([np.inf])], state)
+    assert params[0][0] == 1.0 and params[1][0] == 2.0
+    assert state.cache[0][0] == 0.0 and state.cache[1][0] == 0.0
+
+
 def test_rmsprop_validates_hyperparameters():
     with pytest.raises(ValueError):
         rmsprop_state([np.zeros(1)], lr=0.0)
@@ -277,25 +285,6 @@ def test_training_steps_are_seed_deterministic():
     a, b = run(), run()
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa, pb)
-
-
-# ----------------------------------------------------------------- sampling
-
-def test_sample_uniform_range_and_determinism():
-    a = sample_uniform(np.random.default_rng(9), 50, 3, 0.0, 1.0)
-    b = sample_uniform(np.random.default_rng(9), 50, 3, 0.0, 1.0)
-    assert np.array_equal(a, b)
-    assert a.min() >= 0.0 and a.max() < 1.0
-
-
-def test_sample_uniform_rejects_bad_range():
-    with pytest.raises(ValueError, match="low"):
-        sample_uniform(np.random.default_rng(0), 2, 2, 1.0, 1.0)
-
-
-def test_sample_uniform_law_of_large_numbers():
-    m = sample_uniform(np.random.default_rng(5), 100, 100, 0.0, 1.0)
-    assert abs(m.mean() - 0.5) < 0.02
 
 
 # ------------------------------------------------------------------ builder
