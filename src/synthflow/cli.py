@@ -11,8 +11,10 @@ measurements and are the documented exception).
 Every artifact is replaced atomically: it is written to ``<name>.tmp`` and
 renamed over the old file only once complete, so a failed or interrupted
 command leaves the previous file or none, never a partial one. A train that
-diverges removes any ``model.sgmodel`` left by an earlier run, so generate
-and evaluate stop with exit code 5 instead of using a stale model.
+diverges removes any ``model.sgmodel`` left by an earlier run, and an ingest
+removes every artifact that train, generate, evaluate and report built from
+the earlier dataset, so later commands stop with exit code 5 instead of using
+a stale model.
 
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
 divergence, 5 missing prerequisite artifact.
@@ -258,6 +260,19 @@ def _save_model(model, path: Path) -> None:
         fh.buffer.write(save_checkpoint(model))  # already UTF-8 bytes
 
 
+def _remove_downstream_artifacts(out_dir: Path) -> None:
+    """Delete what train, generate, evaluate and report built from an
+    earlier ingest: every artifact their manifests list, manifests included."""
+    for command in ("train", "generate", "evaluate", "report"):
+        manifest = out_dir / f"{command}_manifest.json"
+        if not manifest.exists():
+            continue
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        for name in doc.get("artifacts", []):
+            (out_dir / Path(name).name).unlink(missing_ok=True)
+        manifest.unlink(missing_ok=True)
+
+
 def cmd_ingest(cfg: RunConfig) -> int:
     for p in cfg.csv:
         if not Path(p).exists():
@@ -281,9 +296,10 @@ def cmd_ingest(cfg: RunConfig) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_downstream_artifacts(cfg.out_dir)
     save_dataset(filtered, cfg.out_dir / DATASET_FILE)
 
-    label_counts = Counter(lbl.strip() for lbl in labels)
+    label_counts = Counter(labels)
     lines = [
         "ingest summary",
         "==============",

@@ -273,29 +273,20 @@ def clean_numeric(
         for c in feature_cols
     ]
 
-    n_rows, n_cols = len(table.rows), len(feature_cols)
-    values = np.empty((n_rows, n_cols))
-    keep = np.ones(n_rows, dtype=bool)
-    for r, row in enumerate(table.rows):
-        for j, (src, cats) in enumerate(zip(col_idx, cat_maps)):
-            cell = row[src].strip()
-            if cats is not None:
-                coded = cats.get(cell)
-                if coded is None:
-                    keep[r] = False
-                    break
-                values[r, j] = coded
-                continue
-            try:
-                parsed = float(cell)
-            except ValueError:
-                keep[r] = False
-                break
-            if np.isnan(parsed):
-                keep[r] = False
-                break
-            values[r, j] = parsed
+    def parse(cell: str, cats: dict[str, float] | None) -> float:
+        cell = cell.strip()
+        if cats is not None:
+            return cats.get(cell, np.nan)
+        try:
+            return float(cell)
+        except ValueError:
+            return np.nan
 
+    n_rows = len(table.rows)
+    values = np.empty((n_rows, len(feature_cols)))
+    for j, (src, cats) in enumerate(zip(col_idx, cat_maps)):
+        values[:, j] = [parse(row[src], cats) for row in table.rows]
+    keep = ~np.isnan(values).any(axis=1)
     values = values[keep]
     labels = [table.rows[r][label_idx].strip() for r in np.flatnonzero(keep)]
     dropped = int(n_rows - values.shape[0])

@@ -443,16 +443,11 @@ def evaluate(
     rmse_means, rmse_hist = rmse_quality(real.features, synth)
 
     names = real.schema.feature_names()
-    selected = (
-        list(config.histogram_features)
-        if config.histogram_features is not None
-        else default_histogram_features(names)
-    )
     histograms = histogram_compare(
         denormalize(real.features, real.stats),
         denormalize(synth, real.stats),
         names,
-        selected=selected,
+        selected=config.histogram_features,
     )
 
     features = np.vstack([real.features, synth])

@@ -37,19 +37,6 @@ class CheckpointError(ValueError):
     """Checkpoint payload is unreadable or incompatible."""
 
 
-class NonFiniteLossError(NonFiniteError):
-    """Critic loss left the finite range; carries the three loss terms."""
-
-    def __init__(self, fake_term: float, real_term: float, penalty_term: float):
-        self.fake_term = fake_term
-        self.real_term = real_term
-        self.penalty_term = penalty_term
-        super().__init__(
-            f"non-finite critic loss: fake_term={fake_term}, "
-            f"real_term={real_term}, penalty_term={penalty_term}"
-        )
-
-
 class TrainingDiverged(RuntimeError):
     """Raised when training hits a non-finite loss or gradient.
 
@@ -160,16 +147,8 @@ def build_model(config: GanConfig, feature_count: int, rng: np.random.Generator)
     return GanModel(generator, critic, config)
 
 
-@dataclass
-class InterpolationDraw:
-    """Per-pair mixing coefficients and the interpolated batch."""
-
-    epsilon: np.ndarray
-    x_hat: np.ndarray
-
-
-def interpolation_draw(real_batch, fake_batch, epsilon) -> InterpolationDraw:
-    """Build x_hat = eps*real + (1-eps)*fake from explicit coefficients."""
+def interpolate(real_batch, fake_batch, epsilon) -> np.ndarray:
+    """x_hat = eps*real + (1-eps)*fake, one coefficient in [0, 1] per row."""
     real = as_batch(real_batch)
     fake = as_batch(fake_batch)
     if real.shape != fake.shape:
@@ -183,15 +162,7 @@ def interpolation_draw(real_batch, fake_batch, epsilon) -> InterpolationDraw:
         )
     if eps.size and (eps.min() < 0.0 or eps.max() > 1.0):
         raise ValueError("epsilon values must lie in [0, 1]")
-    x_hat = eps[:, None] * real + (1.0 - eps[:, None]) * fake
-    return InterpolationDraw(eps, x_hat)
-
-
-def interpolate(real_batch, fake_batch, rng: np.random.Generator) -> InterpolationDraw:
-    """Uniform draw on the segments between paired real and fake rows."""
-    real = as_batch(real_batch)
-    eps = rng.uniform(0.0, 1.0, size=real.shape[0])
-    return interpolation_draw(real, fake_batch, eps)
+    return eps[:, None] * real + (1.0 - eps[:, None]) * fake
 
 
 @dataclass
@@ -206,9 +177,7 @@ class CriticLoss:
     grad_norm_mean: float
 
 
-def critic_loss(
-    model: GanModel, real_batch, fake_batch, draw: InterpolationDraw
-) -> CriticLoss:
+def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
     """Loss and critic-parameter gradients for one batch.
 
     The value decomposes exactly as fake_term - real_term + penalty_term;
@@ -226,11 +195,14 @@ def critic_loss(
     fake_term = float(fake_scores.mean())
     real_term = float(real_scores.mean())
     penalty_term, penalty_grads = nets.penalty_param_grad(
-        model.critic, draw.x_hat, cfg.gp_lambda
+        model.critic, x_hat, cfg.gp_lambda
     )
     loss = fake_term - real_term + penalty_term
     if not np.isfinite(loss):
-        raise NonFiniteLossError(fake_term, real_term, penalty_term)
+        raise NonFiniteError(
+            f"non-finite critic loss: fake_term={fake_term}, "
+            f"real_term={real_term}, penalty_term={penalty_term}"
+        )
 
     up_fake = np.full_like(fake_scores, 1.0 / fake_scores.shape[0])
     up_real = np.full_like(real_scores, -1.0 / real_scores.shape[0])
@@ -238,7 +210,7 @@ def critic_loss(
     grads_real = nets.mlp_param_grad(model.critic, real_cache, up_real)
     grads = [gf + gr + gp for gf, gr, gp in zip(grads_fake, grads_real, penalty_grads)]
 
-    norms = np.linalg.norm(nets.mlp_input_grad(model.critic, draw.x_hat), axis=1)
+    norms = np.linalg.norm(nets.mlp_input_grad(model.critic, x_hat), axis=1)
     return CriticLoss(loss, fake_term, real_term, penalty_term, grads, float(norms.mean()))
 
 
@@ -322,10 +294,8 @@ def train(
                 real = features[idx]
                 noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
                 fake, _ = nets.mlp_forward(model.generator, noise)
-                draw = interpolate(real, fake, rng)
-                cl = critic_loss(model, real, fake, draw)
-                assert abs(cl.loss - (cl.fake_term - cl.real_term + cl.penalty_term)) \
-                    <= 1e-12 * max(1.0, abs(cl.loss))
+                eps = rng.uniform(0.0, 1.0, size=config.batch_size)
+                cl = critic_loss(model, real, fake, interpolate(real, fake, eps))
                 nets.rmsprop_step(model.critic.parameters(), cl.grads, critic_state)
                 closs_sum += cl.loss
                 penalty_sum += cl.penalty_term
@@ -371,23 +341,30 @@ def generate(
     return out
 
 
+def _layout(n_layers: int) -> list[str]:
+    """Each layer's activation by position: ReLU, ..., ReLU, linear."""
+    return ["relu"] * (n_layers - 1) + ["linear"]
+
+
 def _net_to_dict(net: MlpNetwork) -> list[dict]:
     return [
         {
-            "activation": layer.activation,
+            "activation": activation,
             "weights": layer.weights.tolist(),
             "bias": layer.bias.tolist(),
         }
-        for layer in net.layers
+        for layer, activation in zip(net.layers, _layout(len(net.layers)))
     ]
 
 
 def _net_from_dict(data: list[dict]) -> MlpNetwork:
+    activations = [entry["activation"] for entry in data]
+    if activations != _layout(len(data)):
+        raise ValueError(f"layer activations {activations} are not relu, ..., linear")
     layers = [
         nets.DenseLayer(
             np.asarray(entry["weights"], dtype=np.float64),
             np.asarray(entry["bias"], dtype=np.float64),
-            entry["activation"],
         )
         for entry in data
     ]

@@ -4,9 +4,10 @@ The adversarial trainer needs three flavours of derivative from the same
 small multilayer perceptron: parameter gradients of a scalar loss, the
 gradient of a scalar-output network with respect to its input, and the
 parameter gradient of the interpolation gradient-norm penalty, which
-differentiates through the input gradient itself (double backprop). With
-ReLU and linear layers all of this is exact almost everywhere because the
-activation's second derivative vanishes away from the kink.
+differentiates through the input gradient itself (double backprop). Every
+network is ReLU on all layers but the last, which is linear, so all of this
+is exact almost everywhere: the activation's second derivative vanishes
+away from the kink, where the ReLU subgradient is taken as 0.
 
 Batches are plain float64 numpy arrays, one sample per row. Weights follow
 the (out_dim, in_dim) convention, so a layer computes ``x @ W.T + b``.
@@ -18,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-RELU = "relu"
-LINEAR = "linear"
-_ACTIVATIONS = (RELU, LINEAR)
 
 
 class ShapeError(ValueError):
@@ -42,11 +39,10 @@ def as_batch(x) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
-    """One affine map plus activation; weights are (out_dim, in_dim)."""
+    """One affine map; weights are (out_dim, in_dim)."""
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -58,8 +54,6 @@ class DenseLayer:
                 f"bias shape {self.bias.shape} does not match out_dim "
                 f"{self.weights.shape[0]}"
             )
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise NonFiniteError("layer parameters must be finite")
 
@@ -71,16 +65,10 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    def activation_grad(self, preact: np.ndarray) -> np.ndarray:
-        # ReLU subgradient at exactly 0 is defined as 0.
-        if self.activation == RELU:
-            return (preact > 0.0).astype(np.float64)
-        return np.ones_like(preact)
-
 
 @dataclass
 class MlpNetwork:
-    """Stack of dense layers; consecutive layers must be dimension-compatible."""
+    """Dense layers with a ReLU between each pair; dimensions must chain."""
 
     layers: list[DenseLayer]
 
@@ -128,18 +116,16 @@ def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
 
     ``layer_sizes`` is ``[in_dim, h1, ..., out_dim]``. Weights are uniform in
     ``[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]`` and biases
-    start at zero. Activations are ReLU everywhere except a linear output
-    layer.
+    start at zero.
     """
     sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output dim")
-    activations = [RELU] * (len(sizes) - 2) + [LINEAR]
     layers = []
-    for fan_in, fan_out, act in zip(sizes, sizes[1:], activations):
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), act))
+        layers.append(DenseLayer(weights, np.zeros(fan_out)))
     return MlpNetwork(layers)
 
 
@@ -154,11 +140,12 @@ def mlp_forward(net: MlpNetwork, x) -> tuple[np.ndarray, ForwardCache]:
         raise NonFiniteError("forward input contains non-finite values")
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
-    for layer in net.layers:
+    for k, layer in enumerate(net.layers):
+        if k:
+            a = np.maximum(a, 0.0)  # ReLU between layers; the last stays linear
         inputs.append(a)
-        z = a @ layer.weights.T + layer.bias
-        preacts.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == RELU else z
+        a = a @ layer.weights.T + layer.bias
+        preacts.append(a)
     if not np.isfinite(a).all():
         raise NonFiniteError("forward pass produced non-finite values")
     return a, ForwardCache(inputs, preacts)
@@ -199,17 +186,12 @@ def mlp_param_grad(
             f"{cache.preacts[-1].shape}"
         )
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers))
-    delta = None
+    delta = up  # the last layer is linear
     for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        if delta is None:
-            delta = up * layer.activation_grad(cache.preacts[k])
-        else:
-            delta = (delta @ net.layers[k + 1].weights) * layer.activation_grad(
-                cache.preacts[k]
-            )
         grads[2 * k] = delta.T @ cache.inputs[k]
         grads[2 * k + 1] = delta.sum(axis=0)
+        if k:
+            delta = (delta @ net.layers[k].weights) * (cache.preacts[k - 1] > 0.0)
     return grads
 
 
@@ -223,12 +205,10 @@ def _input_grad_deltas(
     """
     n_layers = len(net.layers)
     deltas: list[np.ndarray] = [np.empty(0)] * n_layers
-    delta = net.layers[-1].activation_grad(cache.preacts[-1])
+    delta = np.ones_like(cache.preacts[-1])
     deltas[-1] = delta
     for k in range(n_layers - 2, -1, -1):
-        delta = (delta @ net.layers[k + 1].weights) * net.layers[k].activation_grad(
-            cache.preacts[k]
-        )
+        delta = (delta @ net.layers[k + 1].weights) * (cache.preacts[k] > 0.0)
         deltas[k] = delta
     grad = delta @ net.layers[0].weights
     return deltas, grad
@@ -295,7 +275,7 @@ def penalty_param_grad(
     grads[0] += deltas[0].T @ adj
     e = adj @ net.layers[0].weights.T
     for k in range(n_layers - 1):
-        q = e * net.layers[k].activation_grad(cache.preacts[k])
+        q = e * (cache.preacts[k] > 0.0)
         grads[2 * (k + 1)] += deltas[k + 1].T @ q
         if k + 1 < n_layers - 1:
             e = q @ net.layers[k + 1].weights.T

@@ -24,7 +24,7 @@ from synthflow.evaluator import (
     roc_auc,
     split_search,
 )
-from synthflow.gan import GanConfig, GanModel, critic_loss, generate, interpolation_draw, train
+from synthflow.gan import GanConfig, GanModel, critic_loss, generate, interpolate, train
 from synthflow.nets import DenseLayer, MlpNetwork, mlp_forward, mlp_input_grad, mlp_param_grad, penalty_param_grad
 
 from helpers import (
@@ -98,7 +98,7 @@ def test_c1_gradient_correctness():
 
 @criterion(2, "penalty double backprop matches finite differences (1e-4)")
 def test_c2_double_backprop():
-    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1), "linear")])
+    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1))])
     penalty, grads = penalty_param_grad(critic, np.array([[0.4]]), 10.0)
     assert penalty == 10.0
     assert grads[0] == np.array([[20.0]])
@@ -113,13 +113,13 @@ def test_c2_double_backprop():
 
 @criterion(3, "critic loss assembles its three terms exactly; hand case = 8")
 def test_c3_loss_assembly():
-    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1), "linear")])
+    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1))])
     generator = nets.build_mlp([2, 4, 1], np.random.default_rng(0))
     model = GanModel(generator, critic, GanConfig.small(noise_dim=2))
     real = np.array([[1.0]])
     fake = np.array([[0.0]])
-    draw = interpolation_draw(real, fake, np.array([0.7]))
-    out = critic_loss(model, real, fake, draw)
+    x_hat = interpolate(real, fake, np.array([0.7]))
+    out = critic_loss(model, real, fake, x_hat)
     assert out.loss == 8.0
     assert out.loss == out.fake_term - out.real_term + out.penalty_term
 
@@ -132,7 +132,7 @@ def test_c3_loss_assembly():
         )
         real = rng.normal(size=(5, d))
         fake = rng.normal(size=(5, d))
-        out = critic_loss(m, real, fake, interpolation_draw(real, fake, rng.uniform(0, 1, 5)))
+        out = critic_loss(m, real, fake, interpolate(real, fake, rng.uniform(0, 1, 5)))
         decomposed = out.fake_term - out.real_term + out.penalty_term
         assert abs(out.loss - decomposed) <= 1e-12 * max(1.0, abs(out.loss))
 

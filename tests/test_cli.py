@@ -165,6 +165,23 @@ def test_diverged_retrain_removes_earlier_model(tmp_path, capsys):
         assert "'train'" in capsys.readouterr().err
 
 
+def test_reingest_removes_artifacts_of_earlier_dataset(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    doc = json.loads(config.read_text())
+    doc["labels"] = ["normal"]
+    config.write_text(json.dumps(doc))
+    assert run(config, "ingest") == EXIT_OK
+    out = tmp_path / "run"
+    assert not (out / cli.MODEL_FILE).exists()
+    assert not (out / "train_manifest.json").exists()
+    capsys.readouterr()
+    for verb in ("generate", "evaluate"):
+        assert run(config, verb) == EXIT_MISSING
+        assert "'train'" in capsys.readouterr().err
+
+
 def test_bad_config_rejected(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text('{"dataset": "nope"}')

@@ -92,10 +92,11 @@ def test_clean_infinity_replaced_by_finite_extrema():
         ["1", "0", "x"],
         ["Infinity", "0", "x"],
         ["7", "0", "x"],
+        ["99", "junk", "x"],  # dropped: its 99 must not become the max
         ["-Infinity", "0", "x"],
     ])
     values, labels, dropped = clean_numeric(table, TWO_COL)
-    assert dropped == 0
+    assert dropped == 1
     assert values[:, 0].tolist() == [1.0, 7.0, 7.0, 1.0]
 
 

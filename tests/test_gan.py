@@ -1,3 +1,4 @@
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -17,7 +18,6 @@ from synthflow.gan import (
     generate,
     generator_loss,
     interpolate,
-    interpolation_draw,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -29,7 +29,7 @@ from helpers import constant_dataset, fd_param_grad, rel_err, toy_attack_dataset
 
 def scalar_linear_critic(weights):
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    return MlpNetwork([DenseLayer(w, np.zeros(1), "linear")])
+    return MlpNetwork([DenseLayer(w, np.zeros(1))])
 
 
 def tiny_model(feature_count=1, seed=0, **cfg_overrides):
@@ -42,24 +42,20 @@ def tiny_model(feature_count=1, seed=0, **cfg_overrides):
 def test_interpolation_endpoints():
     real = np.array([[1.0, 2.0]])
     fake = np.array([[5.0, 6.0]])
-    assert np.array_equal(
-        interpolation_draw(real, fake, np.array([1.0])).x_hat, real
-    )
-    assert np.array_equal(
-        interpolation_draw(real, fake, np.array([0.0])).x_hat, fake
-    )
+    assert np.array_equal(interpolate(real, fake, np.array([1.0])), real)
+    assert np.array_equal(interpolate(real, fake, np.array([0.0])), fake)
 
 
 def test_interpolation_hand_case():
-    draw = interpolation_draw(
+    x_hat = interpolate(
         np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]]), np.array([0.25])
     )
-    assert draw.x_hat.tolist() == [[1.5, 1.5]]
+    assert x_hat.tolist() == [[1.5, 1.5]]
 
 
 def test_interpolation_shape_mismatch():
     with pytest.raises(ShapeError):
-        interpolation_draw(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2))
+        interpolate(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2))
 
 
 @settings(deadline=None, max_examples=50)
@@ -68,10 +64,10 @@ def test_interpolation_stays_on_segment(seed, rows, cols):
     rng = np.random.default_rng(seed)
     real = rng.normal(size=(rows, cols))
     fake = rng.normal(size=(rows, cols))
-    draw = interpolate(real, fake, rng)
+    x_hat = interpolate(real, fake, rng.uniform(0.0, 1.0, size=rows))
     lo = np.minimum(real, fake)
     hi = np.maximum(real, fake)
-    assert (draw.x_hat >= lo - 1e-12).all() and (draw.x_hat <= hi + 1e-12).all()
+    assert (x_hat >= lo - 1e-12).all() and (x_hat <= hi + 1e-12).all()
 
 
 # --------------------------------------------------------------- critic loss
@@ -87,8 +83,8 @@ def make_model_with_critic(critic, noise_dim=2):
 def test_critic_loss_vanishes_for_unit_norm_critic_on_equal_batches():
     model = make_model_with_critic(scalar_linear_critic([[0.6, 0.8]]))
     batch = np.array([[0.1, 0.2], [0.3, 0.4]])
-    draw = interpolation_draw(batch, batch, np.array([0.5, 0.5]))
-    out = critic_loss(model, batch, batch, draw)
+    x_hat = interpolate(batch, batch, np.array([0.5, 0.5]))
+    out = critic_loss(model, batch, batch, x_hat)
     assert out.loss == 0.0
     assert out.fake_term == out.real_term
     assert out.penalty_term == 0.0
@@ -101,7 +97,8 @@ def test_critic_loss_lambda_zero_is_wasserstein_surrogate():
     rng = np.random.default_rng(8)
     real = rng.normal(size=(6, 2))
     fake = rng.normal(size=(6, 2))
-    out = critic_loss(model, real, fake, interpolate(real, fake, rng))
+    x_hat = interpolate(real, fake, rng.uniform(0.0, 1.0, 6))
+    out = critic_loss(model, real, fake, x_hat)
     closed_form = (fake @ np.array([3.0, -1.0])).mean() - (
         real @ np.array([3.0, -1.0])
     ).mean()
@@ -113,8 +110,8 @@ def test_critic_loss_linear_hand_case():
     model = make_model_with_critic(scalar_linear_critic([[2.0]]))
     real = np.array([[1.0]])
     fake = np.array([[0.0]])
-    draw = interpolation_draw(real, fake, np.array([0.3]))
-    out = critic_loss(model, real, fake, draw)
+    x_hat = interpolate(real, fake, np.array([0.3]))
+    out = critic_loss(model, real, fake, x_hat)
     assert out.loss == 8.0
     assert (out.fake_term, out.real_term, out.penalty_term) == (0.0, 2.0, 10.0)
     assert out.loss == out.fake_term - out.real_term + out.penalty_term
@@ -133,15 +130,15 @@ def test_critic_loss_gradient_matches_finite_differences():
         model = build_model(cfg, 3, rng)
         real = rng.normal(size=(4, 3))
         fake = rng.normal(size=(4, 3))
-        draw = interpolate(real, fake, rng)
-        batches = np.vstack([real, fake, draw.x_hat])
+        x_hat = interpolate(real, fake, rng.uniform(0.0, 1.0, size=4))
+        batches = np.vstack([real, fake, x_hat])
         if margin_through(model.critic, batches) >= 1e-3:
             break
         seed += 1
-    analytic = critic_loss(model, real, fake, draw).grads
+    analytic = critic_loss(model, real, fake, x_hat).grads
 
     def loss_value():
-        return critic_loss(model, real, fake, draw).loss
+        return critic_loss(model, real, fake, x_hat).loss
 
     oracle = fd_param_grad(model.critic, loss_value)
     assert rel_err(analytic, oracle) < 1e-4
@@ -152,7 +149,7 @@ def test_critic_loss_gradient_matches_finite_differences():
 def test_generator_loss_is_negated_mean_score():
     # critic f(x) = x on 1-d fakes; generator is identity-ish via fixed nets
     critic = scalar_linear_critic([[1.0]])
-    generator = MlpNetwork([DenseLayer(np.array([[1.0]]), np.zeros(1), "linear")])
+    generator = MlpNetwork([DenseLayer(np.array([[1.0]]), np.zeros(1))])
     model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
     loss, _ = generator_loss(model, np.array([[2.0], [4.0]]))
     assert loss == -3.0
@@ -160,7 +157,7 @@ def test_generator_loss_is_negated_mean_score():
 
 def test_generator_loss_zero_gradient_for_constant_critic():
     critic = MlpNetwork(
-        [DenseLayer(np.zeros((1, 2)), np.array([5.0]), "linear")]
+        [DenseLayer(np.zeros((1, 2)), np.array([5.0]))]
     )
     model = make_model_with_critic(critic)
     loss, grads = generator_loss(
@@ -267,7 +264,7 @@ def test_generate_clamps_to_unit_range():
 
 
 def test_generate_denormalizes_with_stats():
-    generator = MlpNetwork([DenseLayer(np.zeros((1, 1)), np.array([0.5]), "linear")])
+    generator = MlpNetwork([DenseLayer(np.zeros((1, 1)), np.array([0.5]))])
     critic = scalar_linear_critic([[1.0]])
     model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
     stats = NormalizationStats(np.array([0.0]), np.array([10.0]))
@@ -297,6 +294,9 @@ def test_checkpoint_round_trip_is_exact():
         assert np.array_equal(a, b)
     assert loaded.config == model.config
     assert save_checkpoint(loaded) == payload
+    doc = json.loads(payload)
+    for net in ("generator", "critic"):
+        assert [layer["activation"] for layer in doc[net]] == ["relu", "relu", "linear"]
 
 
 def test_checkpoint_truncated_payload_rejected():
@@ -315,6 +315,10 @@ def test_checkpoint_version_mismatch_rejected():
 def test_checkpoint_wrong_format_rejected():
     with pytest.raises(CheckpointError, match="not a model checkpoint"):
         load_checkpoint(b'{"format": "something-else"}')
+    doc = json.loads(save_checkpoint(tiny_model()))
+    doc["critic"][0]["activation"] = "linear"
+    with pytest.raises(CheckpointError, match="activations"):
+        load_checkpoint(json.dumps(doc).encode())
 
 
 # ------------------------------------------------------------------- config

@@ -22,10 +22,16 @@ from synthflow.nets import (
 from helpers import fd_input_grad, fd_param_grad, random_net_and_batch, rel_err
 
 
-def linear_net(weights, bias=None, activation="linear"):
+def linear_net(weights, bias=None):
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=float)
-    return MlpNetwork([DenseLayer(w, b, activation)])
+    return MlpNetwork([DenseLayer(w, b)])
+
+
+def relu_then_identity():
+    """A ReLU [[1.0]] layer followed by a linear [[1.0]] head."""
+    one = np.array([[1.0]])
+    return MlpNetwork([DenseLayer(one, np.zeros(1)), DenseLayer(one.copy(), np.zeros(1))])
 
 
 # ---------------------------------------------------------------- forward
@@ -37,7 +43,7 @@ def test_forward_identity_linear():
 
 
 def test_forward_relu_clamps_negative():
-    net = linear_net([[1.0]], activation="relu")
+    net = relu_then_identity()
     y, _ = mlp_forward(net, [[-2.0]])
     assert y == np.array([[0.0]])
 
@@ -45,8 +51,8 @@ def test_forward_relu_clamps_negative():
 def test_forward_two_layer_composition():
     net = MlpNetwork(
         [
-            DenseLayer(np.array([[2.0]]), np.zeros(1), "relu"),
-            DenseLayer(np.array([[-1.0]]), np.zeros(1), "linear"),
+            DenseLayer(np.array([[2.0]]), np.zeros(1)),
+            DenseLayer(np.array([[-1.0]]), np.zeros(1)),
         ]
     )
     y, _ = mlp_forward(net, [[3.0]])
@@ -69,8 +75,8 @@ def test_incompatible_layer_dims_rejected():
     with pytest.raises(ShapeError):
         MlpNetwork(
             [
-                DenseLayer(np.ones((2, 3)), np.zeros(2), "relu"),
-                DenseLayer(np.ones((1, 5)), np.zeros(1), "linear"),
+                DenseLayer(np.ones((2, 3)), np.zeros(2)),
+                DenseLayer(np.ones((1, 5)), np.zeros(1)),
             ]
         )
 
@@ -86,7 +92,7 @@ def test_param_grad_linear_layer_hand_case():
 
 
 def test_param_grad_dead_relu_is_zero():
-    net = linear_net([[1.0]], activation="relu")
+    net = relu_then_identity()
     _, cache = mlp_forward(net, [[-2.0]])
     grads = mlp_param_grad(net, cache, [[5.0]])
     assert grads[0] == np.array([[0.0]])
@@ -144,7 +150,7 @@ def test_input_grad_linear_critic():
 
 
 def test_input_grad_dead_relu_zero():
-    net = linear_net([[1.0]], activation="relu")
+    net = relu_then_identity()
     g = mlp_input_grad(net, [[-1.5]])
     assert g == np.array([[0.0]])
 
@@ -293,4 +299,3 @@ def test_build_mlp_shapes_and_zero_bias():
     net = build_mlp([3, 5, 2], np.random.default_rng(0))
     assert [l.weights.shape for l in net.layers] == [(5, 3), (2, 5)]
     assert all(np.all(l.bias == 0.0) for l in net.layers)
-    assert [l.activation for l in net.layers] == ["relu", "linear"]
