@@ -31,14 +31,12 @@ def main():
         return rc
 
     config = str(workdir / "config.json")
-    for verb in ("ingest", "train", "evaluate", "report"):
-        rc = cli.main([verb, "--config", config])
+    for argv in (["ingest"], ["train"], ["generate", "--count", "500"],
+                 ["evaluate"], ["report"]):
+        rc = cli.main([*argv, "--config", config])
         if rc != 0:
-            print(f"{verb} failed with exit code {rc}", file=sys.stderr)
+            print(f"{argv[0]} failed with exit code {rc}", file=sys.stderr)
             return rc
-    rc = cli.main(["generate", "--count", "500", "--config", config])
-    if rc != 0:
-        return rc
     print(f"\nartifacts in {workdir / 'run'}; see report.md for the summary")
     return 0
 

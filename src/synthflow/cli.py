@@ -200,9 +200,15 @@ def load_run_config(
         eval=eval_cfg,
     )
     try:
-        cfg.resolve_schema()
+        names = cfg.resolve_schema().feature_names()
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
+    unknown = [f for f in eval_cfg.histogram_features or () if f not in names]
+    if unknown:
+        raise ConfigError(
+            f"eval.histogram_features {unknown} are not schema features; "
+            f"candidates: {names}"
+        )
     return cfg
 
 

@@ -427,20 +427,25 @@ def load_dataset(path) -> DatasetMatrix:
         raise DataError(f"dataset cache not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"dataset cache {path} is corrupt: {exc}") from exc
-    if doc.get("format") != DATASET_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
         raise DataError(f"{path} is not a dataset cache")
     if doc.get("version") != DATASET_VERSION:
         raise DataError(
             f"dataset cache version {doc.get('version')} unsupported "
             f"(expected {DATASET_VERSION})"
         )
-    schema = FeatureSchema.from_dict(doc["schema"])
-    features = np.asarray(doc["features"], dtype=np.float64)
-    if features.size == 0:
-        features = features.reshape(0, len(schema.feature_names()))
-    return DatasetMatrix(
-        features,
-        list(doc["labels"]),
-        NormalizationStats.from_dict(doc["stats"]),
-        schema,
-    )
+    try:
+        schema = FeatureSchema.from_dict(doc["schema"])
+        features = np.asarray(doc["features"], dtype=np.float64)
+        if features.size == 0:
+            features = features.reshape(0, len(schema.feature_names()))
+        return DatasetMatrix(
+            features,
+            list(doc["labels"]),
+            NormalizationStats.from_dict(doc["stats"]),
+            schema,
+        )
+    except DataError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"dataset cache {path} is malformed: {exc!r}") from exc

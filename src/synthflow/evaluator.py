@@ -12,6 +12,16 @@ maximizing the usual Newton gain (sum-of-squares reduction on the
 residual/hessian ratio) wins, ties broken toward the smaller threshold and
 then the smaller feature index. Leaf values are the one-step Newton
 estimate sum(residual) / sum(p*(1-p)).
+
+The search runs on presorted column blocks, as in XGBoost's exact greedy
+algorithm (Chen & Guestrin 2016, section 4.1). A fit stable-sorts every
+feature column once, since the features stay the same across boosting
+rounds. Each node keeps its row ids in every feature's sorted order, and a
+split gives each child a stable partition of its parent's block. One
+``split_search`` call per node then scans all features with one cumulative
+sum per feature. Those sums run in the order a fresh stable sort of the
+node's rows would give, so the trees are bit for bit those of a per-node
+sort.
 """
 
 from __future__ import annotations
@@ -63,37 +73,51 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def split_search(values, residuals, hessians):
-    """Best (threshold, gain) for one feature, or None if unsplittable.
+def split_search(values, rows, residuals, hessians, work):
+    """Best (feature, threshold, gain) over every feature of one node, or
+    None if no feature has a threshold.
 
-    Thresholds are midpoints between consecutive sorted distinct values;
+    Row j of ``rows`` holds the node's row ids (at least two) in ascending
+    order of feature j, ties in ascending row id, and row j of ``values``
+    the matching feature values. Thresholds are midpoints between
+    consecutive distinct values;
     gain = (sum r_L)^2/(sum h_L) + (sum r_R)^2/(sum h_R) - (sum r)^2/(sum h),
-    which is always >= 0. Ties keep the smallest threshold. All-identical
-    values yield None.
+    with the sums taken in each feature's sorted order. Ties keep the
+    smallest threshold, then the smallest feature index. A feature with no
+    threshold, or whose best gain is NaN, is skipped. The gain is returned
+    even when it is not positive. ``work`` is scratch space of shape (4, k)
+    with k >= ``rows.size``.
     """
-    v = np.asarray(values, dtype=np.float64)
-    r = np.asarray(residuals, dtype=np.float64)
-    h = np.asarray(hessians, dtype=np.float64)
-    if v.shape != r.shape or v.shape != h.shape or v.ndim != 1:
-        raise ValueError("values/residuals/hessians must be matching 1-d arrays")
-    if v.size < 2:
-        return None
-    order = np.argsort(v, kind="stable")
-    v, r, h = v[order], r[order], h[order]
-    boundary = v[:-1] < v[1:]
-    if not boundary.any():
-        return None
-    cum_r = np.cumsum(r)
-    cum_h = np.cumsum(h)
-    total_r, total_h = cum_r[-1], cum_h[-1]
-    left_r, left_h = cum_r[:-1], cum_h[:-1]
-    right_r, right_h = total_r - left_r, total_h - left_h
+    d, m = rows.shape
+    cum_r, cum_h = (w[: d * m].reshape(d, m) for w in work[:2])
+    right_r, right_h = (w[: d * (m - 1)].reshape(d, m - 1) for w in work[2:])
+    # row ids are in range; "clip" lets take write straight into out
+    # instead of filling a checked temporary first
+    np.take(residuals, rows, out=cum_r, mode="clip")
+    np.take(hessians, rows, out=cum_h, mode="clip")
+    np.cumsum(cum_r, axis=1, out=cum_r)
+    np.cumsum(cum_h, axis=1, out=cum_h)
+    total_r, total_h = cum_r[:, -1:], cum_h[:, -1:]
+    left_r, left_h = cum_r[:, :-1], cum_h[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = left_r**2 / left_h + right_r**2 / right_h - total_r**2 / total_h
-    gains[~boundary] = -np.inf
-    best = int(np.argmax(gains))  # first max: smallest threshold wins ties
-    threshold = (v[best] + v[best + 1]) / 2.0
-    return float(threshold), float(gains[best])
+        np.subtract(total_r, left_r, out=right_r)
+        np.subtract(total_h, left_h, out=right_h)
+        np.square(right_r, out=right_r)
+        right_r /= right_h
+        gains = np.square(left_r, out=right_h)
+        gains /= left_h
+        gains += right_r
+        gains -= total_r**2 / total_h
+    gains[~(values[:, :-1] < values[:, 1:])] = -np.inf
+    at = gains.argmax(axis=1)  # first max per feature; a NaN wins it
+    best = gains[np.arange(d), at]
+    best[np.isnan(best)] = -np.inf
+    if not (best > -np.inf).any():
+        return None
+    feature = int(np.argmax(best))
+    k = at[feature]
+    threshold = (values[feature, k] + values[feature, k + 1]) / 2.0
+    return feature, float(threshold), float(best[feature])
 
 
 @dataclass
@@ -139,37 +163,53 @@ class RegressionTree:
                 stack.append(node.right)
 
 
-def _build_tree(features, residuals, hessians, max_depth) -> TreeNode:
-    def grow(idx, depth) -> TreeNode:
-        node_r = residuals[idx]
-        node_h = hessians[idx]
-        value = float(node_r.sum() / node_h.sum())
-        if depth >= max_depth or idx.size < 2:
-            return TreeNode(value=value)
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for j in range(features.shape[1]):
-            found = split_search(features[idx, j], node_r, node_h)
-            if found is None:
-                continue
-            threshold, gain = found
-            if gain > best_gain:  # strict: earlier feature wins ties
-                best_gain, best_feature, best_threshold = gain, j, threshold
-        if best_feature < 0:
-            return TreeNode(value=value)
-        go_left = features[idx, best_feature] <= best_threshold
-        return TreeNode(
-            feature=best_feature,
-            threshold=best_threshold,
-            gain=best_gain,
-            value=value,
-            left=grow(idx[go_left], depth + 1),
-            right=grow(idx[~go_left], depth + 1),
-        )
+def _tree_builder(features, max_depth):
+    """Tree grower for one fit: ``build(residuals, hessians) -> TreeNode``.
 
-    idx = np.arange(features.shape[0])
-    return grow(idx, 0)
+    Every feature column is stable-sorted once, here. A node holds its row
+    ids in ascending order (``idx``, for the leaf value) and a block with
+    one row per feature: its row ids in that feature's sorted order
+    (``rows``) and the matching ``values``. A split hands each child a
+    stable partition of the block, so every node sums in the order a fresh
+    stable sort of its rows would give.
+    """
+    n_rows, n_features = features.shape
+    sorted_rows = np.argsort(features.T, axis=1, kind="stable")
+    sorted_values = np.take_along_axis(features.T, sorted_rows, axis=1)
+    work = np.empty((4, sorted_rows.size))  # split_search's scratch space
+    goes_left = np.empty(n_rows, dtype=bool)
+
+    def build(residuals, hessians) -> TreeNode:
+        def grow(idx, rows, values, depth) -> TreeNode:
+            value = float(residuals[idx].sum() / hessians[idx].sum())
+            if depth >= max_depth or idx.size < 2:
+                return TreeNode(value=value)
+            found = split_search(values, rows, residuals, hessians, work)
+            if found is None or found[2] <= 0.0:  # a split needs gain > 0
+                return TreeNode(value=value)
+            feature, threshold, gain = found
+            left = features[idx, feature] <= threshold
+            blocks = [(None, None)] * 2
+            if depth + 1 < max_depth:  # children at max_depth are leaves
+                goes_left[idx] = left
+                in_left = goes_left[rows].ravel()
+                blocks = [
+                    (rows.ravel()[keep].reshape(n_features, -1),
+                     values.ravel()[keep].reshape(n_features, -1))
+                    for keep in (np.flatnonzero(in_left), np.flatnonzero(~in_left))
+                ]
+            return TreeNode(
+                feature=feature,
+                threshold=threshold,
+                gain=gain,
+                value=value,
+                left=grow(idx[left], *blocks[0], depth + 1),
+                right=grow(idx[~left], *blocks[1], depth + 1),
+            )
+
+        return grow(np.arange(n_rows), sorted_rows, sorted_values, 0)
+
+    return build
 
 
 @dataclass
@@ -204,12 +244,14 @@ def gbm_fit(
     prior = float(y.mean())
     base_score = float(np.log(prior / (1.0 - prior)))
     scores = np.full(y.shape, base_score)
+    # the features never change between rounds: one presort serves all trees
+    build = _tree_builder(train.features, max_depth)
     trees: list[RegressionTree] = []
     for _ in range(n_trees):
         p = sigmoid(scores)
         residuals = y - p
         hessians = p * (1.0 - p)
-        tree = RegressionTree(_build_tree(train.features, residuals, hessians, max_depth))
+        tree = RegressionTree(build(residuals, hessians))
         trees.append(tree)
         scores += shrinkage * tree.predict(train.features)
     return GbmModel(base_score, trees, shrinkage, max_depth, train.features.shape[1])
@@ -361,6 +403,18 @@ class EvalConfig:
     shrinkage: float = 0.1
     holdout_fraction: float = 0.3
     histogram_features: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_trees < 0:
+            raise ValueError(f"n_trees must be >= 0, got {self.n_trees}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not 0.0 < self.shrinkage <= 1.0:
+            raise ValueError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError(
+                f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalConfig":

@@ -402,9 +402,9 @@ def load_checkpoint(payload: bytes) -> GanModel:
         generator = _net_from_dict(doc["generator"])
         critic = _net_from_dict(doc["critic"])
         feature_count = doc["feature_count"]
-    except (KeyError, TypeError, ValueError) as exc:
+        model = GanModel(generator, critic, config)
+    except (KeyError, TypeError, ValueError) as exc:  # ShapeError is a ValueError
         raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    model = GanModel(generator, critic, config)
     if model.feature_count != feature_count:
         raise CheckpointError(
             f"checkpoint feature count {feature_count} does not match "

@@ -22,7 +22,6 @@ from synthflow.evaluator import (
     gbm_fit,
     gbm_predict,
     roc_auc,
-    split_search,
 )
 from synthflow.gan import GanConfig, GanModel, critic_loss, generate, interpolate, train
 from synthflow.nets import DenseLayer, MlpNetwork, mlp_forward, mlp_input_grad, mlp_param_grad, penalty_param_grad
@@ -34,7 +33,7 @@ from helpers import (
     toy_attack_dataset,
     write_toy_run,
 )
-from test_evaluator import brute_force_split, pairwise_auc
+from test_evaluator import brute_force_split, pairwise_auc, search_one
 
 NSLKDD_ENV = "SYNTHFLOW_NSLKDD_CSV"
 CICIDS_ENV = "SYNTHFLOW_CICIDS_CSV"
@@ -167,7 +166,7 @@ def test_c5_evaluator_oracles():
         values = rng.integers(-16, 17, size=n) / 2.0
         residuals = rng.integers(-16, 17, size=n) / 16.0
         hessians = rng.choice([0.0625, 0.125, 0.1875, 0.25], size=n)
-        assert split_search(values, residuals, hessians) == brute_force_split(
+        assert search_one(values, residuals, hessians) == brute_force_split(
             values, residuals, hessians
         )
 

@@ -219,6 +219,53 @@ def test_checkpoint_schema_mismatch_is_data_error(tmp_path):
     assert run(config, "generate") == EXIT_DATA
 
 
+def test_checkpoint_noise_dim_mismatch_is_data_error(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    model_path = tmp_path / "run" / cli.MODEL_FILE
+    doc = json.loads(model_path.read_text())
+    doc["config"]["noise_dim"] += 1  # the generator still takes the old width
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for verb in ("generate", "evaluate"):
+        assert run(config, verb) == EXIT_DATA
+        assert "noise_dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["list", "schema", "stats", "labels", "features"])
+def test_malformed_dataset_cache_is_data_error(tmp_path, capsys, damage):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    cache_path = tmp_path / "run" / cli.DATASET_FILE
+    doc = json.loads(cache_path.read_text())
+    doc = [] if damage == "list" else {k: v for k, v in doc.items() if k != damage}
+    cache_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(config, "train") == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_trees": -1},
+        {"max_depth": 0},
+        {"shrinkage": 0.0},
+        {"shrinkage": 1.5},
+        {"holdout_fraction": 0.0},
+        {"holdout_fraction": 1.5},
+        {"histogram_features": ["f1", "no such feature"]},
+    ],
+)
+def test_bad_eval_config_rejected_at_load(tmp_path, capsys, bad):
+    config = write_toy_run(tmp_path, eval_overrides=bad)
+    assert run(config, "ingest") == EXIT_CONFIG
+    assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # --------------------------------------------- bundled dataset schemas
 
 def nsl_kdd_row(service, label, scale):

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -276,6 +277,21 @@ def test_dataset_cache_rejects_corruption(tmp_path):
     path.write_text("{truncated")
     with pytest.raises(DataError, match="corrupt"):
         load_dataset(path)
+
+
+def test_dataset_cache_rejects_malformed_documents(tmp_path):
+    data = make_dataset([[0.25, 0.5], [0.75, 1.0]], ["a", "b"], TWO_COL)
+    path = tmp_path / "cache.json"
+    save_dataset(data, path)
+    doc = json.loads(path.read_text())
+    path.write_text("[]")
+    with pytest.raises(DataError, match="not a dataset cache"):
+        load_dataset(path)
+    for key in ("schema", "stats", "labels", "features"):
+        broken = {k: v for k, v in doc.items() if k != key}
+        path.write_text(json.dumps(broken))
+        with pytest.raises(DataError, match=f"malformed.*{key}"):
+            load_dataset(path)
 
 
 def test_dataset_matrix_validates_range():

@@ -19,6 +19,7 @@ from synthflow.evaluator import (
     histogram_compare,
     rmse_quality,
     roc_auc,
+    sigmoid,
     split_search,
 )
 
@@ -49,21 +50,49 @@ def brute_force_split(values, residuals, hessians):
     return best
 
 
+def brute_force_node_split(columns, residuals, hessians):
+    """(feature, threshold, gain) of the best single-feature split; the
+    first feature wins a tie."""
+    best = None
+    for j, column in enumerate(np.asarray(columns, float).T):
+        found = brute_force_split(column, residuals, hessians)
+        if found is not None and (best is None or found[1] > best[2]):
+            best = (j, *found)
+    return best
+
+
+def search_node(columns, residuals, hessians):
+    """split_search on a node holding every row of ``columns`` (n x d)."""
+    x = np.asarray(columns, float)
+    rows = np.argsort(x.T, axis=1, kind="stable")
+    values = np.take_along_axis(x.T, rows, axis=1)
+    return split_search(
+        values, rows, np.asarray(residuals, float), np.asarray(hessians, float),
+        np.empty((4, rows.size)),
+    )
+
+
+def search_one(values, residuals, hessians):
+    """(threshold, gain) of split_search on one feature, or None."""
+    found = search_node(np.asarray(values, float)[:, None], residuals, hessians)
+    return None if found is None else found[1:]
+
+
 def test_split_search_two_values():
-    got = split_search([1.0, 2.0], [-1.0, 1.0], [0.25, 0.25])
+    got = search_one([1.0, 2.0], [-1.0, 1.0], [0.25, 0.25])
     assert got is not None
     assert got[0] == 1.5
 
 
 def test_split_search_identical_values_no_split():
-    assert split_search([3.0, 3.0, 3.0], [1.0, -1.0, 0.0], [0.25] * 3) is None
+    assert search_one([3.0, 3.0, 3.0], [1.0, -1.0, 0.0], [0.25] * 3) is None
 
 
 def test_split_search_small_instance_matches_brute_force():
     values = [1.0, 2.0, 2.0, 4.0, 5.5, 7.0, 7.0, 9.0]
     residuals = [0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 0.5, -0.25]
     hessians = [0.25, 0.125, 0.25, 0.1875, 0.25, 0.125, 0.25, 0.25]
-    assert split_search(values, residuals, hessians) == brute_force_split(
+    assert search_one(values, residuals, hessians) == brute_force_split(
         values, residuals, hessians
     )
 
@@ -91,7 +120,7 @@ def dyadic_split_instance(draw):
 @given(instance=dyadic_split_instance())
 def test_split_search_matches_brute_force(instance):
     values, residuals, hessians = instance
-    assert split_search(values, residuals, hessians) == brute_force_split(
+    assert search_one(values, residuals, hessians) == brute_force_split(
         values, residuals, hessians
     )
 
@@ -100,11 +129,166 @@ def test_split_search_gain_is_nonnegative():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = rng.integers(2, 20)
-        got = split_search(
+        got = search_one(
             rng.normal(size=n), rng.normal(size=n), rng.uniform(0.01, 0.25, n)
         )
         if got is not None:
             assert got[1] >= 0.0
+
+
+@st.composite
+def dyadic_node_instance(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 4))
+    grid = st.integers(-8, 8).map(lambda k: k / 2.0)
+    columns = [draw(st.lists(grid, min_size=n, max_size=n)) for _ in range(d)]
+    # a copy and an order-preserving image of a column give equal gains,
+    # and a constant column has no threshold
+    source = draw(st.integers(0, d - 1))
+    columns.append(list(columns[source]))
+    columns.append([2.0 * v + 1.0 for v in columns[source]])
+    columns.append([0.5] * n)
+    order = draw(st.permutations(range(len(columns))))
+    residuals = draw(
+        st.lists(st.integers(-16, 16).map(lambda k: k / 16.0), min_size=n, max_size=n)
+    )
+    hessians = draw(
+        st.lists(
+            st.sampled_from([0.0625, 0.125, 0.1875, 0.25]), min_size=n, max_size=n
+        )
+    )
+    return np.array([columns[j] for j in order]).T, residuals, hessians
+
+
+@settings(deadline=None, max_examples=300)
+@given(instance=dyadic_node_instance())
+def test_split_search_all_features_match_brute_force(instance):
+    columns, residuals, hessians = instance
+    assert search_node(columns, residuals, hessians) == brute_force_node_split(
+        columns, residuals, hessians
+    )
+
+
+def test_split_search_tie_across_features_keeps_smaller_index():
+    column = [1.0, 2.0, 3.0, 4.0]
+    columns = np.array([[0.5] * 4, column, [10.0 * v for v in column], column]).T
+    residuals = [-1.0, -1.0, 1.0, 1.0]
+    got = search_node(columns, residuals, [0.25] * 4)
+    assert got == (1, 2.5, 16.0)
+
+
+def test_split_search_no_threshold_in_any_feature():
+    residuals = [1.0, -1.0, 0.0, 0.5, 0.5]
+    assert search_node(np.full((5, 3), 0.25), residuals, [0.25] * 5) is None
+
+
+def test_split_search_skips_feature_with_nan_gain():
+    # zero hessians on the first two rows: feature 0's first cut is 0/0
+    columns = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 2.0]]).T
+    residuals, hessians = [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 0.25, 0.25]
+    assert math.isnan(reference_split_search(columns[:, 0], residuals, hessians)[1])
+    assert search_node(columns, residuals, hessians) == (1, 1.5, 8.0)
+
+
+# --------------------------------------------------- reference tree builder
+
+def reference_split_search(values, residuals, hessians):
+    """The per-node, per-feature search the presorted one replaced: best
+    (threshold, gain) of one feature, sorting the node's values afresh."""
+    v = np.asarray(values, dtype=np.float64)
+    r = np.asarray(residuals, dtype=np.float64)
+    h = np.asarray(hessians, dtype=np.float64)
+    if v.size < 2:
+        return None
+    order = np.argsort(v, kind="stable")
+    v, r, h = v[order], r[order], h[order]
+    boundary = v[:-1] < v[1:]
+    if not boundary.any():
+        return None
+    cum_r = np.cumsum(r)
+    cum_h = np.cumsum(h)
+    total_r, total_h = cum_r[-1], cum_h[-1]
+    left_r, left_h = cum_r[:-1], cum_h[:-1]
+    right_r, right_h = total_r - left_r, total_h - left_h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = left_r**2 / left_h + right_r**2 / right_h - total_r**2 / total_h
+    gains[~boundary] = -np.inf
+    best = int(np.argmax(gains))
+    threshold = (v[best] + v[best + 1]) / 2.0
+    return float(threshold), float(gains[best])
+
+
+def reference_build_tree(features, residuals, hessians, max_depth):
+    def grow(idx, depth):
+        node_r = residuals[idx]
+        node_h = hessians[idx]
+        value = float(node_r.sum() / node_h.sum())
+        if depth >= max_depth or idx.size < 2:
+            return TreeNode(value=value)
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        for j in range(features.shape[1]):
+            found = reference_split_search(features[idx, j], node_r, node_h)
+            if found is None:
+                continue
+            threshold, gain = found
+            if gain > best_gain:  # strict: earlier feature wins ties
+                best_gain, best_feature, best_threshold = gain, j, threshold
+        if best_feature < 0:
+            return TreeNode(value=value)
+        go_left = features[idx, best_feature] <= best_threshold
+        return TreeNode(
+            feature=best_feature, threshold=best_threshold, gain=best_gain,
+            value=value,
+            left=grow(idx[go_left], depth + 1),
+            right=grow(idx[~go_left], depth + 1),
+        )
+
+    return grow(np.arange(features.shape[0]), 0)
+
+
+def reference_trees(train, n_trees, max_depth, shrinkage=0.1):
+    y = train.labels.astype(np.float64)
+    prior = float(y.mean())
+    scores = np.full(y.shape, float(np.log(prior / (1.0 - prior))))
+    trees = []
+    for _ in range(n_trees):
+        p = sigmoid(scores)
+        tree = RegressionTree(
+            reference_build_tree(train.features, y - p, p * (1.0 - p), max_depth)
+        )
+        trees.append(tree)
+        scores += shrinkage * tree.predict(train.features)
+    return trees
+
+
+def node_bits(tree):
+    """Every node's structure and fields, floats by their exact bits."""
+    return [
+        (node.is_leaf, node.feature, node.threshold.hex(), node.gain.hex(),
+         node.value.hex())
+        for node in tree.iter_nodes()
+    ]
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth):
+    rng = np.random.default_rng(seed)
+    n = 120
+    x = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 4, size=n) / 4.0,  # heavy ties
+        np.full(n, 0.5),  # constant
+        rng.uniform(size=n),
+        rng.integers(0, 2, size=n).astype(float),
+    ])
+    x[60:90] = x[:30]  # duplicate rows
+    y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=n) > 0.5).astype(int)
+    y[60:75] = 1 - y[:15]  # some duplicate rows carry both labels
+    train = LabeledSet(x, y)
+    model = gbm_fit(train, n_trees=8, max_depth=max_depth)
+    want = reference_trees(train, 8, max_depth)
+    assert [node_bits(t) for t in model.trees] == [node_bits(t) for t in want]
 
 
 # ---------------------------------------------------------------------- gbm
