@@ -29,7 +29,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -254,11 +254,27 @@ def histogram_file_name(feature: str) -> str:
     return f"hist_{_feature_slug(feature)}.csv"
 
 
-def _top_features(report: QualityReport, names: list[str]) -> list[tuple[str, float]]:
-    """The TOP_FEATURES largest importances; ties keep schema feature order."""
-    order = {n: i for i, n in enumerate(names)}
-    ranked = sorted(report.importances.items(), key=lambda kv: (-kv[1], order[kv[0]]))
+def _top_features(report: QualityReport) -> list[tuple[str, float]]:
+    """The TOP_FEATURES largest importances; ties keep schema feature order,
+    the order ``evaluate`` writes the importances in (the sort is stable)."""
+    ranked = sorted(report.importances.items(), key=lambda kv: -kv[1])
     return ranked[:TOP_FEATURES]
+
+
+def _read_artifact(path: Path, parse=json.loads):
+    """Parse the text of an earlier command's artifact; a corrupt file is a
+    data error that names it."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path} is corrupt: {exc!r}") from exc
+
+
+def _read_manifest(path: Path) -> dict:
+    doc = _read_artifact(path)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} is corrupt: not a JSON object")
+    return doc
 
 
 def _save_model(model, path: Path) -> None:
@@ -273,8 +289,7 @@ def _remove_downstream_artifacts(out_dir: Path) -> None:
         manifest = out_dir / f"{command}_manifest.json"
         if not manifest.exists():
             continue
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-        for name in doc.get("artifacts", []):
+        for name in _read_manifest(manifest).get("artifacts", []):
             (out_dir / Path(name).name).unlink(missing_ok=True)
         manifest.unlink(missing_ok=True)
 
@@ -286,16 +301,18 @@ def cmd_ingest(cfg: RunConfig) -> int:
     schema = cfg.resolve_schema()
     t0 = time.perf_counter()
 
+    # every header is checked before any data row is read; the rows of all
+    # files then stream through clean_numeric one block at a time
     names = None if cfg.headered() else [c.name for c in schema.columns]
     tables = [parse_csv(p, has_header=cfg.headered(), names=names) for p in cfg.csv]
     header = tables[0].header
     for p, t in zip(cfg.csv[1:], tables[1:]):
         if t.header != header:
             raise DataError(f"CSV header of {p} differs from {cfg.csv[0]}")
-    table = RawTable(header, [row for t in tables for row in t.rows])
-    parsed_rows = len(table.rows)
+    table = RawTable(header, chain.from_iterable(t.rows for t in tables))
 
     values, labels, dropped = clean_numeric(table, schema)
+    parsed_rows = values.shape[0] + dropped
     normalized, stats = minmax_normalize(values)
     full = DatasetMatrix(normalized, labels, stats, schema)
     filtered = filter_by_label(full, cfg.labels)
@@ -439,7 +456,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         fh.write(report.to_json())
 
     names = data.schema.feature_names()
-    ranked = enumerate(_top_features(report, names), start=1)
+    ranked = enumerate(_top_features(report), start=1)
     write_csv(
         cfg.out_dir / IMPORTANCE_FILE,
         ("rank", "feature", "weight"),
@@ -473,8 +490,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     report_path = _require(cfg.out_dir / REPORT_JSON_FILE, "evaluate")
-    data = load_dataset(_require(cfg.out_dir / DATASET_FILE, "ingest"))
-    report = QualityReport.from_json(report_path.read_text(encoding="utf-8"))
+    _require(cfg.out_dir / DATASET_FILE, "ingest")
+    report = _read_artifact(report_path, QualityReport.from_json)
     t0 = time.perf_counter()
 
     # fold in the manifests' reproducible fields (fingerprints, artifact
@@ -483,10 +500,9 @@ def cmd_report(cfg: RunConfig) -> int:
     for path in sorted(cfg.out_dir.glob("*_manifest.json")):
         if path.name == "report_manifest.json":
             continue
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = _read_manifest(path)
         manifests[doc.get("command", path.stem)] = doc
 
-    names = data.schema.feature_names()
     lines = [
         "# Synthetic flow quality report",
         "",
@@ -494,7 +510,7 @@ def cmd_report(cfg: RunConfig) -> int:
         f"- selected labels: {', '.join(cfg.labels)}",
         f"- seed: {cfg.seed}",
         f"- real rows: {report.n_real}, synthetic rows: {report.n_synth}, "
-        f"features: {len(names)}",
+        f"features: {len(report.importances)}",
         "",
         "## Quality metrics",
         "",
@@ -515,7 +531,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "| rank | feature | weight |",
         "|---|---|---|",
     ]
-    for rank, (name, weight) in enumerate(_top_features(report, names), start=1):
+    for rank, (name, weight) in enumerate(_top_features(report), start=1):
         lines.append(f"| {rank} | {name} | {weight:.4f} |")
     lines += ["", "## Histograms", ""]
     for hist in report.histograms:

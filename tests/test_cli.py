@@ -378,3 +378,73 @@ def test_multi_csv_ingest_concatenates(tmp_path):
     assert run(config, "ingest") == EXIT_OK
     summary = (tmp_path / "run" / cli.SUMMARY_FILE).read_text()
     assert "rows parsed: 200" in summary
+
+
+def test_two_file_ingest_equals_ingest_of_joined_file(tmp_path):
+    from synthflow import toydata
+
+    toydata.write_toy_csv(tmp_path / "a.csv", n_rows=100, seed=1)
+    toydata.write_toy_csv(tmp_path / "b.csv", n_rows=100, seed=2)
+    b_rows = (tmp_path / "b.csv").read_text().splitlines(keepends=True)[1:]
+    (tmp_path / "ab.csv").write_text((tmp_path / "a.csv").read_text() + "".join(b_rows))
+    config = write_toy_run(tmp_path)
+    doc = json.loads(config.read_text())
+    caches = []
+    for files, out in ((["a.csv", "b.csv"], "two"), (["ab.csv"], "one")):
+        doc.update(csv=files, out=out)
+        config.write_text(json.dumps(doc))
+        assert run(config, "ingest") == EXIT_OK
+        caches.append((tmp_path / out / cli.DATASET_FILE).read_bytes())
+    assert caches[0] == caches[1]
+    assert "rows parsed: 200" in (tmp_path / "two" / cli.SUMMARY_FILE).read_text()
+
+
+def test_truncated_quality_report_is_data_error(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    for verb in ("ingest", "train", "evaluate"):
+        assert run(config, verb) == EXIT_OK
+    path = tmp_path / "run" / cli.REPORT_JSON_FILE
+    path.write_text(path.read_text()[:100])
+    capsys.readouterr()
+    assert run(config, "report") == EXIT_DATA
+    assert cli.REPORT_JSON_FILE in capsys.readouterr().err
+    assert not (tmp_path / "run" / cli.REPORT_MD_FILE).exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]"])
+def test_corrupt_manifest_read_by_report_is_data_error(tmp_path, capsys, text):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    for verb in ("ingest", "train", "evaluate"):
+        assert run(config, verb) == EXIT_OK
+    (tmp_path / "run" / "train_manifest.json").write_text(text)
+    capsys.readouterr()
+    assert run(config, "report") == EXIT_DATA
+    assert "train_manifest.json" in capsys.readouterr().err
+
+
+def test_corrupt_manifest_on_reingest_is_data_error(tmp_path, capsys):
+    config = write_toy_run(tmp_path)
+    assert run(config, "ingest") == EXIT_OK
+    (tmp_path / "run" / "train_manifest.json").write_text("not json")
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_DATA
+    assert "train_manifest.json" in capsys.readouterr().err
+
+
+def test_report_reads_feature_names_from_the_quality_report(tmp_path, monkeypatch):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    for verb in ("ingest", "train", "evaluate", "report"):
+        assert run(config, verb) == EXIT_OK
+    first = (tmp_path / "run" / cli.REPORT_MD_FILE).read_bytes()
+
+    def no_load(path):
+        raise AssertionError("report must not parse the dataset cache")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    assert run(config, "report") == EXIT_OK
+    assert (tmp_path / "run" / cli.REPORT_MD_FILE).read_bytes() == first
+    (tmp_path / "run" / cli.DATASET_FILE).unlink()
+    assert run(config, "report") == EXIT_MISSING
