@@ -10,7 +10,12 @@ measurements and are the documented exception).
 
 Every artifact is replaced atomically: it is written to ``<name>.tmp`` and
 renamed over the old file only once complete, so a failed or interrupted
-command leaves the previous file or none, never a partial one. A train that
+command leaves the previous file or none, never a partial one. The dataset
+cache is two files, the matrix ``dataset.npy`` and the small
+``dataset.json`` that describes it; ingest removes the old ``dataset.json``
+before it writes the new matrix and writes ``dataset.json`` last, so an
+interrupted ingest leaves no ``dataset.json`` (later commands exit 5)
+rather than old labels and stats beside a new matrix. A train that
 diverges removes any ``model.sgmodel`` left by an earlier run, and an ingest
 removes every artifact that train, generate, evaluate and report built from
 the earlier dataset, so later commands stop with exit code 5 instead of using
@@ -44,6 +49,7 @@ from .dataio import (
     clean_numeric,
     filter_by_label,
     load_dataset,
+    matrix_path,
     minmax_normalize,
     parse_csv,
     save_dataset,
@@ -70,6 +76,7 @@ EXIT_DIVERGED = 4
 EXIT_MISSING = 5
 
 DATASET_FILE = "dataset.json"
+DATASET_MATRIX_FILE = matrix_path(DATASET_FILE).name
 SUMMARY_FILE = "ingest_summary.txt"
 MODEL_FILE = "model.sgmodel"
 LASTGOOD_MODEL_FILE = "model_lastgood.sgmodel"
@@ -313,14 +320,14 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
     values, labels, dropped = clean_numeric(table, schema)
     parsed_rows = values.shape[0] + dropped
-    normalized, stats = minmax_normalize(values)
+    normalized, stats = minmax_normalize(values)  # scales values in place
     full = DatasetMatrix(normalized, labels, stats, schema)
     filtered = filter_by_label(full, cfg.labels)
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _remove_downstream_artifacts(cfg.out_dir)
-    save_dataset(filtered, cfg.out_dir / DATASET_FILE)
+    save_dataset(filtered, cfg.out_dir / DATASET_FILE)  # the matrix, then dataset.json
 
     label_counts = Counter(labels)
     lines = [
@@ -356,7 +363,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
         "features": len(schema.feature_names()),
     }
     write_manifest(
-        cfg, "ingest", [DATASET_FILE, SUMMARY_FILE], {"total": wall_ms}, fingerprint
+        cfg, "ingest", [DATASET_FILE, DATASET_MATRIX_FILE, SUMMARY_FILE],
+        {"total": wall_ms}, fingerprint,
     )
     print(
         f"ingested {filtered.n_rows} rows "

@@ -15,6 +15,13 @@ size of the input.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one.
+
+The dataset cache is two files: the normalized matrix as a raw ``.npy``
+beside a small JSON document (schema, stats, labels and the matrix shape).
+The JSON document is the commit record: :func:`save_dataset` removes the
+old one before it writes the matrix and writes the new one last, so an
+interrupted save leaves no document, never an old document paired with a
+new matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ LABEL = "label"
 _ROLES = (NUMERIC, CATEGORICAL, DROP, LABEL)
 
 DATASET_FORMAT = "sgdata"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 class DataError(ValueError):
@@ -233,16 +240,18 @@ def _records(source) -> Iterator[list[str]]:
         yield from filter(None, csv.reader(source))
 
 
-def _checked_rows(records, width: int, need_rows: bool) -> Iterator[list[str]]:
+def _checked_rows(
+    records, width: int, need_rows: bool, where: str
+) -> Iterator[list[str]]:
     n = 0
     for n, record in enumerate(records, start=1):
         if len(record) != width:
             raise DataError(
-                f"ragged row {n}: expected {width} cells, got {len(record)}"
+                f"{where}ragged row {n}: expected {width} cells, got {len(record)}"
             )
         yield record
     if need_rows and n == 0:
-        raise DataError("empty CSV: no data rows found")
+        raise DataError(f"{where}empty CSV: no data rows found")
 
 
 def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -> RawTable:
@@ -255,7 +264,7 @@ def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -
     a lazy iterator, and a path stays open until it is exhausted. Blank
     lines are skipped; a ragged row, or a headerless file without data
     rows, raises :class:`DataError` when the iterator reaches it, naming
-    the 1-based data row.
+    the 1-based data row and, for a path, the file.
     """
     if not has_header and not names:
         raise DataError("headerless CSV needs schema-supplied column names")
@@ -267,7 +276,8 @@ def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -
         header = _mangle_duplicates([cell.strip() for cell in first])
     else:
         header = list(names)
-    return RawTable(header, _checked_rows(records, len(header), not has_header))
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
+    return RawTable(header, _checked_rows(records, len(header), not has_header, where))
 
 
 # Rows parsed per block by clean_numeric: enough to amortise the per-block
@@ -386,7 +396,11 @@ class NormalizationStats:
 
 
 def minmax_normalize(values: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
-    """Scale each column to [0, 1]; constant columns map to 0."""
+    """Scale each column to [0, 1]; constant columns map to 0.
+
+    A float64 array is scaled in place and returned, so the caller holds one
+    matrix, not two; pass a copy to keep the original.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
         raise DataError(f"cannot normalize matrix of shape {values.shape}")
@@ -396,10 +410,10 @@ def minmax_normalize(values: np.ndarray) -> tuple[np.ndarray, NormalizationStats
     col_max = values.max(axis=0)
     span = col_max - col_min
     safe_span = np.where(span > 0, span, 1.0)
-    normalized = values - col_min
-    normalized /= safe_span  # in place: one temporary matrix fewer
-    normalized[:, span == 0] = 0.0
-    return normalized, NormalizationStats(col_min, col_max)
+    values -= col_min
+    values /= safe_span
+    values[:, span == 0] = 0.0
+    return values, NormalizationStats(col_min, col_max)
 
 
 def denormalize(normalized: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -461,20 +475,56 @@ def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
     return DatasetMatrix(data.features[mask], labels, data.stats, data.schema)
 
 
+def matrix_path(path) -> Path:
+    """The ``.npy`` file that holds the matrix of the dataset cache at ``path``."""
+    return Path(path).with_suffix(".npy")
+
+
 def save_dataset(data: DatasetMatrix, path) -> None:
-    """Write the dataset cache as versioned JSON (exact float round-trip)."""
+    """Write the dataset cache: the matrix as little-endian float64 ``.npy``
+    at :func:`matrix_path`, then the JSON document at ``path``.
+
+    The old document is removed before the matrix is written, so a save that
+    stops part-way leaves no document rather than a stale one.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    features = np.ascontiguousarray(data.features, dtype="<f8")
+    with atomic_write(matrix_path(path)) as fh:
+        np.save(fh.buffer, features, allow_pickle=False)
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "schema": data.schema.to_dict(),
         "stats": data.stats.to_dict(),
         "labels": data.labels,
-        "features": data.features.tolist(),
+        "features": {"shape": list(features.shape)},
     }
     write_json(path, doc)
 
 
+def _load_matrix(path: Path, shape: tuple) -> np.ndarray:
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except FileNotFoundError as exc:
+        raise DataError(f"dataset matrix not found: {path}; re-run 'ingest'") from exc
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"dataset matrix {path} is corrupt: {exc}") from exc
+    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.dtype("<f8"):
+        raise DataError(f"dataset matrix {path} is not little-endian float64")
+    if matrix.shape != shape:
+        raise DataError(
+            f"dataset matrix {path} has shape {matrix.shape}, its cache "
+            f"document records {shape}"
+        )
+    return matrix
+
+
 def load_dataset(path) -> DatasetMatrix:
+    """Read the dataset cache written by :func:`save_dataset`; every defect
+    in either file is a :class:`DataError` that names the file."""
+    path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -486,21 +536,20 @@ def load_dataset(path) -> DatasetMatrix:
         raise DataError(f"{path} is not a dataset cache")
     if doc.get("version") != DATASET_VERSION:
         raise DataError(
-            f"dataset cache version {doc.get('version')} unsupported "
-            f"(expected {DATASET_VERSION})"
+            f"dataset cache {path} version {doc.get('version')} unsupported "
+            f"(expected {DATASET_VERSION}); re-run 'ingest'"
         )
     try:
         schema = FeatureSchema.from_dict(doc["schema"])
-        features = np.asarray(doc["features"], dtype=np.float64)
-        if features.size == 0:
-            features = features.reshape(0, len(schema.feature_names()))
-        return DatasetMatrix(
-            features,
-            list(doc["labels"]),
-            NormalizationStats.from_dict(doc["stats"]),
-            schema,
-        )
-    except DataError:
-        raise
+        stats = NormalizationStats.from_dict(doc["stats"])
+        labels = list(doc["labels"])
+        shape = tuple(doc["features"]["shape"])
+    except DataError as exc:
+        raise DataError(f"dataset cache {path} is malformed: {exc}") from exc
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DataError(f"dataset cache {path} is malformed: {exc!r}") from exc
+    features = _load_matrix(matrix_path(path), shape)
+    try:
+        return DatasetMatrix(features, labels, stats, schema)
+    except DataError as exc:
+        raise DataError(f"dataset cache {path}: {exc}") from exc

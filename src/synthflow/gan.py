@@ -334,8 +334,7 @@ def generate(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     noise = rng.uniform(-1.0, 1.0, size=(n, model.config.noise_dim))
-    out, _ = nets.mlp_forward(model.generator, noise)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(nets.mlp_output(model.generator, noise), 0.0, 1.0)
     if stats is not None:
         out = denormalize(out, stats)
     return out

@@ -16,6 +16,7 @@ Parameter lists everywhere are interleaved ``[W0, b0, W1, b1, ...]``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,14 @@ def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def mlp_forward(net: MlpNetwork, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch, returning outputs and a backprop cache."""
+def _layer_values(net: MlpNetwork, x) -> Iterator[np.ndarray]:
+    """Run the network on a batch, yielding each layer's input and then its
+    pre-activation, layer by layer; the last value is the output.
+
+    The batch is checked before the first layer and the output after the
+    last value is taken, so a caller must exhaust the iterator. Only the
+    caller keeps earlier values alive.
+    """
     a = as_batch(x)
     if a.shape[1] != net.in_dim:
         raise ShapeError(
@@ -138,17 +145,29 @@ def mlp_forward(net: MlpNetwork, x) -> tuple[np.ndarray, ForwardCache]:
         )
     if not np.isfinite(a).all():
         raise NonFiniteError("forward input contains non-finite values")
-    inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
     for k, layer in enumerate(net.layers):
         if k:
             a = np.maximum(a, 0.0)  # ReLU between layers; the last stays linear
-        inputs.append(a)
-        a = a @ layer.weights.T + layer.bias
-        preacts.append(a)
+        yield a
+        a = a @ layer.weights.T
+        a += layer.bias
+        yield a
     if not np.isfinite(a).all():
         raise NonFiniteError("forward pass produced non-finite values")
-    return a, ForwardCache(inputs, preacts)
+
+
+def mlp_forward(net: MlpNetwork, x) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a batch, returning outputs and a backprop cache."""
+    values = list(_layer_values(net, x))
+    return values[-1], ForwardCache(values[0::2], values[1::2])
+
+
+def mlp_output(net: MlpNetwork, x) -> np.ndarray:
+    """Run the network on a batch, keeping no backprop cache: at most one
+    layer's input and pre-activation are alive at a time."""
+    for out in _layer_values(net, x):
+        pass
+    return out
 
 
 def _check_cache(net: MlpNetwork, cache: ForwardCache) -> None:

@@ -4,13 +4,20 @@ import time
 import numpy as np
 import pytest
 
-from synthflow import cli
+from synthflow import cli, dataio
 from synthflow.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_MISSING,
     EXIT_OK,
+)
+from synthflow.dataio import (
+    DatasetMatrix,
+    FeatureSchema,
+    NormalizationStats,
+    load_dataset,
+    save_dataset,
 )
 
 from helpers import write_toy_run
@@ -36,6 +43,7 @@ def toy_pipeline(tmp_path_factory):
 def test_pipeline_artifacts_exist(toy_pipeline):
     for name in (
         cli.DATASET_FILE,
+        cli.DATASET_MATRIX_FILE,
         cli.SUMMARY_FILE,
         cli.MODEL_FILE,
         cli.TRAIN_LOG_FILE,
@@ -208,14 +216,13 @@ def test_checkpoint_schema_mismatch_is_data_error(tmp_path):
     assert run(config, "train") == EXIT_OK
     # swap in a cache with a different width
     cache_path = tmp_path / "run" / cli.DATASET_FILE
-    doc = json.loads(cache_path.read_text())
-    doc["schema"]["columns"] = [
+    data = load_dataset(cache_path)
+    schema = FeatureSchema.from_dict({"columns": [
         {"name": "f1", "role": "numeric"},
         {"name": "label", "role": "label"},
-    ]
-    doc["stats"] = {"min": [0.0], "max": [1.0]}
-    doc["features"] = [[0.5]] * len(doc["labels"])
-    cache_path.write_text(json.dumps(doc))
+    ]})
+    stats = NormalizationStats([0.0], [1.0])
+    save_dataset(DatasetMatrix(data.features[:, :1], data.labels, stats, schema), cache_path)
     assert run(config, "generate") == EXIT_DATA
 
 
@@ -233,18 +240,127 @@ def test_checkpoint_noise_dim_mismatch_is_data_error(tmp_path, capsys):
         assert "noise_dim" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["list", "schema", "stats", "labels", "features"])
+def _damage_cache(out, damage):
+    """Break one part of a two-file dataset cache; returns the file the
+    error must name."""
+    doc_path = out / cli.DATASET_FILE
+    npy_path = out / cli.DATASET_MATRIX_FILE
+    doc = json.loads(doc_path.read_text())
+    matrix = np.load(npy_path)
+    if damage == "list":
+        doc_path.write_text("[]")
+        return cli.DATASET_FILE
+    if damage in doc:
+        del doc[damage]
+        doc_path.write_text(json.dumps(doc))
+        return cli.DATASET_FILE
+    if damage == "missing":
+        npy_path.unlink()
+    elif damage == "truncated":
+        npy_path.write_bytes(npy_path.read_bytes()[:-8])
+    elif damage == "header":
+        npy_path.write_bytes(npy_path.read_bytes()[:20])
+    elif damage == "dtype":
+        np.save(npy_path, matrix.astype(np.float32))
+    elif damage == "big-endian":
+        np.save(npy_path, matrix.astype(">f8"))
+    elif damage == "rows":
+        np.save(npy_path, matrix[:-1])  # the document still records every row
+    elif damage == "width":
+        # matrix and recorded shape agree, the schema does not
+        np.save(npy_path, np.hstack([matrix, matrix[:, :1]]))
+        doc["features"]["shape"][1] += 1
+        doc_path.write_text(json.dumps(doc))
+        return cli.DATASET_FILE
+    elif damage == "label count":
+        doc["labels"] = doc["labels"][:-1]
+        doc_path.write_text(json.dumps(doc))
+        return cli.DATASET_FILE
+    elif damage == "version 1":
+        doc["version"] = 1
+        doc["features"] = matrix.tolist()
+        doc_path.write_text(json.dumps(doc))
+        return cli.DATASET_FILE
+    return cli.DATASET_MATRIX_FILE
+
+
+@pytest.mark.parametrize("damage", [
+    "list", "schema", "stats", "labels", "features",
+    "missing", "truncated", "header", "dtype", "big-endian", "rows", "width",
+    "label count", "version 1",
+])
 def test_malformed_dataset_cache_is_data_error(tmp_path, capsys, damage):
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
     assert run(config, "ingest") == EXIT_OK
-    cache_path = tmp_path / "run" / cli.DATASET_FILE
-    doc = json.loads(cache_path.read_text())
-    doc = [] if damage == "list" else {k: v for k, v in doc.items() if k != damage}
-    cache_path.write_text(json.dumps(doc))
+    named = _damage_cache(tmp_path / "run", damage)
     capsys.readouterr()
     assert run(config, "train") == EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and named in err
+    if damage == "version 1":
+        assert "version 1 unsupported" in err
     assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+
+
+def test_interrupted_ingest_leaves_no_dataset_json(tmp_path, capsys, monkeypatch):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    out = tmp_path / "run"
+    old_matrix = (out / cli.DATASET_MATRIX_FILE).read_bytes()
+    doc = json.loads(config.read_text())
+    doc["labels"] = ["normal"]
+    config.write_text(json.dumps(doc))
+
+    def interrupted(path, doc, indent=None):
+        raise KeyboardInterrupt
+
+    # stops the save between the matrix and the document that describes it
+    monkeypatch.setattr(dataio, "write_json", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(config, "ingest")
+    monkeypatch.undo()
+    assert not (out / cli.DATASET_FILE).exists()
+    assert (out / cli.DATASET_MATRIX_FILE).read_bytes() != old_matrix
+    capsys.readouterr()
+    assert run(config, "train") == EXIT_MISSING
+    assert "'ingest'" in capsys.readouterr().err
+
+
+def test_reingest_lists_and_replaces_both_cache_files(tmp_path):
+    config = write_toy_run(tmp_path)
+    out = tmp_path / "run"
+    names = (cli.DATASET_FILE, cli.DATASET_MATRIX_FILE)
+    saved = []
+    for labels in (["attack"], ["normal"]):
+        doc = json.loads(config.read_text())
+        doc["labels"] = labels
+        config.write_text(json.dumps(doc))
+        assert run(config, "ingest") == EXIT_OK
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert set(names) <= set(manifest["artifacts"])
+        saved.append([(out / name).read_bytes() for name in names])
+    assert all(old != new for old, new in zip(*saved))
+    assert load_dataset(out / cli.DATASET_FILE).labels == ["normal"] * 1000
+    assert not list(out.glob("*.tmp"))
+
+
+def test_ragged_row_in_second_file_names_that_file(tmp_path, capsys):
+    from synthflow import toydata
+
+    toydata.write_toy_csv(tmp_path / "a.csv", n_rows=20, seed=1)
+    toydata.write_toy_csv(tmp_path / "b.csv", n_rows=20, seed=2)
+    lines = (tmp_path / "b.csv").read_text().splitlines(keepends=True)
+    lines[5] = "0.5,attack\n"  # data row 5 of b.csv has two cells, not three
+    (tmp_path / "b.csv").write_text("".join(lines))
+    config = write_toy_run(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["csv"] = ["a.csv", "b.csv"]
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "b.csv: ragged row 5: expected 3 cells, got 2" in err
+    assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
 
 @pytest.mark.parametrize(
@@ -293,10 +409,9 @@ def test_nsl_kdd_ingest_headerless(tmp_path):
         "out": "run",
     }))
     assert run(config, "ingest") == EXIT_OK
-    cache = json.loads((tmp_path / "run" / cli.DATASET_FILE).read_text())
-    assert len(cache["features"]) == 3
-    assert len(cache["features"][0]) == 41
-    assert cache["labels"] == ["smurf", "smurf", "smurf"]
+    data = load_dataset(tmp_path / "run" / cli.DATASET_FILE)
+    assert data.features.shape == (3, 41)
+    assert data.labels == ["smurf", "smurf", "smurf"]
 
 
 def cicids_header():
@@ -353,9 +468,8 @@ def test_cicids_ingest_with_duplicate_header_and_infinity(tmp_path):
     summary = (tmp_path / "run" / cli.SUMMARY_FILE).read_text()
     assert "rows dropped (unparseable): 1" in summary
     assert "feature count: 78" in summary
-    cache = json.loads((tmp_path / "run" / cli.DATASET_FILE).read_text())
-    assert len(cache["features"]) == 5
-    assert len(cache["features"][0]) == 78
+    data = load_dataset(tmp_path / "run" / cli.DATASET_FILE)
+    assert data.features.shape == (5, 78)
 
 
 def test_multi_csv_ingest_concatenates(tmp_path):
@@ -394,7 +508,10 @@ def test_two_file_ingest_equals_ingest_of_joined_file(tmp_path):
         doc.update(csv=files, out=out)
         config.write_text(json.dumps(doc))
         assert run(config, "ingest") == EXIT_OK
-        caches.append((tmp_path / out / cli.DATASET_FILE).read_bytes())
+        caches.append([
+            (tmp_path / out / name).read_bytes()
+            for name in (cli.DATASET_FILE, cli.DATASET_MATRIX_FILE)
+        ])
     assert caches[0] == caches[1]
     assert "rows parsed: 200" in (tmp_path / "two" / cli.SUMMARY_FILE).read_text()
 

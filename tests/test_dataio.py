@@ -331,6 +331,13 @@ def test_minmax_constant_column_maps_to_zero():
     assert norm[:, 0].tolist() == [0.0, 0.0]
 
 
+def test_minmax_normalize_scales_in_place():
+    values = np.array([[1.0, 4.0], [3.0, 4.0]])
+    norm, _ = minmax_normalize(values)
+    assert norm is values
+    assert values.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
 def test_denormalize_endpoints_and_no_clamping():
     stats = NormalizationStats(np.array([0.0]), np.array([10.0]))
     out = denormalize(np.array([[0.0], [1.0], [1.1]]), stats)
@@ -349,7 +356,7 @@ def test_normalize_denormalize_round_trip(seed, rows, cols):
     rng = np.random.default_rng(seed)
     values = rng.normal(scale=100.0, size=(rows, cols))
     values[0] += 1.0  # keep at least two distinct values per column likely
-    norm, stats = minmax_normalize(values)
+    norm, stats = minmax_normalize(values.copy())  # scales its argument in place
     assert norm.min() >= 0.0 and norm.max() <= 1.0
     back = denormalize(norm, stats)
     span = np.where(stats.col_max > stats.col_min, stats.col_max - stats.col_min, 1.0)
@@ -417,14 +424,31 @@ def test_bundled_schema_feature_counts():
 
 
 def test_dataset_cache_round_trip(tmp_path):
-    data = make_dataset([[0.25, 0.5], [0.75, 1.0]], ["a", "b"], TWO_COL)
+    rng = np.random.default_rng(5)
+    features = rng.uniform(size=(300, 2))
+    features[:3] = [[0.0, 1.0], [5e-324, np.nextafter(1.0, 0.0)], [1 / 3, 0.1]]
+    data = make_dataset(features, [f"l{i % 7}" for i in range(300)], TWO_COL)
     path = tmp_path / "cache.json"
     save_dataset(data, path)
+    assert dataio.matrix_path(path) == tmp_path / "cache.npy"
     loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, data.features)
+    assert loaded.features.dtype == np.float64
+    assert loaded.features.tobytes() == features.tobytes()
     assert loaded.labels == data.labels
     assert loaded.schema == data.schema
     assert np.array_equal(loaded.stats.col_min, data.stats.col_min)
+
+
+def test_dataset_cache_saves_are_byte_identical(tmp_path):
+    data = make_dataset(np.random.default_rng(6).uniform(size=(40, 2)), None, TWO_COL)
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        save_dataset(data, tmp_path / name / "dataset.json")
+    for name in ("dataset.json", "dataset.npy"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    assert json.loads((tmp_path / "one" / "dataset.json").read_text())["features"] == {
+        "shape": [40, 2]
+    }
 
 
 def test_dataset_cache_rejects_corruption(tmp_path):
