@@ -22,13 +22,14 @@ the earlier dataset, so later commands stop with exit code 5 instead of using
 a stale model.
 
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
-divergence, 5 missing prerequisite artifact.
+divergence, 5 missing prerequisite artifact. A run config or schema that
+cannot be read or decoded is exit 2, a dataset cache document, manifest or
+quality report exit 3; the message names the file.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
@@ -52,6 +53,7 @@ from .dataio import (
     matrix_path,
     minmax_normalize,
     parse_csv,
+    read_json,
     save_dataset,
     schema_from_json,
     write_csv,
@@ -138,14 +140,11 @@ def load_run_config(
 ) -> RunConfig:
     """Parse and validate the JSON run config; flags win over file values."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        doc = read_json(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"config {path} must be a JSON object")
 
     base = Path(path).resolve().parent
 
@@ -187,6 +186,8 @@ def load_run_config(
     if has_header is not None and not isinstance(has_header, bool):
         raise ConfigError("'has_header' must be a boolean")
 
+    if isinstance(doc.get("gan"), dict) and "seed" in doc["gan"]:
+        raise ConfigError("'gan.seed' is not a setting; set 'seed' or pass --seed")
     try:
         gan_cfg = GanConfig.from_dict(doc.get("gan", {}))
         eval_cfg = EvalConfig.from_dict(doc.get("eval", {}))
@@ -268,19 +269,15 @@ def _top_features(report: QualityReport) -> list[tuple[str, float]]:
     return ranked[:TOP_FEATURES]
 
 
-def _read_artifact(path: Path, parse=json.loads):
-    """Parse the text of an earlier command's artifact; a corrupt file is a
-    data error that names it."""
-    try:
-        return parse(path.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path} is corrupt: {exc!r}") from exc
-
-
-def _read_manifest(path: Path) -> dict:
-    doc = _read_artifact(path)
+def _manifest(doc) -> dict:
+    """``read_json`` decoder: checks the manifest fields later verbs read."""
     if not isinstance(doc, dict):
-        raise DataError(f"{path} is corrupt: not a JSON object")
+        raise DataError("not a JSON object")
+    artifacts = doc.get("artifacts", [])
+    if not isinstance(artifacts, list) or not all(isinstance(a, str) for a in artifacts):
+        raise DataError("'artifacts' is not a list of file names")
+    if not isinstance(doc.get("dataset_fingerprint"), (dict, type(None))):
+        raise DataError("'dataset_fingerprint' is neither an object nor null")
     return doc
 
 
@@ -296,7 +293,7 @@ def _remove_downstream_artifacts(out_dir: Path) -> None:
         manifest = out_dir / f"{command}_manifest.json"
         if not manifest.exists():
             continue
-        for name in _read_manifest(manifest).get("artifacts", []):
+        for name in read_json(manifest, _manifest).get("artifacts", []):
             (out_dir / Path(name).name).unlink(missing_ok=True)
         manifest.unlink(missing_ok=True)
 
@@ -460,8 +457,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     artifacts = [REPORT_JSON_FILE, IMPORTANCE_FILE]
-    with atomic_write(cfg.out_dir / REPORT_JSON_FILE) as fh:
-        fh.write(report.to_json())
+    write_json(cfg.out_dir / REPORT_JSON_FILE, asdict(report), indent=2)
 
     names = data.schema.feature_names()
     ranked = enumerate(_top_features(report), start=1)
@@ -499,7 +495,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     report_path = _require(cfg.out_dir / REPORT_JSON_FILE, "evaluate")
     _require(cfg.out_dir / DATASET_FILE, "ingest")
-    report = _read_artifact(report_path, QualityReport.from_json)
+    report = read_json(report_path, QualityReport.from_dict)
     t0 = time.perf_counter()
 
     # fold in the manifests' reproducible fields (fingerprints, artifact
@@ -508,8 +504,7 @@ def cmd_report(cfg: RunConfig) -> int:
     for path in sorted(cfg.out_dir.glob("*_manifest.json")):
         if path.name == "report_manifest.json":
             continue
-        doc = _read_manifest(path)
-        manifests[doc.get("command", path.stem)] = doc
+        manifests[path.name] = read_json(path, _manifest)
 
     lines = [
         "# Synthetic flow quality report",
@@ -544,8 +539,8 @@ def cmd_report(cfg: RunConfig) -> int:
     lines += ["", "## Histograms", ""]
     for hist in report.histograms:
         lines.append(f"- {hist.feature}: `{histogram_file_name(hist.feature)}`")
-    if "ingest" in manifests and manifests["ingest"].get("dataset_fingerprint"):
-        fp = manifests["ingest"]["dataset_fingerprint"]
+    fp = manifests.get("ingest_manifest.json", {}).get("dataset_fingerprint")
+    if fp:
         lines += [
             "",
             "## Ingest fingerprint",

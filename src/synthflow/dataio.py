@@ -81,6 +81,31 @@ def write_json(path, doc, indent: int | None = None) -> None:
         fh.write("\n")
 
 
+def read_json(path, decode=None):
+    """Read the UTF-8 JSON document at ``path`` and return ``decode(doc)``,
+    or the document itself when ``decode`` is None.
+
+    Every failure is a :class:`DataError` that names the file: it cannot be
+    read, it is not UTF-8 JSON ("corrupt"), or ``decode`` raises a
+    ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``
+    ("malformed"; a ``DataError`` keeps its own message after the path).
+    """
+    try:
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise DataError(f"{path} is corrupt: {exc}") from exc
+    if decode is None:
+        return doc
+    try:
+        return decode(doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"{path} is malformed: {exc!r}") from exc
+
+
 def _csv_line(cells) -> str:
     return ",".join([
         (f'"{c}"' if "," in c else c) if isinstance(c, str) else repr(c)
@@ -178,26 +203,14 @@ class FeatureSchema:
         parsed = []
         for entry in cols:
             cats = entry.get("categories")
-            parsed.append(
-                Column(
-                    name=str(entry["name"]),
-                    role=str(entry["role"]).lower(),
-                    categories=tuple(cats) if cats is not None else None,
-                )
-            )
+            name, role = str(entry["name"]), str(entry["role"]).lower()
+            parsed.append(Column(name, role, tuple(cats) if cats is not None else None))
         return cls(tuple(parsed))
 
 
 def schema_from_json(path) -> FeatureSchema:
     """Load a schema override from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"schema file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return FeatureSchema.from_dict(data)
+    return read_json(path, FeatureSchema.from_dict)
 
 
 def schema_to_json(schema: FeatureSchema, path) -> None:
@@ -459,7 +472,10 @@ class DatasetMatrix:
 
 
 def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
-    """Keep rows whose label matches ``wanted`` (case-insensitive, trimmed)."""
+    """Keep rows whose label matches ``wanted`` (case-insensitive, trimmed).
+
+    When every row matches, ``data`` itself is returned.
+    """
     wanted_norm = {str(w).strip().lower() for w in wanted}
     if not wanted_norm:
         raise DataError("no labels requested")
@@ -471,6 +487,8 @@ def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
         raise DataError(
             f"no rows match labels {sorted(wanted_norm)}; available: {available}"
         )
+    if mask.all():  # nothing to drop: no copy of the matrix
+        return data
     labels = [lbl for lbl, keep in zip(data.labels, mask) if keep]
     return DatasetMatrix(data.features[mask], labels, data.stats, data.schema)
 
@@ -525,31 +543,19 @@ def load_dataset(path) -> DatasetMatrix:
     """Read the dataset cache written by :func:`save_dataset`; every defect
     in either file is a :class:`DataError` that names the file."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset cache not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"dataset cache {path} is corrupt: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-        raise DataError(f"{path} is not a dataset cache")
-    if doc.get("version") != DATASET_VERSION:
-        raise DataError(
-            f"dataset cache {path} version {doc.get('version')} unsupported "
-            f"(expected {DATASET_VERSION}); re-run 'ingest'"
-        )
-    try:
+
+    def decode(doc) -> DatasetMatrix:
+        if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
+            raise DataError("not a dataset cache")
+        if doc.get("version") != DATASET_VERSION:
+            raise DataError(
+                f"version {doc.get('version')} unsupported "
+                f"(expected {DATASET_VERSION}); re-run 'ingest'"
+            )
         schema = FeatureSchema.from_dict(doc["schema"])
         stats = NormalizationStats.from_dict(doc["stats"])
         labels = list(doc["labels"])
-        shape = tuple(doc["features"]["shape"])
-    except DataError as exc:
-        raise DataError(f"dataset cache {path} is malformed: {exc}") from exc
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DataError(f"dataset cache {path} is malformed: {exc!r}") from exc
-    features = _load_matrix(matrix_path(path), shape)
-    try:
+        features = _load_matrix(matrix_path(path), tuple(doc["features"]["shape"]))
         return DatasetMatrix(features, labels, stats, schema)
-    except DataError as exc:
-        raise DataError(f"dataset cache {path}: {exc}") from exc
+
+    return read_json(path, decode)

@@ -26,8 +26,7 @@ sort.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,7 +163,9 @@ class RegressionTree:
 
 
 def _tree_builder(features, max_depth):
-    """Tree grower for one fit: ``build(residuals, hessians) -> TreeNode``.
+    """Tree grower for one fit: ``build(residuals, hessians, fitted) ->
+    TreeNode``. ``build`` also writes each row's leaf value into ``fitted``,
+    which is then the tree's prediction on the fit matrix.
 
     Every feature column is stable-sorted once, here. A node holds its row
     ids in ascending order (``idx``, for the leaf value) and a block with
@@ -179,13 +180,14 @@ def _tree_builder(features, max_depth):
     work = np.empty((4, sorted_rows.size))  # split_search's scratch space
     goes_left = np.empty(n_rows, dtype=bool)
 
-    def build(residuals, hessians) -> TreeNode:
+    def build(residuals, hessians, fitted) -> TreeNode:
         def grow(idx, rows, values, depth) -> TreeNode:
             value = float(residuals[idx].sum() / hessians[idx].sum())
-            if depth >= max_depth or idx.size < 2:
-                return TreeNode(value=value)
-            found = split_search(values, rows, residuals, hessians, work)
+            found = None
+            if depth < max_depth and idx.size >= 2:
+                found = split_search(values, rows, residuals, hessians, work)
             if found is None or found[2] <= 0.0:  # a split needs gain > 0
+                fitted[idx] = value
                 return TreeNode(value=value)
             feature, threshold, gain = found
             left = features[idx, feature] <= threshold
@@ -246,14 +248,14 @@ def gbm_fit(
     scores = np.full(y.shape, base_score)
     # the features never change between rounds: one presort serves all trees
     build = _tree_builder(train.features, max_depth)
+    fitted = np.empty_like(scores)  # each round's tree prediction on train
     trees: list[RegressionTree] = []
     for _ in range(n_trees):
         p = sigmoid(scores)
         residuals = y - p
         hessians = p * (1.0 - p)
-        tree = RegressionTree(build(residuals, hessians))
-        trees.append(tree)
-        scores += shrinkage * tree.predict(train.features)
+        trees.append(RegressionTree(build(residuals, hessians, fitted)))
+        scores += shrinkage * fitted
     return GbmModel(base_score, trees, shrinkage, max_depth, train.features.shape[1])
 
 
@@ -434,12 +436,8 @@ class QualityReport:
     n_real: int
     n_synth: int
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
     @classmethod
-    def from_json(cls, text: str) -> "QualityReport":
-        data = json.loads(text)
+    def from_dict(cls, data: dict) -> "QualityReport":
         data["roc_points"] = [tuple(p) for p in data["roc_points"]]
         data["histograms"] = [FeatureHistogram(**h) for h in data["histograms"]]
         return cls(**data)

@@ -1,4 +1,5 @@
 import json
+import shutil
 import time
 
 import numpy as np
@@ -565,3 +566,64 @@ def test_report_reads_feature_names_from_the_quality_report(tmp_path, monkeypatc
     assert (tmp_path / "run" / cli.REPORT_MD_FILE).read_bytes() == first
     (tmp_path / "run" / cli.DATASET_FILE).unlink()
     assert run(config, "report") == EXIT_MISSING
+
+
+@pytest.fixture(scope="module")
+def evaluated_run(tmp_path_factory):
+    """A toy run through evaluate; each malformed-input case damages a copy."""
+    tmp = tmp_path_factory.mktemp("evaluated")
+    config = write_toy_run(tmp, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    for verb in ("ingest", "train", "evaluate"):
+        assert run(config, verb) == EXIT_OK
+    return tmp
+
+
+# (file, damage, verb, exit code). The damage is the file's new bytes, None
+# for a directory in its place, or fields to update in its JSON object.
+MALFORMED_INPUTS = {
+    "config not utf-8": ("config.json", b'{"seed": "\xff"}', "ingest", EXIT_CONFIG),
+    "config is a directory": ("config.json", None, "ingest", EXIT_CONFIG),
+    "schema not utf-8": ("toy_schema.json", b'{"columns": "\xff"}', "ingest", EXIT_CONFIG),
+    "schema column not an object": (
+        "toy_schema.json", b'{"columns": [5]}', "ingest", EXIT_CONFIG),
+    "schema column without name": (
+        "toy_schema.json", b'{"columns": [{"role": "label"}]}', "ingest", EXIT_CONFIG),
+    "dataset.json not utf-8": ("run/dataset.json", b'{"format": "\xff"}', "train", EXIT_DATA),
+    "artifacts 5, report": ("run/train_manifest.json", {"artifacts": 5}, "report", EXIT_DATA),
+    "artifacts 5, re-ingest": (
+        "run/train_manifest.json", {"artifacts": 5}, "ingest", EXIT_DATA),
+    "artifacts [1], report": (
+        "run/train_manifest.json", {"artifacts": [1]}, "report", EXIT_DATA),
+    "artifacts [1], re-ingest": (
+        "run/train_manifest.json", {"artifacts": [1]}, "ingest", EXIT_DATA),
+    "fingerprint a list": (
+        "run/ingest_manifest.json", {"dataset_fingerprint": [1]}, "report", EXIT_DATA),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_exits_with_its_code_and_names_the_file(
+    evaluated_run, tmp_path, capsys, case
+):
+    name, damage, verb, code = MALFORMED_INPUTS[case]
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    config, path = tmp_path / "config.json", tmp_path / name
+    if damage is None:
+        path.unlink()
+        path.mkdir()
+    elif isinstance(damage, bytes):
+        path.write_bytes(damage)
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), **damage}))
+    capsys.readouterr()
+    assert run(config, verb) == code  # an escaping exception fails the test
+    assert path.name in capsys.readouterr().err
+
+
+def test_gan_seed_is_rejected(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"seed": 99})
+    assert run(config, "ingest") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "gan.seed" in err and "--seed" in err
+    assert not (tmp_path / "run").exists()
