@@ -203,8 +203,13 @@ class FeatureSchema:
         parsed = []
         for entry in cols:
             cats = entry.get("categories")
-            name, role = str(entry["name"]), str(entry["role"]).lower()
-            parsed.append(Column(name, role, tuple(cats) if cats is not None else None))
+            parsed.append(
+                Column(
+                    name=str(entry["name"]),
+                    role=str(entry["role"]).lower(),
+                    categories=tuple(cats) if cats is not None else None,
+                )
+            )
         return cls(tuple(parsed))
 
 
@@ -472,10 +477,7 @@ class DatasetMatrix:
 
 
 def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
-    """Keep rows whose label matches ``wanted`` (case-insensitive, trimmed).
-
-    When every row matches, ``data`` itself is returned.
-    """
+    """Keep rows whose label matches ``wanted`` (case-insensitive, trimmed)."""
     wanted_norm = {str(w).strip().lower() for w in wanted}
     if not wanted_norm:
         raise DataError("no labels requested")
@@ -487,8 +489,6 @@ def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
         raise DataError(
             f"no rows match labels {sorted(wanted_norm)}; available: {available}"
         )
-    if mask.all():  # nothing to drop: no copy of the matrix
-        return data
     labels = [lbl for lbl, keep in zip(data.labels, mask) if keep]
     return DatasetMatrix(data.features[mask], labels, data.stats, data.schema)
 

@@ -501,8 +501,3 @@ def test_feature_order_follows_schema():
     values, _, _ = clean_numeric(table, TWO_COL)
     # schema order (a, b), not file order
     assert values.tolist() == [[1.0, 10.0]]
-
-
-def test_filter_by_label_keeping_every_row_returns_the_input():
-    data = make_dataset([[0.25, 0.5], [0.75, 1.0]], ["x", " X"], TWO_COL)
-    assert filter_by_label(data, {"x"}) is data
