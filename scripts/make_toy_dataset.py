@@ -6,11 +6,10 @@ schema JSON, and a run config wired for a quick end-to-end experiment.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from synthflow import toydata
-from synthflow.dataio import schema_to_json
+from synthflow.dataio import schema_to_json, write_json
 
 
 def main():
@@ -42,7 +41,7 @@ def main():
             "gen_steps": args.gen_steps,
         },
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    write_json(out / "config.json", config, indent=2)
     print(f"wrote {out}/toy.csv, {out}/toy_schema.json, {out}/config.json")
     print(f"next: synthflow ingest --config {out}/config.json")
 

@@ -23,8 +23,8 @@ a stale model.
 
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
 divergence, 5 missing prerequisite artifact. A run config or schema that
-cannot be read or decoded is exit 2, a dataset cache document, manifest or
-quality report exit 3; the message names the file.
+cannot be read or decoded is exit 2, a dataset cache document, model
+checkpoint, manifest or quality report exit 3; the message names the file.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .dataio import (
 )
 from .evaluator import EvalConfig, QualityReport, evaluate
 from .gan import (
-    CheckpointError,
     GanConfig,
     TrainingDiverged,
     generate,
@@ -281,11 +280,6 @@ def _manifest(doc) -> dict:
     return doc
 
 
-def _save_model(model, path: Path) -> None:
-    with atomic_write(path) as fh:
-        fh.buffer.write(save_checkpoint(model))  # already UTF-8 bytes
-
-
 def _remove_downstream_artifacts(out_dir: Path) -> None:
     """Delete what train, generate, evaluate and report built from an
     earlier ingest: every artifact their manifests list, manifests included."""
@@ -300,8 +294,8 @@ def _remove_downstream_artifacts(out_dir: Path) -> None:
 
 def cmd_ingest(cfg: RunConfig) -> int:
     for p in cfg.csv:
-        if not Path(p).exists():
-            raise ConfigError(f"input CSV not found: {p}")
+        if not Path(p).is_file():
+            raise ConfigError(f"input CSV not found or not a file: {p}")
     schema = cfg.resolve_schema()
     t0 = time.perf_counter()
 
@@ -391,7 +385,7 @@ def cmd_train(cfg: RunConfig) -> int:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         # an earlier run's model no longer matches this run's manifest
         (cfg.out_dir / MODEL_FILE).unlink(missing_ok=True)
-        _save_model(exc.model, cfg.out_dir / LASTGOOD_MODEL_FILE)
+        save_checkpoint(exc.model, cfg.out_dir / LASTGOOD_MODEL_FILE)
         write_train_log(exc.records, cfg.out_dir / TRAIN_LOG_FILE)
         write_manifest(
             cfg,
@@ -406,7 +400,7 @@ def cmd_train(cfg: RunConfig) -> int:
         return EXIT_DIVERGED
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    _save_model(model, cfg.out_dir / MODEL_FILE)
+    save_checkpoint(model, cfg.out_dir / MODEL_FILE)
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
         cfg, "train", [MODEL_FILE, TRAIN_LOG_FILE], {"total": wall_ms}, fingerprint
@@ -417,12 +411,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _load_model_and_data(cfg: RunConfig):
     data = load_dataset(_require(cfg.out_dir / DATASET_FILE, "ingest"))
-    model = load_checkpoint(
-        _require(cfg.out_dir / MODEL_FILE, "train").read_bytes()
-    )
+    model = load_checkpoint(_require(cfg.out_dir / MODEL_FILE, "train"))
     width = data.features.shape[1]
     if model.feature_count != width:
-        raise CheckpointError(
+        raise DataError(
             f"checkpoint generates {model.feature_count} features but the "
             f"dataset schema has {width}"
         )
@@ -616,7 +608,7 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (DataError, CheckpointError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetMatrix, config_from_dict, denormalize
+from .dataio import DataError, DatasetMatrix, config_from_dict, denormalize
 
 HISTOGRAM_BINS = 32
 
@@ -438,8 +438,17 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityReport":
+        """``read_json`` decoder; coerces or checks every field a report
+        formats, so a wrongly typed one fails here rather than mid-report."""
+        for key in ("rmse_means", "rmse_hist", "auc"):
+            data[key] = float(data[key])
+        data["importances"] = {k: float(v) for k, v in data["importances"].items()}
         data["roc_points"] = [tuple(p) for p in data["roc_points"]]
         data["histograms"] = [FeatureHistogram(**h) for h in data["histograms"]]
+        if not all(isinstance(h.feature, str) for h in data["histograms"]):
+            raise DataError("a histogram 'feature' is not a string")
+        if not all(isinstance(data[k], int) for k in ("n_real", "n_synth")):
+            raise DataError("'n_real' and 'n_synth' must be integers")
         return cls(**data)
 
 

@@ -13,28 +13,26 @@ reproducible.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .dataio import (
+    DataError,
     DatasetMatrix,
     NormalizationStats,
     config_from_dict,
     denormalize,
+    read_json,
     write_csv,
+    write_json,
 )
 from . import nets
 from .nets import MlpNetwork, NonFiniteError, ShapeError, as_batch
 
 CHECKPOINT_FORMAT = "sgmodel"
 CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Checkpoint payload is unreadable or incompatible."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,6 +71,12 @@ class GanConfig:
     def __post_init__(self) -> None:
         if self.gp_lambda < 0:
             raise ValueError(f"gp_lambda must be >= 0, got {self.gp_lambda}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.rho < 1:
+            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.batch_size < 2:
             raise ValueError(
                 f"batch_size must be >= 2 (interpolation pairs samples), "
@@ -271,7 +275,7 @@ def train(
     """
     n = data.n_rows
     if n < config.batch_size:
-        raise ValueError(
+        raise DataError(
             f"dataset has {n} rows, need at least batch_size={config.batch_size}"
         )
     rng = np.random.default_rng(config.seed)
@@ -370,43 +374,41 @@ def _net_from_dict(data: list[dict]) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def save_checkpoint(model: GanModel) -> bytes:
-    """Serialize the model to a versioned JSON payload (exact float
-    round-trip via repr)."""
-    doc = {
+def save_checkpoint(model: GanModel, path) -> None:
+    """Write the model to ``path`` as a versioned JSON document (exact
+    float round-trip via repr)."""
+    write_json(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "feature_count": model.feature_count,
         "generator": _net_to_dict(model.generator),
         "critic": _net_to_dict(model.critic),
-    }
-    return (json.dumps(doc) + "\n").encode("utf-8")
+    })
 
 
-def load_checkpoint(payload: bytes) -> GanModel:
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"truncated or corrupt checkpoint: {exc}") from exc
+def _checkpoint(doc) -> GanModel:
+    """``read_json`` decoder for a checkpoint document."""
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError("payload is not a model checkpoint")
+        raise DataError("not a model checkpoint")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
+        raise DataError(
             f"checkpoint version {doc.get('version')} is incompatible "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    try:
-        config = GanConfig.from_dict(doc["config"])
-        generator = _net_from_dict(doc["generator"])
-        critic = _net_from_dict(doc["critic"])
-        feature_count = doc["feature_count"]
-        model = GanModel(generator, critic, config)
-    except (KeyError, TypeError, ValueError) as exc:  # ShapeError is a ValueError
-        raise CheckpointError(f"malformed checkpoint payload: {exc}") from exc
-    if model.feature_count != feature_count:
-        raise CheckpointError(
-            f"checkpoint feature count {feature_count} does not match "
+    # a KeyError, TypeError or ValueError (ShapeError too) reads as malformed
+    config = GanConfig.from_dict(doc["config"])
+    model = GanModel(
+        _net_from_dict(doc["generator"]), _net_from_dict(doc["critic"]), config
+    )
+    if model.feature_count != doc["feature_count"]:
+        raise DataError(
+            f"checkpoint feature count {doc['feature_count']} does not match "
             f"network output {model.feature_count}"
         )
     return model
+
+
+def load_checkpoint(path) -> GanModel:
+    """The model saved at ``path``; any failure is a DataError naming it."""
+    return read_json(path, _checkpoint)

@@ -7,11 +7,9 @@ and the example scripts never need the external datasets.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .dataio import LABEL, NUMERIC, Column, FeatureSchema
+from .dataio import LABEL, NUMERIC, Column, FeatureSchema, write_csv
 
 TOY_ROWS = 2000
 TOY_SEED = 7
@@ -39,8 +37,4 @@ def toy_rows(n_rows: int = TOY_ROWS, seed: int = TOY_SEED) -> list[tuple[float, 
 
 
 def write_toy_csv(path, n_rows: int = TOY_ROWS, seed: int = TOY_SEED) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f1", "f2", "label"])
-        for f1, f2, label in toy_rows(n_rows, seed):
-            writer.writerow([repr(f1), repr(f2), label])
+    write_csv(path, ("f1", "f2", "label"), toy_rows(n_rows, seed))

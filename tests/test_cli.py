@@ -383,6 +383,24 @@ def test_bad_eval_config_rejected_at_load(tmp_path, capsys, bad):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bad", [{"lr": -1}, {"rho": 1.0}, {"epsilon": 0.0}])
+def test_bad_optimizer_config_rejected_at_load(tmp_path, capsys, bad):
+    config = write_toy_run(tmp_path, gan_overrides=bad)
+    for verb in ("ingest", "train"):
+        assert run(config, verb) == EXIT_CONFIG
+        assert next(iter(bad)) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_on_fewer_rows_than_batch_size_is_data_error(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"batch_size": 5000})
+    assert run(config, "ingest") == EXIT_OK  # 1000 attack rows
+    capsys.readouterr()
+    assert run(config, "train") == EXIT_DATA
+    assert "batch_size=5000" in capsys.readouterr().err
+    assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+
+
 # --------------------------------------------- bundled dataset schemas
 
 def nsl_kdd_row(service, label, scale):
@@ -599,6 +617,12 @@ MALFORMED_INPUTS = {
         "run/train_manifest.json", {"artifacts": [1]}, "ingest", EXIT_DATA),
     "fingerprint a list": (
         "run/ingest_manifest.json", {"dataset_fingerprint": [1]}, "report", EXIT_DATA),
+    "model a directory": ("run/model.sgmodel", None, "generate", EXIT_DATA),
+    "model not utf-8": ("run/model.sgmodel", b'{"format": "\xff"}', "generate", EXIT_DATA),
+    "report auc a string": ("run/quality_report.json", {"auc": "x"}, "report", EXIT_DATA),
+    "report importances a list": (
+        "run/quality_report.json", {"importances": []}, "report", EXIT_DATA),
+    "input csv a directory": ("toy.csv", None, "ingest", EXIT_CONFIG),
 }
 
 

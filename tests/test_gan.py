@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthflow import nets
-from synthflow.dataio import NormalizationStats
+from synthflow.dataio import DataError, NormalizationStats
 from synthflow.gan import (
-    CheckpointError,
     GanConfig,
     GanModel,
     TrainingDiverged,
@@ -208,12 +207,14 @@ def test_train_zero_steps_returns_initialized_model():
     assert model.feature_count == 1
 
 
-def test_train_is_seed_deterministic():
+def test_train_is_seed_deterministic(tmp_path):
     data = toy_attack_dataset()
     cfg = GanConfig.small(gen_steps=8, seed=5)
     model_a, records_a = train(data, cfg)
     model_b, records_b = train(data, cfg)
-    assert save_checkpoint(model_a) == save_checkpoint(model_b)
+    assert checkpoint_bytes(model_a, tmp_path / "a") == checkpoint_bytes(
+        model_b, tmp_path / "b"
+    )
     for ra, rb in zip(records_a, records_b):
         assert (ra.step, ra.critic_loss, ra.generator_loss) == (
             rb.step, rb.critic_loss, rb.generator_loss,
@@ -283,42 +284,54 @@ def test_generate_is_deterministic_given_seed():
 
 # -------------------------------------------------------------- checkpoints
 
-def test_checkpoint_round_trip_is_exact():
+def checkpoint_bytes(model, path):
+    save_checkpoint(model, path)
+    return path.read_bytes()
+
+
+def test_checkpoint_round_trip_is_exact(tmp_path):
     model = tiny_model(feature_count=3, seed=9)
-    payload = save_checkpoint(model)
-    loaded = load_checkpoint(payload)
+    path = tmp_path / "model.sgmodel"
+    payload = checkpoint_bytes(model, path)
+    loaded = load_checkpoint(path)
     for a, b in zip(
         model.generator.parameters() + model.critic.parameters(),
         loaded.generator.parameters() + loaded.critic.parameters(),
     ):
         assert np.array_equal(a, b)
     assert loaded.config == model.config
-    assert save_checkpoint(loaded) == payload
+    assert checkpoint_bytes(loaded, tmp_path / "again.sgmodel") == payload
     doc = json.loads(payload)
     for net in ("generator", "critic"):
         assert [layer["activation"] for layer in doc[net]] == ["relu", "relu", "linear"]
 
 
-def test_checkpoint_truncated_payload_rejected():
-    payload = save_checkpoint(tiny_model())
-    with pytest.raises(CheckpointError, match="truncated|corrupt"):
-        load_checkpoint(payload[: len(payload) // 2])
+def test_checkpoint_truncated_payload_rejected(tmp_path):
+    path = tmp_path / "model.sgmodel"
+    payload = checkpoint_bytes(tiny_model(), path)
+    path.write_bytes(payload[: len(payload) // 2])
+    with pytest.raises(DataError, match="truncated|corrupt"):
+        load_checkpoint(path)
 
 
-def test_checkpoint_version_mismatch_rejected():
-    payload = save_checkpoint(tiny_model())
-    bumped = payload.replace(b'"version": 1', b'"version": 99')
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(bumped)
+def test_checkpoint_version_mismatch_rejected(tmp_path):
+    path = tmp_path / "model.sgmodel"
+    payload = checkpoint_bytes(tiny_model(), path)
+    path.write_bytes(payload.replace(b'"version": 1', b'"version": 99'))
+    with pytest.raises(DataError, match="version"):
+        load_checkpoint(path)
 
 
-def test_checkpoint_wrong_format_rejected():
-    with pytest.raises(CheckpointError, match="not a model checkpoint"):
-        load_checkpoint(b'{"format": "something-else"}')
-    doc = json.loads(save_checkpoint(tiny_model()))
+def test_checkpoint_wrong_format_rejected(tmp_path):
+    path = tmp_path / "model.sgmodel"
+    path.write_bytes(b'{"format": "something-else"}')
+    with pytest.raises(DataError, match="not a model checkpoint"):
+        load_checkpoint(path)
+    doc = json.loads(checkpoint_bytes(tiny_model(), path))
     doc["critic"][0]["activation"] = "linear"
-    with pytest.raises(CheckpointError, match="activations"):
-        load_checkpoint(json.dumps(doc).encode())
+    path.write_bytes(json.dumps(doc).encode())
+    with pytest.raises(DataError, match="activations"):
+        load_checkpoint(path)
 
 
 # ------------------------------------------------------------------- config
