@@ -15,8 +15,10 @@ cache is two files, the matrix ``dataset.npy`` and the small
 ``dataset.json`` that describes it; ingest removes the old ``dataset.json``
 before it writes the new matrix and writes ``dataset.json`` last, so an
 interrupted ingest leaves no ``dataset.json`` (later commands exit 5)
-rather than old labels and stats beside a new matrix. A train that
-diverges removes any ``model.sgmodel`` left by an earlier run, and an ingest
+rather than old labels and stats beside a new matrix. The model checkpoint
+is two files the same way, the parameters ``model.npy`` and the header
+``model.sgmodel``, saved in the same order. A train that diverges removes
+both files of any model left by an earlier run, and an ingest
 removes every artifact that train, generate, evaluate and report built from
 the earlier dataset, so later commands stop with exit code 5 instead of using
 a stale model.
@@ -80,7 +82,9 @@ DATASET_FILE = "dataset.json"
 DATASET_MATRIX_FILE = matrix_path(DATASET_FILE).name
 SUMMARY_FILE = "ingest_summary.txt"
 MODEL_FILE = "model.sgmodel"
+MODEL_MATRIX_FILE = matrix_path(MODEL_FILE).name
 LASTGOOD_MODEL_FILE = "model_lastgood.sgmodel"
+LASTGOOD_MODEL_MATRIX_FILE = matrix_path(LASTGOOD_MODEL_FILE).name
 TRAIN_LOG_FILE = "train_log.csv"
 SYNTH_FILE = "synthetic.csv"
 REPORT_JSON_FILE = "quality_report.json"
@@ -173,7 +177,7 @@ def load_run_config(
     ):
         raise ConfigError("'labels' must be a nonempty list of label texts")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     out = out_override if out_override is not None else doc.get("out")
     if not isinstance(out, str) or not out:
@@ -384,13 +388,14 @@ def cmd_train(cfg: RunConfig) -> int:
     except TrainingDiverged as exc:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         # an earlier run's model no longer matches this run's manifest
-        (cfg.out_dir / MODEL_FILE).unlink(missing_ok=True)
+        for name in (MODEL_FILE, MODEL_MATRIX_FILE):
+            (cfg.out_dir / name).unlink(missing_ok=True)
         save_checkpoint(exc.model, cfg.out_dir / LASTGOOD_MODEL_FILE)
         write_train_log(exc.records, cfg.out_dir / TRAIN_LOG_FILE)
         write_manifest(
             cfg,
             "train",
-            [LASTGOOD_MODEL_FILE, TRAIN_LOG_FILE],
+            [LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE, TRAIN_LOG_FILE],
             {"total": wall_ms},
             fingerprint,
             status="diverged",
@@ -403,7 +408,8 @@ def cmd_train(cfg: RunConfig) -> int:
     save_checkpoint(model, cfg.out_dir / MODEL_FILE)
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
-        cfg, "train", [MODEL_FILE, TRAIN_LOG_FILE], {"total": wall_ms}, fingerprint
+        cfg, "train", [MODEL_FILE, MODEL_MATRIX_FILE, TRAIN_LOG_FILE],
+        {"total": wall_ms}, fingerprint,
     )
     print(f"trained {cfg.gan.gen_steps} generator steps -> {cfg.out_dir / MODEL_FILE}")
     return EXIT_OK

@@ -16,18 +16,19 @@ size of the input.
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one.
 
-The dataset cache is two files: the normalized matrix as a raw ``.npy``
-beside a small JSON document (schema, stats, labels and the matrix shape).
-The JSON document is the commit record: :func:`save_dataset` removes the
-old one before it writes the matrix and writes the new one last, so an
-interrupted save leaves no document, never an old document paired with a
-new matrix.
+The dataset cache and the model checkpoint are each two files: a raw
+float64 ``.npy`` beside a small JSON document that describes it (for the
+dataset: schema, stats, labels and the matrix shape). The JSON document is
+the commit record: :func:`save_cache` removes the old one before it writes
+the matrix and writes the new one last, so an interrupted save leaves no
+document, never an old document paired with a new matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import os
 from collections.abc import Iterable, Iterator
@@ -135,6 +136,22 @@ def config_from_dict(cls, data: dict):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Reject a config count or size that is not an ``int`` (a float or a
+    bool) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(name: str, value) -> None:
+    """Reject a config number that is NaN or infinite; a value that is not
+    a number raises ``TypeError``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -498,51 +515,61 @@ def matrix_path(path) -> Path:
     return Path(path).with_suffix(".npy")
 
 
-def save_dataset(data: DatasetMatrix, path) -> None:
-    """Write the dataset cache: the matrix as little-endian float64 ``.npy``
-    at :func:`matrix_path`, then the JSON document at ``path``.
+def save_cache(path, doc: dict, matrix: np.ndarray) -> None:
+    """Write a two-file cache: ``matrix`` as little-endian float64 ``.npy``
+    at :func:`matrix_path`, then the JSON document ``doc`` at ``path``.
 
     The old document is removed before the matrix is written, so a save that
-    stops part-way leaves no document rather than a stale one.
+    stops part-way leaves no document rather than one that describes a
+    different matrix.
     """
     path = Path(path)
     path.unlink(missing_ok=True)
-    features = np.ascontiguousarray(data.features, dtype="<f8")
     with atomic_write(matrix_path(path)) as fh:
-        np.save(fh.buffer, features, allow_pickle=False)
+        np.save(fh.buffer, np.ascontiguousarray(matrix, dtype="<f8"), allow_pickle=False)
+    write_json(path, doc)
+
+
+def load_cache_matrix(path, shape: tuple) -> np.ndarray:
+    """The matrix that :func:`save_cache` wrote beside the document at
+    ``path``, checked to be finite little-endian float64 of ``shape``; every
+    defect is a :class:`DataError` that names the ``.npy`` file."""
+    path = matrix_path(path)
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path} is corrupt: {exc}") from exc
+    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.dtype("<f8"):
+        raise DataError(f"{path} is not little-endian float64")
+    if matrix.shape != shape:
+        raise DataError(
+            f"{path} has shape {matrix.shape}, its document records {shape}"
+        )
+    if not np.isfinite(matrix).all():
+        raise DataError(f"{path} holds non-finite values")
+    return matrix
+
+
+def save_dataset(data: DatasetMatrix, path) -> None:
+    """Write the dataset cache with :func:`save_cache`: the matrix, then the
+    document (schema, stats, labels and the matrix shape)."""
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "schema": data.schema.to_dict(),
         "stats": data.stats.to_dict(),
         "labels": data.labels,
-        "features": {"shape": list(features.shape)},
+        "features": {"shape": list(data.features.shape)},
     }
-    write_json(path, doc)
-
-
-def _load_matrix(path: Path, shape: tuple) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            matrix = np.load(fh, allow_pickle=False)
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset matrix not found: {path}; re-run 'ingest'") from exc
-    except (OSError, ValueError, EOFError) as exc:
-        raise DataError(f"dataset matrix {path} is corrupt: {exc}") from exc
-    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.dtype("<f8"):
-        raise DataError(f"dataset matrix {path} is not little-endian float64")
-    if matrix.shape != shape:
-        raise DataError(
-            f"dataset matrix {path} has shape {matrix.shape}, its cache "
-            f"document records {shape}"
-        )
-    return matrix
+    save_cache(path, doc, data.features)
 
 
 def load_dataset(path) -> DatasetMatrix:
     """Read the dataset cache written by :func:`save_dataset`; every defect
     in either file is a :class:`DataError` that names the file."""
-    path = Path(path)
 
     def decode(doc) -> DatasetMatrix:
         if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
@@ -555,7 +582,7 @@ def load_dataset(path) -> DatasetMatrix:
         schema = FeatureSchema.from_dict(doc["schema"])
         stats = NormalizationStats.from_dict(doc["stats"])
         labels = list(doc["labels"])
-        features = _load_matrix(matrix_path(path), tuple(doc["features"]["shape"]))
+        features = load_cache_matrix(path, tuple(doc["features"]["shape"]))
         return DatasetMatrix(features, labels, stats, schema)
 
     return read_json(path, decode)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataError, DatasetMatrix, config_from_dict, denormalize
+from .dataio import DataError, DatasetMatrix, check_count, config_from_dict, denormalize
 
 HISTOGRAM_BINS = 32
 
@@ -407,10 +407,8 @@ class EvalConfig:
     histogram_features: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_trees < 0:
-            raise ValueError(f"n_trees must be >= 0, got {self.n_trees}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        check_count("n_trees", self.n_trees, 0)
+        check_count("max_depth", self.max_depth, 1)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
         if not 0.0 < self.holdout_fraction < 1.0:

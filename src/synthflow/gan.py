@@ -22,17 +22,24 @@ from .dataio import (
     DataError,
     DatasetMatrix,
     NormalizationStats,
+    check_count,
+    check_finite,
     config_from_dict,
     denormalize,
+    load_cache_matrix,
     read_json,
+    save_cache,
     write_csv,
-    write_json,
 )
 from . import nets
 from .nets import MlpNetwork, NonFiniteError, ShapeError, as_batch
 
 CHECKPOINT_FORMAT = "sgmodel"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# Rows per generator forward in :func:`generate`: the activations held at
+# once are bounded by the block, not by the number of rows asked for.
+GENERATE_BLOCK_ROWS = 1024
 
 
 class TrainingDiverged(RuntimeError):
@@ -69,6 +76,8 @@ class GanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("gp_lambda", "lr", "rho", "epsilon"):
+            check_finite(name, getattr(self, name))
         if self.gp_lambda < 0:
             raise ValueError(f"gp_lambda must be >= 0, got {self.gp_lambda}")
         if not self.lr > 0:
@@ -77,21 +86,13 @@ class GanConfig:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.batch_size < 2:
-            raise ValueError(
-                f"batch_size must be >= 2 (interpolation pairs samples), "
-                f"got {self.batch_size}"
-            )
-        if self.critic_steps < 1:
-            raise ValueError(f"critic_steps must be >= 1, got {self.critic_steps}")
-        if self.gen_steps < 0:
-            raise ValueError(f"gen_steps must be >= 0, got {self.gen_steps}")
-        if self.noise_dim < 1:
-            raise ValueError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        if not all(h >= 1 for h in self.generator_hidden) or not all(
-            h >= 1 for h in self.critic_hidden
-        ):
-            raise ValueError("hidden layer sizes must be >= 1")
+        check_count("batch_size", self.batch_size, 2)  # interpolation pairs samples
+        check_count("critic_steps", self.critic_steps, 1)
+        check_count("gen_steps", self.gen_steps, 0)
+        check_count("noise_dim", self.noise_dim, 1)
+        for name in ("generator_hidden", "critic_hidden"):
+            for size in getattr(self, name):
+                check_count(name, size, 1)
 
     @classmethod
     def small(cls, **overrides) -> "GanConfig":
@@ -334,13 +335,21 @@ def generate(
 
     The raw outputs are clipped to [0, 1] (the normalized feature range);
     with ``stats`` they are then mapped back to feature units.
+
+    Rows are made in ceil(n / GENERATE_BLOCK_ROWS) balanced blocks, noise
+    drawn block by block (the bytes of one full draw). Balanced blocks are
+    never under half a block once n exceeds one: OpenBLAS rounds a GEMM of
+    a few rows differently, and with these sizes the output has the bytes
+    of one forward over all n rows.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    noise = rng.uniform(-1.0, 1.0, size=(n, model.config.noise_dim))
-    out = np.clip(nets.mlp_output(model.generator, noise), 0.0, 1.0)
-    if stats is not None:
-        out = denormalize(out, stats)
+    out = np.empty((n, model.feature_count))
+    for block in np.array_split(out, -(-n // GENERATE_BLOCK_ROWS)):
+        noise = rng.uniform(-1.0, 1.0, size=(len(block), model.config.noise_dim))
+        np.clip(nets.mlp_output(model.generator, noise), 0.0, 1.0, out=block)
+        if stats is not None:
+            block[:] = denormalize(block, stats)
     return out
 
 
@@ -349,66 +358,81 @@ def _layout(n_layers: int) -> list[str]:
     return ["relu"] * (n_layers - 1) + ["linear"]
 
 
-def _net_to_dict(net: MlpNetwork) -> list[dict]:
+def _net_header(net: MlpNetwork) -> list[dict]:
     return [
-        {
-            "activation": activation,
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-        }
+        {"activation": activation, "shape": list(layer.weights.shape)}
         for layer, activation in zip(net.layers, _layout(len(net.layers)))
     ]
 
 
-def _net_from_dict(data: list[dict]) -> MlpNetwork:
-    activations = [entry["activation"] for entry in data]
-    if activations != _layout(len(data)):
+def _layer_shapes(entries: list[dict]) -> list[tuple[int, int]]:
+    """Each layer's (out_dim, in_dim), checked against the fixed layout."""
+    activations = [entry["activation"] for entry in entries]
+    if activations != _layout(len(entries)):
         raise ValueError(f"layer activations {activations} are not relu, ..., linear")
-    layers = [
-        nets.DenseLayer(
-            np.asarray(entry["weights"], dtype=np.float64),
-            np.asarray(entry["bias"], dtype=np.float64),
-        )
-        for entry in data
-    ]
-    return MlpNetwork(layers)
+    shapes = []
+    for entry in entries:
+        out_dim, in_dim = entry["shape"]
+        check_count("layer out_dim", out_dim, 1)
+        check_count("layer in_dim", in_dim, 1)
+        shapes.append((out_dim, in_dim))
+    return shapes
+
+
+def _networks(shapes: list[list[tuple[int, int]]], vector: np.ndarray) -> list[MlpNetwork]:
+    """Networks whose parameters are consecutive views into ``vector``,
+    in :meth:`MlpNetwork.parameters` order."""
+    offset = 0
+    networks = []
+    for net_shapes in shapes:
+        layers = []
+        for out_dim, in_dim in net_shapes:
+            end = offset + out_dim * in_dim
+            weights = vector[offset:end].reshape(out_dim, in_dim)
+            offset = end + out_dim
+            layers.append(nets.DenseLayer(weights, vector[end:offset]))
+        networks.append(MlpNetwork(layers))
+    return networks
 
 
 def save_checkpoint(model: GanModel, path) -> None:
-    """Write the model to ``path`` as a versioned JSON document (exact
-    float round-trip via repr)."""
-    write_json(path, {
+    """Write the model as a two-file cache (:func:`dataio.save_cache`): every
+    parameter, generator then critic, as one float64 vector in ``.npy``, and
+    a versioned JSON header (config and layer shapes) at ``path``."""
+    params = model.generator.parameters() + model.critic.parameters()
+    save_cache(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "feature_count": model.feature_count,
-        "generator": _net_to_dict(model.generator),
-        "critic": _net_to_dict(model.critic),
-    })
-
-
-def _checkpoint(doc) -> GanModel:
-    """``read_json`` decoder for a checkpoint document."""
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataError("not a model checkpoint")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(
-            f"checkpoint version {doc.get('version')} is incompatible "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    # a KeyError, TypeError or ValueError (ShapeError too) reads as malformed
-    config = GanConfig.from_dict(doc["config"])
-    model = GanModel(
-        _net_from_dict(doc["generator"]), _net_from_dict(doc["critic"]), config
-    )
-    if model.feature_count != doc["feature_count"]:
-        raise DataError(
-            f"checkpoint feature count {doc['feature_count']} does not match "
-            f"network output {model.feature_count}"
-        )
-    return model
+        "generator": _net_header(model.generator),
+        "critic": _net_header(model.critic),
+    }, np.concatenate([p.ravel() for p in params]))
 
 
 def load_checkpoint(path) -> GanModel:
-    """The model saved at ``path``; any failure is a DataError naming it."""
-    return read_json(path, _checkpoint)
+    """The model saved at ``path``; any defect in either file is a
+    DataError naming that file."""
+
+    def decode(doc) -> GanModel:
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise DataError("not a model checkpoint")
+        if doc.get("version") != CHECKPOINT_VERSION:
+            raise DataError(
+                f"checkpoint version {doc.get('version')} is incompatible "
+                f"(expected {CHECKPOINT_VERSION})"
+            )
+        # a KeyError, TypeError or ValueError (ShapeError too) reads as malformed
+        config = GanConfig.from_dict(doc["config"])
+        shapes = [_layer_shapes(doc["generator"]), _layer_shapes(doc["critic"])]
+        size = sum(o * i + o for net_shapes in shapes for o, i in net_shapes)
+        vector = load_cache_matrix(path, (size,))
+        model = GanModel(*_networks(shapes, vector), config)
+        if model.feature_count != doc["feature_count"]:
+            raise DataError(
+                f"checkpoint feature count {doc['feature_count']} does not match "
+                f"network output {model.feature_count}"
+            )
+        return model
+
+    return read_json(path, decode)

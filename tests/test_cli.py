@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 import time
@@ -597,6 +598,15 @@ def evaluated_run(tmp_path_factory):
     return tmp
 
 
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# parameters of the toy nets: generator 8-32-32-2, critic 2-32-32-1
+TOY_PARAMETERS = (8 + 1) * 32 + (32 + 1) * 32 + (32 + 1) * 2 + (2 + 1) * 32 + (32 + 1) * 33
+
 # (file, damage, verb, exit code). The damage is the file's new bytes, None
 # for a directory in its place, or fields to update in its JSON object.
 MALFORMED_INPUTS = {
@@ -619,6 +629,16 @@ MALFORMED_INPUTS = {
         "run/ingest_manifest.json", {"dataset_fingerprint": [1]}, "report", EXIT_DATA),
     "model a directory": ("run/model.sgmodel", None, "generate", EXIT_DATA),
     "model not utf-8": ("run/model.sgmodel", b'{"format": "\xff"}', "generate", EXIT_DATA),
+    "model.npy a directory": ("run/model.npy", None, "generate", EXIT_DATA),
+    "model.npy truncated": (
+        "run/model.npy", npy_bytes(np.zeros(TOY_PARAMETERS))[:-8], "generate", EXIT_DATA),
+    "model.npy wrong length": (
+        "run/model.npy", npy_bytes(np.zeros(TOY_PARAMETERS + 1)), "generate", EXIT_DATA),
+    "model.npy non-finite": (
+        "run/model.npy", npy_bytes(np.full(TOY_PARAMETERS, np.nan)), "generate", EXIT_DATA),
+    "model.npy float32": (
+        "run/model.npy", npy_bytes(np.zeros(TOY_PARAMETERS, np.float32)), "generate",
+        EXIT_DATA),
     "report auc a string": ("run/quality_report.json", {"auc": "x"}, "report", EXIT_DATA),
     "report importances a list": (
         "run/quality_report.json", {"importances": []}, "report", EXIT_DATA),
@@ -643,6 +663,62 @@ def test_malformed_input_exits_with_its_code_and_names_the_file(
     capsys.readouterr()
     assert run(config, verb) == code  # an escaping exception fails the test
     assert path.name in capsys.readouterr().err
+
+
+def test_missing_checkpoint_vector_is_data_error(evaluated_run, tmp_path, capsys):
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "run" / cli.MODEL_MATRIX_FILE).unlink()
+    capsys.readouterr()
+    assert run(tmp_path / "config.json", "generate") == EXIT_DATA
+    assert cli.MODEL_MATRIX_FILE in capsys.readouterr().err
+
+
+def test_zeroed_checkpoint_vector_of_the_right_length_loads(evaluated_run, tmp_path):
+    # the damaged rows above differ from a valid vector only in their defect
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "run" / cli.MODEL_MATRIX_FILE).write_bytes(npy_bytes(np.zeros(TOY_PARAMETERS)))
+    assert run(tmp_path / "config.json", "generate") == EXIT_OK
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"gan_overrides": {"batch_size": 64.5}}, "batch_size"),
+    ({"gan_overrides": {"gp_lambda": float("nan")}}, "gp_lambda"),
+    ({"gan_overrides": {"gen_steps": True}}, "gen_steps"),
+    ({"gan_overrides": {"generator_hidden": [32.5]}}, "generator_hidden"),
+    ({"eval_overrides": {"n_trees": 2.5}}, "n_trees"),
+    ({"eval_overrides": {"max_depth": True}}, "max_depth"),
+    ({"seed": True}, "seed"),
+])
+def test_wrongly_typed_config_value_rejected_at_every_verb(
+    tmp_path, capsys, overrides, name
+):
+    config = write_toy_run(tmp_path, **overrides)
+    for verb in ("ingest", "train", "generate", "evaluate", "report"):
+        assert run(config, verb) == EXIT_CONFIG
+        assert name in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_reingest_and_diverged_retrain_remove_both_checkpoint_files(tmp_path):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    out = tmp_path / "run"
+    model = [out / cli.MODEL_FILE, out / cli.MODEL_MATRIX_FILE]
+    lastgood = [out / cli.LASTGOOD_MODEL_FILE, out / cli.LASTGOOD_MODEL_MATRIX_FILE]
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    assert all(p.exists() for p in model)
+    assert run(config, "ingest") == EXIT_OK
+    assert not any(p.exists() for p in model)
+    assert run(config, "train") == EXIT_OK
+    doc = json.loads(config.read_text())
+    doc["gan"].update(lr=1e200, gen_steps=20)
+    config.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(config, "train") == EXIT_DIVERGED
+    assert not any(p.exists() for p in model)
+    assert all(p.exists() for p in lastgood)
+    assert run(config, "ingest") == EXIT_OK  # the diverged manifest lists both
+    assert not any(p.exists() for p in lastgood)
 
 
 def test_gan_seed_is_rejected(tmp_path, capsys):

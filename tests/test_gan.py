@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthflow import nets
-from synthflow.dataio import DataError, NormalizationStats
+from synthflow.dataio import DataError, NormalizationStats, denormalize
 from synthflow.gan import (
+    GENERATE_BLOCK_ROWS,
     GanConfig,
     GanModel,
     TrainingDiverged,
@@ -282,6 +284,37 @@ def test_generate_is_deterministic_given_seed():
         generate(model, 0, np.random.default_rng(0))
 
 
+@pytest.fixture(scope="module")
+def reference_model():
+    """Reference-size networks (default config) on CICIDS-wide rows."""
+    return build_model(GanConfig(), 78, np.random.default_rng(3))
+
+
+B = GENERATE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 15, B - 1, B, B + 1, B + 15, 2 * B + 1, 8000])
+def test_generate_matches_one_forward_over_all_rows(reference_model, n):
+    stats = NormalizationStats(np.linspace(-5.0, 0.0, 78), np.linspace(1.0, 1e6, 78))
+    noise = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 64))
+    oracle = denormalize(
+        np.clip(nets.mlp_output(reference_model.generator, noise), 0.0, 1.0), stats
+    )
+    out = generate(reference_model, n, np.random.default_rng(n), stats=stats)
+    assert out.tobytes() == oracle.tobytes()
+
+
+def test_generate_memory_is_bounded_by_the_output(reference_model):
+    n = 50_000
+    tracemalloc.start()
+    try:
+        out = generate(reference_model, n, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 16 * 2**20
+
+
 # -------------------------------------------------------------- checkpoints
 
 def checkpoint_bytes(model, path):
@@ -301,6 +334,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
         assert np.array_equal(a, b)
     assert loaded.config == model.config
     assert checkpoint_bytes(loaded, tmp_path / "again.sgmodel") == payload
+    assert (tmp_path / "again.npy").read_bytes() == (tmp_path / "model.npy").read_bytes()
     doc = json.loads(payload)
     for net in ("generator", "critic"):
         assert [layer["activation"] for layer in doc[net]] == ["relu", "relu", "linear"]
@@ -317,7 +351,7 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
 def test_checkpoint_version_mismatch_rejected(tmp_path):
     path = tmp_path / "model.sgmodel"
     payload = checkpoint_bytes(tiny_model(), path)
-    path.write_bytes(payload.replace(b'"version": 1', b'"version": 99'))
+    path.write_bytes(payload.replace(b'"version": 2', b'"version": 99'))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
 
