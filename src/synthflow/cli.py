@@ -405,6 +405,9 @@ def cmd_train(cfg: RunConfig) -> int:
         return EXIT_DIVERGED
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
+    # an earlier diverged run's model is in no manifest from here on
+    for name in (LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE):
+        (cfg.out_dir / name).unlink(missing_ok=True)
     save_checkpoint(model, cfg.out_dir / MODEL_FILE)
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(

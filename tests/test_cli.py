@@ -721,6 +721,25 @@ def test_reingest_and_diverged_retrain_remove_both_checkpoint_files(tmp_path):
     assert not any(p.exists() for p in lastgood)
 
 
+def test_good_train_removes_an_earlier_diverged_runs_lastgood_files(tmp_path):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    out = tmp_path / "run"
+    lastgood = [out / cli.LASTGOOD_MODEL_FILE, out / cli.LASTGOOD_MODEL_MATRIX_FILE]
+    good = config.read_text()
+    diverging = json.loads(good)
+    diverging["gan"].update(lr=1e200, gen_steps=20)
+    assert run(config, "ingest") == EXIT_OK
+    config.write_text(json.dumps(diverging))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(config, "train") == EXIT_DIVERGED
+    assert all(p.exists() for p in lastgood)
+    config.write_text(good)
+    assert run(config, "train") == EXIT_OK
+    assert not any(p.exists() for p in lastgood)
+    manifest = json.loads((out / "train_manifest.json").read_text())
+    assert cli.LASTGOOD_MODEL_FILE not in manifest["artifacts"]
+
+
 def test_gan_seed_is_rejected(tmp_path, capsys):
     config = write_toy_run(tmp_path, gan_overrides={"seed": 99})
     assert run(config, "ingest") == EXIT_CONFIG

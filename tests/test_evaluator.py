@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthflow.evaluator import (
+    BLOCK_ENTRY,
     EvalConfig,
     GbmModel,
     LabeledSet,
@@ -64,13 +66,17 @@ def brute_force_node_split(columns, residuals, hessians):
 
 
 def search_node(columns, residuals, hessians):
-    """split_search on a node holding every row of ``columns`` (n x d)."""
+    """split_search on a node holding every row of ``columns`` (n x d), with
+    scratch for one feature per pass."""
     x = np.asarray(columns, float)
-    rows = np.argsort(x.T, axis=1, kind="stable")
-    values = np.take_along_axis(x.T, rows, axis=1)
+    block = np.empty(x.T.shape, dtype=BLOCK_ENTRY)
+    block["row"] = np.argsort(x.T, axis=1, kind="stable")
+    ordered = np.take_along_axis(x.T, block["row"], axis=1)
+    block["rank"][:, 0] = 0
+    block["rank"][:, 1:] = np.cumsum(ordered[:, :-1] < ordered[:, 1:], axis=1)
     return split_search(
-        values, rows, np.asarray(residuals, float), np.asarray(hessians, float),
-        np.empty((4, rows.size)),
+        x, block, np.asarray(residuals, float), np.asarray(hessians, float),
+        np.empty((3, x.shape[0])),
     )
 
 
@@ -272,9 +278,18 @@ def node_bits(tree):
     ]
 
 
-@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth):
+BITWISE_CASES = [
+    pytest.param(seed, max_depth, 5, id=f"{seed}-{max_depth}")
+    for seed in (0, 1, 2)
+    for max_depth in (1, 2, 3, 4)
+] + [
+    # deep, and wide enough that the root is searched in two passes
+    pytest.param(3, 5, 64, id="3-5-wide"),
+]
+
+
+@pytest.mark.parametrize("seed,max_depth,n_columns", BITWISE_CASES)
+def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth, n_columns):
     rng = np.random.default_rng(seed)
     n = 120
     x = np.column_stack([
@@ -283,7 +298,11 @@ def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth):
         np.full(n, 0.5),  # constant
         rng.uniform(size=n),
         rng.integers(0, 2, size=n).astype(float),
+        # more columns of 2 to 9 tied levels
+        *(rng.integers(0, k, size=n) / k for k in 2 + np.arange(n_columns - 5) % 8),
     ])
+    if n_columns > 5:  # NaNs sort last and never start a threshold
+        x[:, 5:][rng.uniform(size=(n, n_columns - 5)) < 0.03] = np.nan
     x[60:90] = x[:30]  # duplicate rows
     y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=n) > 0.5).astype(int)
     y[60:75] = 1 - y[:15]  # some duplicate rows carry both labels
@@ -291,6 +310,25 @@ def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth):
     model = gbm_fit(train, n_trees=8, max_depth=max_depth)
     want = reference_trees(train, 8, max_depth)
     assert [node_bits(t) for t in model.trees] == [node_bits(t) for t in want]
+
+
+def test_gbm_fit_memory_is_bounded_per_fit_cell():
+    # tie-heavy: column j takes 2 + j % 6 levels
+    rng = np.random.default_rng(0)
+    n, d = 2000, 78
+    levels = 2 + np.arange(d) % 6
+    x = rng.integers(0, levels, size=(n, d)) / levels
+    y = (x[:, :3].sum(axis=1) + 0.3 * rng.normal(size=n) > 1.5).astype(int)
+    train = LabeledSet(x, y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = gbm_fit(train, n_trees=2, max_depth=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(not t.root.is_leaf for t in model.trees)
+    assert peak <= 40 * x.size + 128 * 1024, f"{peak / x.size:.1f} bytes per fit cell"
 
 
 # ---------------------------------------------------------------------- gbm
