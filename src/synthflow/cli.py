@@ -383,37 +383,29 @@ def cmd_train(cfg: RunConfig) -> int:
             )
 
     t0 = time.perf_counter()
+    failure = None
     try:
         model, records = train(data, cfg.gan, progress)
     except TrainingDiverged as exc:
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        # an earlier run's model no longer matches this run's manifest
-        for name in (MODEL_FILE, MODEL_MATRIX_FILE):
-            (cfg.out_dir / name).unlink(missing_ok=True)
-        save_checkpoint(exc.model, cfg.out_dir / LASTGOOD_MODEL_FILE)
-        write_train_log(exc.records, cfg.out_dir / TRAIN_LOG_FILE)
-        write_manifest(
-            cfg,
-            "train",
-            [LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE, TRAIN_LOG_FILE],
-            {"total": wall_ms},
-            fingerprint,
-            status="diverged",
-            extra={"failure_step": exc.step},
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        model, records, failure = exc.model, exc.records, exc
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    # an earlier diverged run's model is in no manifest from here on
-    for name in (LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE):
+    files = [(MODEL_FILE, MODEL_MATRIX_FILE), (LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE)]
+    saved, stale = files if failure is None else files[::-1]
+    # the other outcome's model, left by an earlier run, is in no manifest
+    # from here on
+    for name in stale:
         (cfg.out_dir / name).unlink(missing_ok=True)
-    save_checkpoint(model, cfg.out_dir / MODEL_FILE)
+    save_checkpoint(model, cfg.out_dir / saved[0])
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
-        cfg, "train", [MODEL_FILE, MODEL_MATRIX_FILE, TRAIN_LOG_FILE],
-        {"total": wall_ms}, fingerprint,
+        cfg, "train", [*saved, TRAIN_LOG_FILE], {"total": wall_ms}, fingerprint,
+        status="ok" if failure is None else "diverged",
+        extra=None if failure is None else {"failure_step": failure.step},
     )
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return EXIT_DIVERGED
     print(f"trained {cfg.gan.gen_steps} generator steps -> {cfg.out_dir / MODEL_FILE}")
     return EXIT_OK
 

@@ -386,7 +386,7 @@ def rmse_quality(real, synth) -> tuple[float, float]:
 
     rmse_means compares per-feature means; rmse_hist compares per-feature
     32-bin frequency vectors (bins span [0, 1], frequencies normalized by
-    each matrix's row count).
+    each matrix's row count). A value outside [0, 1] is a ValueError.
     """
     real = np.asarray(real, dtype=np.float64)
     synth = np.asarray(synth, dtype=np.float64)
@@ -397,14 +397,25 @@ def rmse_quality(real, synth) -> tuple[float, float]:
     mean_gap = real.mean(axis=0) - synth.mean(axis=0)
     rmse_means = float(np.sqrt(np.mean(mean_gap**2)))
 
-    d = real.shape[1]
-    gaps = np.empty((d, HISTOGRAM_BINS))
-    for j in range(d):
-        freq_real = np.histogram(real[:, j], bins=HISTOGRAM_BINS, range=(0.0, 1.0))[0]
-        freq_synth = np.histogram(synth[:, j], bins=HISTOGRAM_BINS, range=(0.0, 1.0))[0]
-        gaps[j] = freq_real / real.shape[0] - freq_synth / synth.shape[0]
+    gaps = _unit_bin_counts(real) / real.shape[0] - _unit_bin_counts(synth) / synth.shape[0]
     rmse_hist = float(np.sqrt(np.mean(gaps**2)))
     return rmse_means, rmse_hist
+
+
+def _unit_bin_counts(matrix: np.ndarray) -> np.ndarray:
+    """Each column's counts in HISTOGRAM_BINS equal bins over [0, 1], one row
+    per column; the last bin is closed, as in ``np.histogram``.
+
+    The edges k/HISTOGRAM_BINS and x * HISTOGRAM_BINS are exact in binary
+    floating point (HISTOGRAM_BINS is a power of two), so flooring puts
+    every value in the same bin as ``np.histogram`` does.
+    """
+    if not ((matrix >= 0.0) & (matrix <= 1.0)).all():
+        raise ValueError("histogram values must lie in [0, 1]")
+    bins = np.minimum(np.floor(matrix * HISTOGRAM_BINS), HISTOGRAM_BINS - 1).astype(np.intp)
+    bins += HISTOGRAM_BINS * np.arange(matrix.shape[1])
+    counts = np.bincount(bins.ravel(), minlength=bins.shape[1] * HISTOGRAM_BINS)
+    return counts.reshape(-1, HISTOGRAM_BINS)
 
 
 @dataclass

@@ -172,22 +172,22 @@ def interpolate(real_batch, fake_batch, epsilon) -> np.ndarray:
 
 @dataclass
 class CriticLoss:
-    """Critic loss value, its three terms, gradients, and diagnostics."""
+    """Critic loss value, its three terms, gradient vector, and diagnostics."""
 
     loss: float
     fake_term: float
     real_term: float
     penalty_term: float
-    grads: list[np.ndarray]
+    grad: np.ndarray
     grad_norm_mean: float
 
 
 def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
-    """Loss and critic-parameter gradients for one batch.
+    """Loss and critic-parameter gradient for one batch.
 
     The value decomposes exactly as fake_term - real_term + penalty_term;
-    gradients combine the reverse pass on the score terms with the penalty
-    double backprop.
+    the gradient adds the reverse pass on the score terms and the penalty
+    double backprop, (fake + real) + penalty.
     """
     real = as_batch(real_batch)
     fake = as_batch(fake_batch)
@@ -199,7 +199,7 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
     real_scores, real_cache = nets.mlp_forward(model.critic, real)
     fake_term = float(fake_scores.mean())
     real_term = float(real_scores.mean())
-    penalty_term, penalty_grads = nets.penalty_param_grad(
+    penalty_term, penalty_grad = nets.penalty_param_grad(
         model.critic, x_hat, cfg.gp_lambda
     )
     loss = fake_term - real_term + penalty_term
@@ -211,16 +211,16 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
 
     up_fake = np.full_like(fake_scores, 1.0 / fake_scores.shape[0])
     up_real = np.full_like(real_scores, -1.0 / real_scores.shape[0])
-    grads_fake = nets.mlp_param_grad(model.critic, fake_cache, up_fake)
-    grads_real = nets.mlp_param_grad(model.critic, real_cache, up_real)
-    grads = [gf + gr + gp for gf, gr, gp in zip(grads_fake, grads_real, penalty_grads)]
+    grad = nets.mlp_param_grad(model.critic, fake_cache, up_fake)
+    grad += nets.mlp_param_grad(model.critic, real_cache, up_real)
+    grad += penalty_grad
 
     norms = np.linalg.norm(nets.mlp_input_grad(model.critic, x_hat), axis=1)
-    return CriticLoss(loss, fake_term, real_term, penalty_term, grads, float(norms.mean()))
+    return CriticLoss(loss, fake_term, real_term, penalty_term, grad, float(norms.mean()))
 
 
-def generator_loss(model: GanModel, noise_batch) -> tuple[float, list[np.ndarray]]:
-    """Generator loss -mean f(G(z)) and its generator-parameter gradients.
+def generator_loss(model: GanModel, noise_batch) -> tuple[float, np.ndarray]:
+    """Generator loss -mean f(G(z)) and its generator-parameter gradient.
 
     The critic contributes only through its input gradient, so its
     parameters stay untouched.
@@ -236,8 +236,7 @@ def generator_loss(model: GanModel, noise_batch) -> tuple[float, list[np.ndarray
     if not np.isfinite(loss):
         raise NonFiniteError(f"non-finite generator loss: {loss}")
     upstream = -nets.mlp_input_grad(model.critic, fake) / fake.shape[0]
-    grads = nets.mlp_param_grad(model.generator, gen_cache, upstream)
-    return loss, grads
+    return loss, nets.mlp_param_grad(model.generator, gen_cache, upstream)
 
 
 @dataclass
@@ -282,10 +281,10 @@ def train(
     rng = np.random.default_rng(config.seed)
     model = build_model(config, data.features.shape[1], rng)
     critic_state = nets.rmsprop_state(
-        model.critic.parameters(), config.lr, config.rho, config.epsilon
+        model.critic.vector, config.lr, config.rho, config.epsilon
     )
     gen_state = nets.rmsprop_state(
-        model.generator.parameters(), config.lr, config.rho, config.epsilon
+        model.generator.vector, config.lr, config.rho, config.epsilon
     )
 
     records: list[TrainRecord] = []
@@ -301,13 +300,13 @@ def train(
                 fake, _ = nets.mlp_forward(model.generator, noise)
                 eps = rng.uniform(0.0, 1.0, size=config.batch_size)
                 cl = critic_loss(model, real, fake, interpolate(real, fake, eps))
-                nets.rmsprop_step(model.critic.parameters(), cl.grads, critic_state)
+                nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
                 closs_sum += cl.loss
                 penalty_sum += cl.penalty_term
                 norm_sum += cl.grad_norm_mean
             noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-            gloss, ggrads = generator_loss(model, noise)
-            nets.rmsprop_step(model.generator.parameters(), ggrads, gen_state)
+            gloss, ggrad = generator_loss(model, noise)
+            nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
         except NonFiniteError as exc:
             raise TrainingDiverged(step, model, records, exc) from exc
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -379,27 +378,11 @@ def _layer_shapes(entries: list[dict]) -> list[tuple[int, int]]:
     return shapes
 
 
-def _networks(shapes: list[list[tuple[int, int]]], vector: np.ndarray) -> list[MlpNetwork]:
-    """Networks whose parameters are consecutive views into ``vector``,
-    in :meth:`MlpNetwork.parameters` order."""
-    offset = 0
-    networks = []
-    for net_shapes in shapes:
-        layers = []
-        for out_dim, in_dim in net_shapes:
-            end = offset + out_dim * in_dim
-            weights = vector[offset:end].reshape(out_dim, in_dim)
-            offset = end + out_dim
-            layers.append(nets.DenseLayer(weights, vector[end:offset]))
-        networks.append(MlpNetwork(layers))
-    return networks
-
-
 def save_checkpoint(model: GanModel, path) -> None:
-    """Write the model as a two-file cache (:func:`dataio.save_cache`): every
-    parameter, generator then critic, as one float64 vector in ``.npy``, and
-    a versioned JSON header (config and layer shapes) at ``path``."""
-    params = model.generator.parameters() + model.critic.parameters()
+    """Write the model as a two-file cache (:func:`dataio.save_cache`): the
+    generator's parameter vector then the critic's, as one float64 vector in
+    ``.npy``, and a versioned JSON header (config and layer shapes) at
+    ``path``."""
     save_cache(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -407,7 +390,7 @@ def save_checkpoint(model: GanModel, path) -> None:
         "feature_count": model.feature_count,
         "generator": _net_header(model.generator),
         "critic": _net_header(model.critic),
-    }, np.concatenate([p.ravel() for p in params]))
+    }, np.concatenate((model.generator.vector, model.critic.vector)))
 
 
 def load_checkpoint(path) -> GanModel:
@@ -425,9 +408,9 @@ def load_checkpoint(path) -> GanModel:
         # a KeyError, TypeError or ValueError (ShapeError too) reads as malformed
         config = GanConfig.from_dict(doc["config"])
         shapes = [_layer_shapes(doc["generator"]), _layer_shapes(doc["critic"])]
-        size = sum(o * i + o for net_shapes in shapes for o, i in net_shapes)
+        size = sum(map(nets.parameter_count, shapes))
         vector = load_cache_matrix(path, (size,))
-        model = GanModel(*_networks(shapes, vector), config)
+        model = GanModel(*nets.networks(shapes, vector), config)
         if model.feature_count != doc["feature_count"]:
             raise DataError(
                 f"checkpoint feature count {doc['feature_count']} does not match "

@@ -11,7 +11,6 @@ away from the kink, where the ReLU subgradient is taken as 0.
 
 Batches are plain float64 numpy arrays, one sample per row. Weights follow
 the (out_dim, in_dim) convention, so a layer computes ``x @ W.T + b``.
-Parameter lists everywhere are interleaved ``[W0, b0, W1, b1, ...]``.
 """
 
 from __future__ import annotations
@@ -45,19 +44,6 @@ class DenseLayer:
     weights: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-d, got shape {self.weights.shape}")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"bias shape {self.bias.shape} does not match out_dim "
-                f"{self.weights.shape[0]}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise NonFiniteError("layer parameters must be finite")
-
     @property
     def out_dim(self) -> int:
         return self.weights.shape[0]
@@ -69,9 +55,15 @@ class DenseLayer:
 
 @dataclass
 class MlpNetwork:
-    """Dense layers with a ReLU between each pair; dimensions must chain."""
+    """Dense layers with a ReLU between each pair; dimensions must chain.
+
+    Every parameter lives in the one float64 ``vector``; the layers' weights
+    and biases are views into it (see :func:`networks`), so an in-place
+    update of the vector is an update of the layers.
+    """
 
     layers: list[DenseLayer]
+    vector: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -91,21 +83,52 @@ class MlpNetwork:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live references to all parameter arrays, interleaved [W, b, ...]."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        return [layer.weights.shape for layer in self.layers]
+
+
+def parameter_count(shapes) -> int:
+    """Parameters of a network whose layers have these (out_dim, in_dim)."""
+    return sum(out_dim * in_dim + out_dim for out_dim, in_dim in shapes)
+
+
+def _layer_views(shapes, vector: np.ndarray) -> list[DenseLayer]:
+    """Layers over consecutive stretches of ``vector``: W0, b0, W1, b1, ...,
+    each W row-major (out_dim, in_dim)."""
+    layers = []
+    offset = 0
+    for out_dim, in_dim in shapes:
+        end = offset + out_dim * in_dim
+        weights = vector[offset:end].reshape(out_dim, in_dim)
+        offset = end + out_dim
+        layers.append(DenseLayer(weights, vector[end:offset]))
+    return layers
+
+
+def networks(shapes, vector: np.ndarray) -> list[MlpNetwork]:
+    """Networks whose parameters are views into ``vector``, one network's
+    after another; ``shapes`` holds each network's layer shapes.
+
+    This is the one parameter layout: the gradients, RMSProp and the
+    checkpoint all use it, so a network's vector is its checkpoint bytes.
+    """
+    out = []
+    start = 0
+    for net_shapes in shapes:
+        end = start + parameter_count(net_shapes)
+        part = vector[start:end]
+        out.append(MlpNetwork(_layer_views(net_shapes, part), part))
+        start = end
+    return out
 
 
 @dataclass
 class ForwardCache:
     """Per-layer inputs and pre-activations for one batch.
 
-    Invalid after any parameter mutation; the gradient routines check shapes
-    but cannot detect value staleness.
+    Invalid after any parameter mutation; the gradient routines check the
+    upstream shape but cannot detect value staleness.
     """
 
     inputs: list[np.ndarray]
@@ -116,18 +139,18 @@ def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
     """Initialize a dense network.
 
     ``layer_sizes`` is ``[in_dim, h1, ..., out_dim]``. Weights are uniform in
-    ``[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]`` and biases
-    start at zero.
+    ``[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]``, drawn layer
+    by layer, and biases start at zero.
     """
     sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output dim")
-    layers = []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out)))
-    return MlpNetwork(layers)
+    shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes, sizes[1:])]
+    (net,) = networks([shapes], np.zeros(parameter_count(shapes)))
+    for layer in net.layers:
+        limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
+        layer.weights[...] = rng.uniform(-limit, limit, size=layer.weights.shape)
+    return net
 
 
 def _layer_values(net: MlpNetwork, x) -> Iterator[np.ndarray]:
@@ -170,48 +193,29 @@ def mlp_output(net: MlpNetwork, x) -> np.ndarray:
     return out
 
 
-def _check_cache(net: MlpNetwork, cache: ForwardCache) -> None:
-    if len(cache.inputs) != len(net.layers) or len(cache.preacts) != len(net.layers):
-        raise ShapeError("cache does not match network depth (stale cache?)")
-    for k, layer in enumerate(net.layers):
-        if cache.inputs[k].shape[1] != layer.in_dim:
-            raise ShapeError(
-                f"cached input for layer {k} has {cache.inputs[k].shape[1]} "
-                f"columns, layer expects {layer.in_dim} (stale cache?)"
-            )
-        if cache.preacts[k].shape[1] != layer.out_dim:
-            raise ShapeError(
-                f"cached pre-activation for layer {k} has "
-                f"{cache.preacts[k].shape[1]} columns, layer produces "
-                f"{layer.out_dim} (stale cache?)"
-            )
-
-
-def mlp_param_grad(
-    net: MlpNetwork, cache: ForwardCache, upstream
-) -> list[np.ndarray]:
+def mlp_param_grad(net: MlpNetwork, cache: ForwardCache, upstream) -> np.ndarray:
     """Reverse pass: d(loss)/d(parameters) for the cached batch.
 
     ``upstream`` is d(loss)/d(outputs), one row per sample. There is no
     implicit batch scaling; a batch-mean loss is obtained by passing an
-    upstream that already carries the 1/n factor. Returns gradients
-    interleaved like :meth:`MlpNetwork.parameters`.
+    upstream that already carries the 1/n factor. Returns one gradient
+    vector laid out like ``net.vector``.
     """
-    _check_cache(net, cache)
     up = as_batch(upstream)
     if up.shape != cache.preacts[-1].shape:
         raise ShapeError(
             f"upstream shape {up.shape} does not match cached output shape "
             f"{cache.preacts[-1].shape}"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers))
+    grad = np.empty_like(net.vector)
+    views = _layer_views(net.shapes, grad)
     delta = up  # the last layer is linear
     for k in range(len(net.layers) - 1, -1, -1):
-        grads[2 * k] = delta.T @ cache.inputs[k]
-        grads[2 * k + 1] = delta.sum(axis=0)
+        np.matmul(delta.T, cache.inputs[k], out=views[k].weights)
+        delta.sum(axis=0, out=views[k].bias)
         if k:
             delta = (delta @ net.layers[k].weights) * (cache.preacts[k - 1] > 0.0)
-    return grads
+    return grad
 
 
 def _input_grad_deltas(
@@ -251,8 +255,8 @@ def mlp_input_grad(net: MlpNetwork, x) -> np.ndarray:
 
 def penalty_param_grad(
     net: MlpNetwork, x_hat, weight: float
-) -> tuple[float, list[np.ndarray]]:
-    """Gradient-norm penalty and its parameter gradients.
+) -> tuple[float, np.ndarray]:
+    """Gradient-norm penalty and its parameter gradient vector.
 
     penalty = weight * mean_i (||grad_x f(x_hat_i)||_2 - 1)^2
 
@@ -284,75 +288,62 @@ def penalty_param_grad(
     adj = grad * coef[:, None]
 
     n_layers = len(net.layers)
-    grads: list[np.ndarray] = []
-    for layer in net.layers:
-        grads.append(np.zeros_like(layer.weights))
-        grads.append(np.zeros_like(layer.bias))
+    grad_params = np.zeros_like(net.vector)
+    views = _layer_views(net.shapes, grad_params)
 
     # grad = deltas[0] @ W0, then deltas[k] = (deltas[k+1] @ W_{k+1}) * mask_k;
     # walk that chain in reverse, accumulating each W occurrence.
-    grads[0] += deltas[0].T @ adj
+    views[0].weights += deltas[0].T @ adj
     e = adj @ net.layers[0].weights.T
     for k in range(n_layers - 1):
         q = e * (cache.preacts[k] > 0.0)
-        grads[2 * (k + 1)] += deltas[k + 1].T @ q
+        views[k + 1].weights += deltas[k + 1].T @ q
         if k + 1 < n_layers - 1:
             e = q @ net.layers[k + 1].weights.T
-    return penalty, grads
+    return penalty, grad_params
 
 
 @dataclass
 class RmsPropState:
-    """Per-parameter accumulator cache plus hyperparameters."""
+    """One parameter vector's accumulator, the hyperparameters (checked by
+    whoever builds the state) and two scratch vectors for the update."""
 
     lr: float
     rho: float
     epsilon: float
-    cache: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0 < self.rho < 1:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if any((c < 0).any() for c in self.cache):
-            raise ValueError("accumulator cache entries must be nonnegative")
+    cache: np.ndarray
+    scratch: np.ndarray
 
 
 def rmsprop_state(
-    params: list[np.ndarray],
-    lr: float = 1e-3,
-    rho: float = 0.9,
-    epsilon: float = 1e-6,
+    params: np.ndarray, lr: float = 1e-3, rho: float = 0.9, epsilon: float = 1e-6
 ) -> RmsPropState:
-    """Fresh optimizer state with zeroed accumulators matching ``params``."""
-    return RmsPropState(lr, rho, epsilon, [np.zeros_like(p) for p in params])
+    """Fresh optimizer state with a zeroed accumulator matching ``params``."""
+    return RmsPropState(lr, rho, epsilon, np.zeros_like(params), np.empty((2, params.size)))
 
 
-def rmsprop_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: RmsPropState
-) -> None:
+def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> None:
     """One in-place update: cache <- rho*cache + (1-rho)*g^2, then
-    param <- param - lr*g/(sqrt(cache) + epsilon).
+    params <- params - lr*g/(sqrt(cache) + epsilon).
 
-    Every shape and gradient is checked before anything is mutated, so a
-    failed update leaves parameters and accumulators as they were.
+    The shapes and the gradient are checked before anything is mutated, so
+    a failed update leaves the parameters and the accumulator as they were.
     """
-    if not (len(params) == len(grads) == len(state.cache)):
+    if not params.shape == grad.shape == state.cache.shape:
         raise ShapeError(
-            f"params/grads/state lengths differ: {len(params)}/{len(grads)}/"
-            f"{len(state.cache)}"
+            f"params/grad/cache shapes {params.shape}/{grad.shape}/"
+            f"{state.cache.shape} disagree"
         )
-    for i, (p, g, c) in enumerate(zip(params, grads, state.cache)):
-        if p.shape != g.shape or p.shape != c.shape:
-            raise ShapeError(
-                f"parameter {i}: shapes {p.shape}/{g.shape}/{c.shape} disagree"
-            )
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {i}")
-    for p, g, c in zip(params, grads, state.cache):
-        c *= state.rho
-        c += (1.0 - state.rho) * g * g
-        p -= state.lr * g / (np.sqrt(c) + state.epsilon)
+    if not np.isfinite(grad).all():
+        i = np.flatnonzero(~np.isfinite(grad))[0]
+        raise NonFiniteError(f"non-finite gradient for parameter {i}")
+    square, step = state.scratch
+    np.multiply(1.0 - state.rho, grad, out=square)
+    square *= grad
+    state.cache *= state.rho
+    state.cache += square
+    np.sqrt(state.cache, out=square)
+    square += state.epsilon
+    np.multiply(state.lr, grad, out=step)
+    step /= square
+    params -= step

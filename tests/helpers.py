@@ -19,22 +19,26 @@ KINK_MARGIN = 1e-3
 
 
 def fd_param_grad(net, scalar_fn, h=FD_STEP):
-    """Central finite differences of scalar_fn() over every parameter."""
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = p[i]
-            p[i] = orig + h
-            up = scalar_fn()
-            p[i] = orig - h
-            down = scalar_fn()
-            p[i] = orig
-            g[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central finite differences of scalar_fn() over every entry of
+    ``net.vector``, laid out like it."""
+    p = net.vector
+    g = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        up = scalar_fn()
+        p[i] = orig - h
+        down = scalar_fn()
+        p[i] = orig
+        g[i] = (up - down) / (2.0 * h)
+    return g
+
+
+def mlp(*layers):
+    """A network holding a copy of the given (weights, bias) pairs."""
+    vector = np.concatenate([np.append(w, b) for w, b in layers], dtype=np.float64)
+    (net,) = nets.networks([[np.shape(w) for w, _ in layers]], vector)
+    return net
 
 
 def fd_input_grad(net, x, h=FD_STEP):
@@ -54,11 +58,9 @@ def fd_input_grad(net, x, h=FD_STEP):
 
 
 def rel_err(analytic, reference):
-    """Vector-level relative error between two gradient lists/arrays."""
-    if isinstance(analytic, np.ndarray):
-        analytic, reference = [analytic], [reference]
-    a = np.concatenate([np.asarray(x).ravel() for x in analytic])
-    b = np.concatenate([np.asarray(x).ravel() for x in reference])
+    """Vector-level relative error between two gradient arrays."""
+    a = np.ravel(analytic)
+    b = np.ravel(reference)
     denom = max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
     return float(np.linalg.norm(a - b) / denom)
 

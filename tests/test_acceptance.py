@@ -24,11 +24,12 @@ from synthflow.evaluator import (
     roc_auc,
 )
 from synthflow.gan import GanConfig, GanModel, critic_loss, generate, interpolate, train
-from synthflow.nets import DenseLayer, MlpNetwork, mlp_forward, mlp_input_grad, mlp_param_grad, penalty_param_grad
+from synthflow.nets import mlp_forward, mlp_input_grad, mlp_param_grad, penalty_param_grad
 
 from helpers import (
     fd_input_grad,
     fd_param_grad,
+    mlp,
     rel_err,
     toy_attack_dataset,
     write_toy_run,
@@ -97,7 +98,7 @@ def test_c1_gradient_correctness():
 
 @criterion(2, "penalty double backprop matches finite differences (1e-4)")
 def test_c2_double_backprop():
-    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1))])
+    critic = mlp((np.array([[2.0]]), np.zeros(1)))
     penalty, grads = penalty_param_grad(critic, np.array([[0.4]]), 10.0)
     assert penalty == 10.0
     assert grads[0] == np.array([[20.0]])
@@ -112,7 +113,7 @@ def test_c2_double_backprop():
 
 @criterion(3, "critic loss assembles its three terms exactly; hand case = 8")
 def test_c3_loss_assembly():
-    critic = MlpNetwork([DenseLayer(np.array([[2.0]]), np.zeros(1))])
+    critic = mlp((np.array([[2.0]]), np.zeros(1)))
     generator = nets.build_mlp([2, 4, 1], np.random.default_rng(0))
     model = GanModel(generator, critic, GanConfig.small(noise_dim=2))
     real = np.array([[1.0]])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from synthflow.evaluator import (
     BLOCK_ENTRY,
+    HISTOGRAM_BINS,
     EvalConfig,
     GbmModel,
     LabeledSet,
@@ -25,6 +26,7 @@ from synthflow.evaluator import (
     roc_auc,
     sigmoid,
     split_search,
+    _unit_bin_counts,
 )
 
 from helpers import toy_attack_dataset
@@ -549,6 +551,29 @@ def test_rmse_row_permutation_invariant():
 def test_rmse_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         rmse_quality(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+def test_rmse_histogram_matches_numpy_at_every_bin_edge():
+    edges = np.arange(HISTOGRAM_BINS + 1) / HISTOGRAM_BINS
+    values = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    values = values[(values >= 0.0) & (values <= 1.0)]
+    real = np.stack([values, values[::-1], np.zeros_like(values)], axis=1)
+    counts = _unit_bin_counts(real)
+    for j in range(real.shape[1]):
+        oracle = np.histogram(real[:, j], HISTOGRAM_BINS, (0.0, 1.0))[0]
+        assert counts[j].tolist() == oracle.tolist()
+    synth = np.random.default_rng(5).uniform(size=(40, 3))
+    gaps = counts / len(real) - [
+        np.histogram(synth[:, j], HISTOGRAM_BINS, (0.0, 1.0))[0] / len(synth)
+        for j in range(3)
+    ]
+    assert rmse_quality(real, synth)[1] == float(np.sqrt(np.mean(gaps**2)))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, np.nan])
+def test_rmse_rejects_values_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        rmse_quality(np.array([[0.5], [bad]]), np.array([[0.5]]))
 
 
 # -------------------------------------------------------------- histograms

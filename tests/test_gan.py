@@ -23,14 +23,14 @@ from synthflow.gan import (
     save_checkpoint,
     train,
 )
-from synthflow.nets import DenseLayer, MlpNetwork, ShapeError
+from synthflow.nets import ShapeError
 
-from helpers import constant_dataset, fd_param_grad, rel_err, toy_attack_dataset
+from helpers import constant_dataset, fd_param_grad, mlp, rel_err, toy_attack_dataset
 
 
 def scalar_linear_critic(weights):
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    return MlpNetwork([DenseLayer(w, np.zeros(1))])
+    return mlp((w, np.zeros(1)))
 
 
 def tiny_model(feature_count=1, seed=0, **cfg_overrides):
@@ -136,7 +136,7 @@ def test_critic_loss_gradient_matches_finite_differences():
         if margin_through(model.critic, batches) >= 1e-3:
             break
         seed += 1
-    analytic = critic_loss(model, real, fake, x_hat).grads
+    analytic = critic_loss(model, real, fake, x_hat).grad
 
     def loss_value():
         return critic_loss(model, real, fake, x_hat).loss
@@ -150,22 +150,20 @@ def test_critic_loss_gradient_matches_finite_differences():
 def test_generator_loss_is_negated_mean_score():
     # critic f(x) = x on 1-d fakes; generator is identity-ish via fixed nets
     critic = scalar_linear_critic([[1.0]])
-    generator = MlpNetwork([DenseLayer(np.array([[1.0]]), np.zeros(1))])
+    generator = mlp((np.array([[1.0]]), np.zeros(1)))
     model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
     loss, _ = generator_loss(model, np.array([[2.0], [4.0]]))
     assert loss == -3.0
 
 
 def test_generator_loss_zero_gradient_for_constant_critic():
-    critic = MlpNetwork(
-        [DenseLayer(np.zeros((1, 2)), np.array([5.0]))]
-    )
+    critic = mlp((np.zeros((1, 2)), np.array([5.0])))
     model = make_model_with_critic(critic)
-    loss, grads = generator_loss(
+    loss, grad = generator_loss(
         model, np.random.default_rng(0).uniform(-1, 1, (6, 2))
     )
     assert loss == -5.0
-    assert all(np.all(g == 0.0) for g in grads)
+    assert np.all(grad == 0.0)
 
 
 def test_generator_loss_gradient_matches_finite_differences():
@@ -192,12 +190,11 @@ def test_generator_loss_gradient_matches_finite_differences():
 def test_generator_update_leaves_critic_untouched():
     rng = np.random.default_rng(3)
     model = build_model(GanConfig.small(noise_dim=2), 2, rng)
-    before = [p.copy() for p in model.critic.parameters()]
-    _, grads = generator_loss(model, rng.uniform(-1, 1, (4, 2)))
-    state = nets.rmsprop_state(model.generator.parameters())
-    nets.rmsprop_step(model.generator.parameters(), grads, state)
-    for p, b in zip(model.critic.parameters(), before):
-        assert np.array_equal(p, b)
+    before = model.critic.vector.copy()
+    _, grad = generator_loss(model, rng.uniform(-1, 1, (4, 2)))
+    state = nets.rmsprop_state(model.generator.vector)
+    nets.rmsprop_step(model.generator.vector, grad, state)
+    assert np.array_equal(model.critic.vector, before)
 
 
 # -------------------------------------------------------------------- train
@@ -241,8 +238,8 @@ def test_train_divergence_aborts_with_step_and_model():
     err = excinfo.value
     assert err.step >= 1
     assert isinstance(err.model, GanModel)
-    for p in err.model.critic.parameters() + err.model.generator.parameters():
-        assert np.isfinite(p).all()
+    assert np.isfinite(err.model.critic.vector).all()
+    assert np.isfinite(err.model.generator.vector).all()
 
 
 def test_train_requires_enough_rows():
@@ -267,7 +264,7 @@ def test_generate_clamps_to_unit_range():
 
 
 def test_generate_denormalizes_with_stats():
-    generator = MlpNetwork([DenseLayer(np.zeros((1, 1)), np.array([0.5]))])
+    generator = mlp((np.zeros((1, 1)), np.array([0.5])))
     critic = scalar_linear_critic([[1.0]])
     model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
     stats = NormalizationStats(np.array([0.0]), np.array([10.0]))
@@ -327,17 +324,29 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     path = tmp_path / "model.sgmodel"
     payload = checkpoint_bytes(model, path)
     loaded = load_checkpoint(path)
-    for a, b in zip(
-        model.generator.parameters() + model.critic.parameters(),
-        loaded.generator.parameters() + loaded.critic.parameters(),
-    ):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.generator.vector, model.generator.vector)
+    assert np.array_equal(loaded.critic.vector, model.critic.vector)
     assert loaded.config == model.config
     assert checkpoint_bytes(loaded, tmp_path / "again.sgmodel") == payload
     assert (tmp_path / "again.npy").read_bytes() == (tmp_path / "model.npy").read_bytes()
     doc = json.loads(payload)
     for net in ("generator", "critic"):
         assert [layer["activation"] for layer in doc[net]] == ["relu", "relu", "linear"]
+
+
+def test_checkpoint_vector_is_generator_then_critic_loaded_as_views(tmp_path):
+    model = tiny_model(feature_count=3, seed=9)
+    path = tmp_path / "model.sgmodel"
+    save_checkpoint(model, path)
+    stored = np.load(tmp_path / "model.npy")
+    assert stored.tobytes() == model.generator.vector.tobytes() + model.critic.vector.tobytes()
+    loaded = load_checkpoint(path)
+    array = loaded.generator.vector.base
+    assert array.shape == stored.shape
+    for net in (loaded.generator, loaded.critic):
+        assert np.shares_memory(net.vector, array)
+        assert all(np.shares_memory(layer.weights, net.vector) for layer in net.layers)
+        assert all(np.shares_memory(layer.bias, net.vector) for layer in net.layers)
 
 
 def test_checkpoint_truncated_payload_rejected(tmp_path):
