@@ -18,10 +18,11 @@ interrupted ingest leaves no ``dataset.json`` (later commands exit 5)
 rather than old labels and stats beside a new matrix. The model checkpoint
 is two files the same way, the parameters ``model.npy`` and the header
 ``model.sgmodel``, saved in the same order. A train that diverges removes
-both files of any model left by an earlier run, and an ingest
-removes every artifact that train, generate, evaluate and report built from
-the earlier dataset, so later commands stop with exit code 5 instead of using
-a stale model.
+both files of any model left by an earlier run. Each command removes what
+later commands built from its earlier output (ingest: train, generate,
+evaluate and report; train: generate, evaluate and report; evaluate: its
+own and report's), so later commands stop with exit code 5 instead of using
+a stale model or report.
 
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
 divergence, 5 missing prerequisite artifact. A run config or schema that
@@ -191,13 +192,15 @@ def load_run_config(
 
     if isinstance(doc.get("gan"), dict) and "seed" in doc["gan"]:
         raise ConfigError("'gan.seed' is not a setting; set 'seed' or pass --seed")
-    try:
-        gan_cfg = GanConfig.from_dict(doc.get("gan", {}))
-        eval_cfg = EvalConfig.from_dict(doc.get("eval", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gan/eval config: {exc}") from exc
+    sections = {}
+    for key, section in (("gan", GanConfig), ("eval", EvalConfig)):
+        try:
+            sections[key] = section.from_dict(doc.get(key, {}))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad '{key}' config: {exc}") from exc
     # the run seed is the single source of randomness
-    gan_cfg = replace(gan_cfg, seed=seed)
+    gan_cfg = replace(sections["gan"], seed=seed)
+    eval_cfg = sections["eval"]
 
     cfg = RunConfig(
         dataset=dataset,
@@ -284,10 +287,10 @@ def _manifest(doc) -> dict:
     return doc
 
 
-def _remove_downstream_artifacts(out_dir: Path) -> None:
-    """Delete what train, generate, evaluate and report built from an
-    earlier ingest: every artifact their manifests list, manifests included."""
-    for command in ("train", "generate", "evaluate", "report"):
+def _remove_downstream_artifacts(out_dir: Path, commands) -> None:
+    """Delete what an earlier run of each of ``commands`` built: every
+    artifact its manifest lists, the manifest included."""
+    for command in commands:
         manifest = out_dir / f"{command}_manifest.json"
         if not manifest.exists():
             continue
@@ -321,7 +324,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_downstream_artifacts(cfg.out_dir)
+    _remove_downstream_artifacts(cfg.out_dir, ("train", "generate", "evaluate", "report"))
     save_dataset(filtered, cfg.out_dir / DATASET_FILE)  # the matrix, then dataset.json
 
     label_counts = Counter(labels)
@@ -393,9 +396,10 @@ def cmd_train(cfg: RunConfig) -> int:
     files = [(MODEL_FILE, MODEL_MATRIX_FILE), (LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE)]
     saved, stale = files if failure is None else files[::-1]
     # the other outcome's model, left by an earlier run, is in no manifest
-    # from here on
+    # from here on; what was built from the earlier model goes too
     for name in stale:
         (cfg.out_dir / name).unlink(missing_ok=True)
+    _remove_downstream_artifacts(cfg.out_dir, ("generate", "evaluate", "report"))
     save_checkpoint(model, cfg.out_dir / saved[0])
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
@@ -449,6 +453,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     report = evaluate(data, synth, cfg.eval, np.random.default_rng([cfg.seed, 2]))
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
+    # an earlier evaluate's histograms may be of other features
+    _remove_downstream_artifacts(cfg.out_dir, ("evaluate", "report"))
     artifacts = [REPORT_JSON_FILE, IMPORTANCE_FILE]
     write_json(cfg.out_dir / REPORT_JSON_FILE, asdict(report), indent=2)
 
@@ -487,7 +493,6 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     report_path = _require(cfg.out_dir / REPORT_JSON_FILE, "evaluate")
-    _require(cfg.out_dir / DATASET_FILE, "ingest")
     report = read_json(report_path, QualityReport.from_dict)
     t0 = time.perf_counter()
 
@@ -589,11 +594,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, args.seed, args.out)
-        if args.command != "ingest":
-            if not cfg.out_dir.exists():
-                raise MissingArtifactError(
-                    f"output directory {cfg.out_dir} not found; run 'ingest' first"
-                )
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "train":

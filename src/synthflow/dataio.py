@@ -130,8 +130,11 @@ def write_csv(path, header, rows) -> None:
 def config_from_dict(cls, data: dict):
     """Build the config dataclass ``cls`` from a JSON object.
 
-    Unknown keys are rejected and JSON lists become tuples.
+    Anything but an object, and unknown keys, are rejected; JSON lists
+    become tuples.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
@@ -433,14 +436,13 @@ class NormalizationStats:
 def minmax_normalize(values: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
     """Scale each column to [0, 1]; constant columns map to 0.
 
-    A float64 array is scaled in place and returned, so the caller holds one
+    The values must be finite, as :func:`clean_numeric` leaves them. A
+    float64 array is scaled in place and returned, so the caller holds one
     matrix, not two; pass a copy to keep the original.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
         raise DataError(f"cannot normalize matrix of shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise DataError("cannot normalize non-finite values")
     col_min = values.min(axis=0)
     col_max = values.max(axis=0)
     span = col_max - col_min
@@ -494,10 +496,9 @@ class DatasetMatrix:
 
 
 def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
-    """Keep rows whose label matches ``wanted`` (case-insensitive, trimmed)."""
+    """Keep rows whose label matches one of ``wanted``, a nonempty set of
+    label texts (case-insensitive, trimmed)."""
     wanted_norm = {str(w).strip().lower() for w in wanted}
-    if not wanted_norm:
-        raise DataError("no labels requested")
     mask = np.array(
         [lbl.strip().lower() in wanted_norm for lbl in data.labels], dtype=bool
     )

@@ -55,21 +55,10 @@ PREFERRED_HISTOGRAM_FEATURES = (
 
 @dataclass
 class LabeledSet:
-    """Feature matrix with binary rows: 0 = real, 1 = synthetic."""
+    """Float64 feature matrix and one label per row: 0 = real, 1 = synthetic."""
 
     features: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"features {self.features.shape} and labels {self.labels.shape} "
-                f"do not line up"
-            )
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 (real) or 1 (synthetic)")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -302,12 +291,9 @@ def gbm_fit(
     """Boost regression trees on the logistic loss.
 
     Each round fits a tree to the residual (label - predicted probability)
-    with hessian weights p*(1-p). Fitting is fully deterministic.
+    with hessian weights p*(1-p). Fitting is fully deterministic. The sizes
+    and the shrinkage are those an :class:`EvalConfig` admits.
     """
-    if not 0.0 < shrinkage <= 1.0:
-        raise ValueError(f"shrinkage must be in (0, 1], got {shrinkage}")
-    if n_trees < 0 or max_depth < 1:
-        raise ValueError(f"bad ensemble size: n_trees={n_trees}, max_depth={max_depth}")
     y = train.labels.astype(np.float64)
     if y.min() == y.max():
         raise ValueError("training set must contain both classes")
@@ -328,13 +314,8 @@ def gbm_fit(
 
 
 def gbm_predict(model: GbmModel, features) -> np.ndarray:
-    """Per-row probability of being synthetic."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != model.n_features:
-        raise ValueError(
-            f"features have {features.shape[-1] if features.ndim else '?'} "
-            f"columns, model was fit on {model.n_features}"
-        )
+    """Per-row probability of being synthetic for a float64 matrix as wide
+    as the fit matrix."""
     scores = np.full(features.shape[0], model.base_score)
     for tree in model.trees:
         scores += model.shrinkage * tree.predict(features)
@@ -386,14 +367,9 @@ def rmse_quality(real, synth) -> tuple[float, float]:
 
     rmse_means compares per-feature means; rmse_hist compares per-feature
     32-bin frequency vectors (bins span [0, 1], frequencies normalized by
-    each matrix's row count). A value outside [0, 1] is a ValueError.
+    each matrix's row count). Both are float64 matrices of one width; a
+    value outside [0, 1] is a ValueError.
     """
-    real = np.asarray(real, dtype=np.float64)
-    synth = np.asarray(synth, dtype=np.float64)
-    if real.ndim != 2 or synth.ndim != 2 or real.shape[1] != synth.shape[1]:
-        raise ValueError(
-            f"width mismatch: real {real.shape} vs synth {synth.shape}"
-        )
     mean_gap = real.mean(axis=0) - synth.mean(axis=0)
     rmse_means = float(np.sqrt(np.mean(mean_gap**2)))
 
@@ -442,16 +418,10 @@ def histogram_compare(
 
     ``selected`` must be a subset of ``feature_names``; by default the
     preferred flow features are used when present, otherwise the first few
-    columns. Single-valued features put all mass in one bin.
+    columns. Both matrices have one column per feature name. Single-valued
+    features put all mass in one bin.
     """
-    real = np.asarray(real, dtype=np.float64)
-    synth = np.asarray(synth, dtype=np.float64)
     names = list(feature_names)
-    if real.shape[1] != len(names) or synth.shape[1] != len(names):
-        raise ValueError(
-            f"matrices with {real.shape[1]}/{synth.shape[1]} columns do not "
-            f"match {len(names)} feature names"
-        )
     if selected is None:
         selected = default_histogram_features(names)
     unknown = [f for f in selected if f not in names]
@@ -494,6 +464,11 @@ class EvalConfig:
             raise ValueError(
                 f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
+        names = self.histogram_features
+        if names is not None and not (
+            isinstance(names, (list, tuple)) and all(isinstance(f, str) for f in names)
+        ):
+            raise ValueError(f"histogram_features must be null or a list of names: {names!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "EvalConfig":

@@ -32,7 +32,7 @@ from .dataio import (
     write_csv,
 )
 from . import nets
-from .nets import MlpNetwork, NonFiniteError, ShapeError, as_batch
+from .nets import MlpNetwork, NonFiniteError, ShapeError
 
 CHECKPOINT_FORMAT = "sgmodel"
 CHECKPOINT_VERSION = 2
@@ -153,21 +153,14 @@ def build_model(config: GanConfig, feature_count: int, rng: np.random.Generator)
 
 
 def interpolate(real_batch, fake_batch, epsilon) -> np.ndarray:
-    """x_hat = eps*real + (1-eps)*fake, one coefficient in [0, 1] per row."""
-    real = as_batch(real_batch)
-    fake = as_batch(fake_batch)
-    if real.shape != fake.shape:
-        raise ShapeError(
-            f"real batch {real.shape} and fake batch {fake.shape} differ"
-        )
-    eps = np.asarray(epsilon, dtype=np.float64)
-    if eps.shape != (real.shape[0],):
-        raise ShapeError(
-            f"need one epsilon per row, got {eps.shape} for {real.shape[0]} rows"
-        )
-    if eps.size and (eps.min() < 0.0 or eps.max() > 1.0):
-        raise ValueError("epsilon values must lie in [0, 1]")
-    return eps[:, None] * real + (1.0 - eps[:, None]) * fake
+    """x_hat = eps*real + (1-eps)*fake, one coefficient per row.
+
+    The batches are float64 arrays of one shape and ``epsilon`` holds one
+    value in [0, 1] per row. :func:`train` draws them so; nothing here
+    checks it.
+    """
+    eps = epsilon[:, None]
+    return eps * real_batch + (1.0 - eps) * fake_batch
 
 
 @dataclass
@@ -189,14 +182,10 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
     the gradient adds the reverse pass on the score terms and the penalty
     double backprop, (fake + real) + penalty.
     """
-    real = as_batch(real_batch)
-    fake = as_batch(fake_batch)
-    if real.shape[0] == 0 or fake.shape[0] == 0:
-        raise ValueError("critic batches must be nonempty")
     cfg = model.config
 
-    fake_scores, fake_cache = nets.mlp_forward(model.critic, fake)
-    real_scores, real_cache = nets.mlp_forward(model.critic, real)
+    fake_scores, fake_cache = nets.mlp_forward(model.critic, fake_batch)
+    real_scores, real_cache = nets.mlp_forward(model.critic, real_batch)
     fake_term = float(fake_scores.mean())
     real_term = float(real_scores.mean())
     penalty_term, penalty_grad = nets.penalty_param_grad(
@@ -225,12 +214,7 @@ def generator_loss(model: GanModel, noise_batch) -> tuple[float, np.ndarray]:
     The critic contributes only through its input gradient, so its
     parameters stay untouched.
     """
-    noise = as_batch(noise_batch)
-    if noise.shape[1] != model.config.noise_dim:
-        raise ShapeError(
-            f"noise has {noise.shape[1]} columns, expected {model.config.noise_dim}"
-        )
-    fake, gen_cache = nets.mlp_forward(model.generator, noise)
+    fake, gen_cache = nets.mlp_forward(model.generator, noise_batch)
     scores, _ = nets.mlp_forward(model.critic, fake)
     loss = float(-scores.mean())
     if not np.isfinite(loss):

@@ -11,6 +11,11 @@ away from the kink, where the ReLU subgradient is taken as 0.
 
 Batches are plain float64 numpy arrays, one sample per row. Weights follow
 the (out_dim, in_dim) convention, so a layer computes ``x @ W.T + b``.
+
+Callers (``gan``) pass finite float64 batches of the network's width and,
+for input gradients and the penalty, a scalar-output network; nothing here
+re-checks that. The only checks are the two ``TrainingDiverged`` rests on:
+a non-finite network output and a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -27,14 +32,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ValueError):
     """A value that must be finite is NaN or infinite."""
-
-
-def as_batch(x) -> np.ndarray:
-    """Coerce to a float64 one-sample-per-row matrix."""
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"expected a 2-d batch, got shape {out.shape}")
-    return out
 
 
 @dataclass
@@ -127,8 +124,7 @@ def networks(shapes, vector: np.ndarray) -> list[MlpNetwork]:
 class ForwardCache:
     """Per-layer inputs and pre-activations for one batch.
 
-    Invalid after any parameter mutation; the gradient routines check the
-    upstream shape but cannot detect value staleness.
+    Invalid after any parameter mutation, which nothing detects.
     """
 
     inputs: list[np.ndarray]
@@ -143,8 +139,6 @@ def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
     by layer, and biases start at zero.
     """
     sizes = list(layer_sizes)
-    if len(sizes) < 2:
-        raise ValueError("layer_sizes needs at least an input and an output dim")
     shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes, sizes[1:])]
     (net,) = networks([shapes], np.zeros(parameter_count(shapes)))
     for layer in net.layers:
@@ -157,17 +151,11 @@ def _layer_values(net: MlpNetwork, x) -> Iterator[np.ndarray]:
     """Run the network on a batch, yielding each layer's input and then its
     pre-activation, layer by layer; the last value is the output.
 
-    The batch is checked before the first layer and the output after the
-    last value is taken, so a caller must exhaust the iterator. Only the
-    caller keeps earlier values alive.
+    The output alone is checked: a non-finite one raises NonFiniteError
+    after the last value is taken, so a caller must exhaust the iterator.
+    Only the caller keeps earlier values alive.
     """
-    a = as_batch(x)
-    if a.shape[1] != net.in_dim:
-        raise ShapeError(
-            f"input has {a.shape[1]} columns, network expects {net.in_dim}"
-        )
-    if not np.isfinite(a).all():
-        raise NonFiniteError("forward input contains non-finite values")
+    a = x
     for k, layer in enumerate(net.layers):
         if k:
             a = np.maximum(a, 0.0)  # ReLU between layers; the last stays linear
@@ -201,15 +189,9 @@ def mlp_param_grad(net: MlpNetwork, cache: ForwardCache, upstream) -> np.ndarray
     upstream that already carries the 1/n factor. Returns one gradient
     vector laid out like ``net.vector``.
     """
-    up = as_batch(upstream)
-    if up.shape != cache.preacts[-1].shape:
-        raise ShapeError(
-            f"upstream shape {up.shape} does not match cached output shape "
-            f"{cache.preacts[-1].shape}"
-        )
     grad = np.empty_like(net.vector)
     views = _layer_views(net.shapes, grad)
-    delta = up  # the last layer is linear
+    delta = upstream  # the last layer is linear
     for k in range(len(net.layers) - 1, -1, -1):
         np.matmul(delta.T, cache.inputs[k], out=views[k].weights)
         delta.sum(axis=0, out=views[k].bias)
@@ -243,11 +225,6 @@ def mlp_input_grad(net: MlpNetwork, x) -> np.ndarray:
     Exact almost everywhere for ReLU networks; at a kink the subgradient 0
     is used.
     """
-    if net.out_dim != 1:
-        raise ShapeError(
-            f"input gradients need a scalar-output network, got out_dim "
-            f"{net.out_dim}"
-        )
     _, cache = mlp_forward(net, x)
     _, grad = _input_grad_deltas(net, cache)
     return grad
@@ -267,17 +244,10 @@ def penalty_param_grad(
     gradients are identically zero: the input gradient of a ReLU network
     depends on biases only through the masks.
     """
-    if net.out_dim != 1:
-        raise ShapeError(
-            f"penalty needs a scalar-output network, got out_dim {net.out_dim}"
-        )
-    xh = as_batch(x_hat)
-    if xh.shape[0] == 0:
-        raise ValueError("penalty batch must be nonempty")
-    _, cache = mlp_forward(net, xh)
+    _, cache = mlp_forward(net, x_hat)
     deltas, grad = _input_grad_deltas(net, cache)
 
-    n = xh.shape[0]
+    n = x_hat.shape[0]
     norms = np.linalg.norm(grad, axis=1)
     penalty = weight * float(np.mean((norms - 1.0) ** 2))
 
@@ -326,14 +296,9 @@ def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> N
     """One in-place update: cache <- rho*cache + (1-rho)*g^2, then
     params <- params - lr*g/(sqrt(cache) + epsilon).
 
-    The shapes and the gradient are checked before anything is mutated, so
-    a failed update leaves the parameters and the accumulator as they were.
+    The gradient is checked before anything is mutated, so a failed update
+    leaves the parameters and the accumulator as they were.
     """
-    if not params.shape == grad.shape == state.cache.shape:
-        raise ShapeError(
-            f"params/grad/cache shapes {params.shape}/{grad.shape}/"
-            f"{state.cache.shape} disagree"
-        )
     if not np.isfinite(grad).all():
         i = np.flatnonzero(~np.isfinite(grad))[0]
         raise NonFiniteError(f"non-finite gradient for parameter {i}")

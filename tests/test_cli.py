@@ -2,6 +2,7 @@ import io
 import json
 import shutil
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -375,6 +376,9 @@ def test_ragged_row_in_second_file_names_that_file(tmp_path, capsys):
         {"holdout_fraction": 0.0},
         {"holdout_fraction": 1.5},
         {"histogram_features": ["f1", "no such feature"]},
+        {"histogram_features": 5},
+        {"histogram_features": True},
+        {"histogram_features": "f1"},
     ],
 )
 def test_bad_eval_config_rejected_at_load(tmp_path, capsys, bad):
@@ -583,8 +587,9 @@ def test_report_reads_feature_names_from_the_quality_report(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "load_dataset", no_load)
     assert run(config, "report") == EXIT_OK
     assert (tmp_path / "run" / cli.REPORT_MD_FILE).read_bytes() == first
-    (tmp_path / "run" / cli.DATASET_FILE).unlink()
-    assert run(config, "report") == EXIT_MISSING
+    (tmp_path / "run" / cli.DATASET_FILE).unlink()  # report reads nothing from it
+    assert run(config, "report") == EXIT_OK
+    assert (tmp_path / "run" / cli.REPORT_MD_FILE).read_bytes() == first
 
 
 @pytest.fixture(scope="module")
@@ -746,3 +751,88 @@ def test_gan_seed_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gan.seed" in err and "--seed" in err
     assert not (tmp_path / "run").exists()
+
+
+# every key a run config can set, and values of every JSON type
+CONFIG_KEYS = [
+    *(f.name for f in fields(cli.RunConfig)),
+    *(f"gan.{f.name}" for f in fields(cli.GanConfig)),
+    *(f"eval.{f.name}" for f in fields(cli.EvalConfig)),
+]
+CONFIG_VALUES = [
+    None, True, 0, -1, 2**70, 0.5, float("nan"), float("inf"), "", "x", [], [1], ["a"], {},
+]
+
+
+def toy_run_with(tmp_path, key, value):
+    """A toy run config with ``key`` ("name" or "section.name") set to ``value``."""
+    config = write_toy_run(tmp_path)
+    doc = json.loads(config.read_text())
+    *section, name = key.split(".")
+    (doc[section[0]] if section else doc)[name] = value
+    config.write_text(json.dumps(doc))
+    return config
+
+
+@pytest.mark.parametrize("value", CONFIG_VALUES, ids=repr)
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_any_config_value_is_accepted_or_a_config_error(tmp_path, key, value):
+    config = toy_run_with(tmp_path, key, value)
+    # a label that no row carries is a data error, not a config error
+    allowed = {EXIT_DATA} if (key, value) == ("labels", ["a"]) else {EXIT_OK, EXIT_CONFIG}
+    assert run(config, "ingest") in allowed  # an escaping exception fails the test
+
+
+@pytest.mark.parametrize("value", ["", []], ids=repr)
+@pytest.mark.parametrize("key", ["gan", "eval"])
+def test_config_section_that_is_not_an_object_names_the_key(tmp_path, capsys, key, value):
+    assert run(toy_run_with(tmp_path, key, value), "ingest") == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def _listed_artifacts(out):
+    return {
+        name for manifest in out.glob("*_manifest.json")
+        for name in json.loads(manifest.read_text())["artifacts"]
+    }
+
+
+def test_retrain_removes_what_the_earlier_model_built(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    out = tmp_path / "run"
+    good = config.read_text()
+    diverging = json.loads(good)
+    diverging["gan"]["lr"] = 1e200
+    assert run(config, "ingest") == EXIT_OK
+    for retrain, code in ((good, EXIT_OK), (json.dumps(diverging), EXIT_DIVERGED)):
+        config.write_text(good)
+        assert run(config, "train") == EXIT_OK
+        assert run(config, "generate", "--count", "10") == EXIT_OK
+        for verb in ("evaluate", "report"):
+            assert run(config, verb) == EXIT_OK
+        config.write_text(retrain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(config, "train") == code
+        manifests = sorted(p.name for p in out.glob("*_manifest.json"))
+        assert manifests == ["ingest_manifest.json", "train_manifest.json"]
+        assert {p.name for p in out.iterdir()} == _listed_artifacts(out)
+        capsys.readouterr()
+        assert run(config, "report") == EXIT_MISSING
+        assert "'evaluate'" in capsys.readouterr().err
+
+
+def test_reevaluate_leaves_only_the_histograms_its_manifest_lists(tmp_path):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    out = tmp_path / "run"
+    for verb in ("ingest", "train", "evaluate", "report"):
+        assert run(config, verb) == EXIT_OK
+    assert sorted(p.name for p in out.glob("hist_*.csv")) == ["hist_f1.csv", "hist_f2.csv"]
+    doc = json.loads(config.read_text())
+    doc["eval"]["histogram_features"] = ["f2"]
+    config.write_text(json.dumps(doc))
+    assert run(config, "evaluate") == EXIT_OK
+    assert sorted(p.name for p in out.glob("hist_*.csv")) == ["hist_f2.csv"]
+    assert not (out / cli.REPORT_MD_FILE).exists()  # it rendered the earlier report
+    assert {p.name for p in out.iterdir()} == _listed_artifacts(out)

@@ -421,14 +421,6 @@ def test_gbm_predict_hand_traced_two_trees():
     assert np.allclose(got, expected, atol=1e-15)
 
 
-def test_gbm_predict_width_mismatch():
-    model = gbm_fit(
-        LabeledSet(np.array([[0.0], [1.0]]), np.array([0, 1])), n_trees=1
-    )
-    with pytest.raises(ValueError, match="columns"):
-        gbm_predict(model, np.zeros((2, 3)))
-
-
 # ------------------------------------------------------------- importances
 
 def test_importance_single_decisive_feature():
@@ -546,11 +538,6 @@ def test_rmse_row_permutation_invariant():
     permuted = rmse_quality(real, synth[rng.permutation(25)])
     assert abs(base[0] - permuted[0]) < 1e-12
     assert abs(base[1] - permuted[1]) < 1e-12
-
-
-def test_rmse_width_mismatch():
-    with pytest.raises(ValueError, match="width"):
-        rmse_quality(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 def test_rmse_histogram_matches_numpy_at_every_bin_edge():

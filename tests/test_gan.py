@@ -23,7 +23,6 @@ from synthflow.gan import (
     save_checkpoint,
     train,
 )
-from synthflow.nets import ShapeError
 
 from helpers import constant_dataset, fd_param_grad, mlp, rel_err, toy_attack_dataset
 
@@ -52,11 +51,6 @@ def test_interpolation_hand_case():
         np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]]), np.array([0.25])
     )
     assert x_hat.tolist() == [[1.5, 1.5]]
-
-
-def test_interpolation_shape_mismatch():
-    with pytest.raises(ShapeError):
-        interpolate(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(2))
 
 
 @settings(deadline=None, max_examples=50)
