@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, schemas
+from . import __version__, nets, schemas
 from .dataio import (
     DataError,
     DatasetMatrix,
@@ -66,6 +66,7 @@ from .evaluator import EvalConfig, QualityReport, evaluate
 from .gan import (
     GanConfig,
     TrainingDiverged,
+    _layer_sizes,
     generate,
     load_checkpoint,
     save_checkpoint,
@@ -78,6 +79,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_MISSING = 5
+
+# Most parameters a run config's two networks may hold together: 80 MB as one
+# float64 vector, of which training keeps several. The reference nets hold 178,895.
+MAX_PARAMETERS = 10_000_000
 
 DATASET_FILE = "dataset.json"
 DATASET_MATRIX_FILE = matrix_path(DATASET_FILE).name
@@ -217,6 +222,12 @@ def load_run_config(
         names = cfg.resolve_schema().feature_names()
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
+    shapes = map(nets.layer_shapes, _layer_sizes(gan_cfg, len(names)))
+    if (count := sum(map(nets.parameter_count, shapes))) > MAX_PARAMETERS:
+        raise ConfigError(
+            f"bad 'gan' config: noise_dim, generator_hidden and critic_hidden give "
+            f"{count} parameters on {len(names)} features, over {MAX_PARAMETERS}"
+        )
     unknown = [f for f in eval_cfg.histogram_features or () if f not in names]
     if unknown:
         raise ConfigError(

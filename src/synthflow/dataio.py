@@ -151,10 +151,10 @@ def check_count(name: str, value, minimum: int) -> None:
 
 
 def check_finite(name: str, value) -> None:
-    """Reject a config number that is NaN or infinite; a value that is not
-    a number raises ``TypeError``."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    """Reject a config number that is a bool, NaN or infinite; a value that
+    is not a number raises ``TypeError``."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataError, DatasetMatrix, check_count, config_from_dict, denormalize
+from .dataio import (
+    DataError, DatasetMatrix, check_count, check_finite, config_from_dict, denormalize,
+)
 
 HISTOGRAM_BINS = 32
 
@@ -458,6 +460,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         check_count("n_trees", self.n_trees, 0)
         check_count("max_depth", self.max_depth, 1)
+        check_finite("shrinkage", self.shrinkage)
+        check_finite("holdout_fraction", self.holdout_fraction)
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError(f"shrinkage must be in (0, 1], got {self.shrinkage}")
         if not 0.0 < self.holdout_fraction < 1.0:

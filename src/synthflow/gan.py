@@ -6,9 +6,10 @@ The critic loss is
 
 with x_hat drawn uniformly on segments between paired real and fake rows.
 The generator minimizes -mean f(G(z)) with the critic frozen. Both networks
-are trained with RMSProp, alternating several critic updates per generator
-update. Everything is driven by one seeded generator so runs are bit
-reproducible.
+are ReLU MLPs whose layers follow from the config and the data width alone
+(:func:`_layer_sizes`), trained with RMSProp, alternating several critic
+updates per generator update. Everything is driven by one seeded generator
+so runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .dataio import (
     write_csv,
 )
 from . import nets
-from .nets import MlpNetwork, NonFiniteError, ShapeError
+from .nets import MlpNetwork, NonFiniteError
 
 CHECKPOINT_FORMAT = "sgmodel"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Rows per generator forward in :func:`generate`: the activations held at
 # once are bounded by the block, not by the number of rows asked for.
@@ -113,24 +114,19 @@ class GanConfig:
 
 @dataclass
 class GanModel:
-    """Generator/critic pair plus the config that built them."""
+    """Generator/critic pair plus the config that built them: the networks
+    have the layers :func:`_layer_sizes` gives for ``feature_count``."""
 
     generator: MlpNetwork
     critic: MlpNetwork
     config: GanConfig
 
     def __post_init__(self) -> None:
-        if self.critic.out_dim != 1:
-            raise ShapeError(f"critic must be scalar-output, got {self.critic.out_dim}")
-        if self.generator.in_dim != self.config.noise_dim:
-            raise ShapeError(
-                f"generator input dim {self.generator.in_dim} != noise_dim "
-                f"{self.config.noise_dim}"
-            )
-        if self.generator.out_dim != self.critic.in_dim:
-            raise ShapeError(
-                f"generator output dim {self.generator.out_dim} != critic "
-                f"input dim {self.critic.in_dim}"
+        sizes = _layer_sizes(self.config, self.feature_count)
+        if [self.generator.shapes, self.critic.shapes] != list(map(nets.layer_shapes, sizes)):
+            raise ValueError(
+                "these networks are not the ones this config describes for "
+                f"{self.feature_count} features"
             )
 
     @property
@@ -138,17 +134,19 @@ class GanModel:
         return self.generator.out_dim
 
 
-def build_model(config: GanConfig, feature_count: int, rng: np.random.Generator) -> GanModel:
-    """Fresh generator and critic for ``feature_count``-wide data.
+def _layer_sizes(config: GanConfig, feature_count: int) -> list[list[int]]:
+    """The generator's and the critic's ``[in_dim, hidden..., out_dim]``: the
+    generator's linear output is clamped only at generation time, and the
+    critic ends in one linear unit."""
+    return [
+        [config.noise_dim, *config.generator_hidden, feature_count],
+        [feature_count, *config.critic_hidden, 1],
+    ]
 
-    The generator maps noise through the hidden stack to a linear output
-    layer (clamped only at generation time); the critic mirrors the stack
-    down to one linear unit.
-    """
-    generator = nets.build_mlp(
-        [config.noise_dim, *config.generator_hidden, feature_count], rng
-    )
-    critic = nets.build_mlp([feature_count, *config.critic_hidden, 1], rng)
+
+def build_model(config: GanConfig, feature_count: int, rng: np.random.Generator) -> GanModel:
+    """Fresh generator, drawn first, and critic for ``feature_count``-wide data."""
+    generator, critic = [nets.build_mlp(s, rng) for s in _layer_sizes(config, feature_count)]
     return GanModel(generator, critic, config)
 
 
@@ -336,50 +334,22 @@ def generate(
     return out
 
 
-def _layout(n_layers: int) -> list[str]:
-    """Each layer's activation by position: ReLU, ..., ReLU, linear."""
-    return ["relu"] * (n_layers - 1) + ["linear"]
-
-
-def _net_header(net: MlpNetwork) -> list[dict]:
-    return [
-        {"activation": activation, "shape": list(layer.weights.shape)}
-        for layer, activation in zip(net.layers, _layout(len(net.layers)))
-    ]
-
-
-def _layer_shapes(entries: list[dict]) -> list[tuple[int, int]]:
-    """Each layer's (out_dim, in_dim), checked against the fixed layout."""
-    activations = [entry["activation"] for entry in entries]
-    if activations != _layout(len(entries)):
-        raise ValueError(f"layer activations {activations} are not relu, ..., linear")
-    shapes = []
-    for entry in entries:
-        out_dim, in_dim = entry["shape"]
-        check_count("layer out_dim", out_dim, 1)
-        check_count("layer in_dim", in_dim, 1)
-        shapes.append((out_dim, in_dim))
-    return shapes
-
-
 def save_checkpoint(model: GanModel, path) -> None:
     """Write the model as a two-file cache (:func:`dataio.save_cache`): the
     generator's parameter vector then the critic's, as one float64 vector in
-    ``.npy``, and a versioned JSON header (config and layer shapes) at
-    ``path``."""
+    ``.npy``, and at ``path`` a versioned JSON header holding the config and
+    the feature count, from which the layers follow."""
     save_cache(path, {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "feature_count": model.feature_count,
-        "generator": _net_header(model.generator),
-        "critic": _net_header(model.critic),
     }, np.concatenate((model.generator.vector, model.critic.vector)))
 
 
 def load_checkpoint(path) -> GanModel:
-    """The model saved at ``path``; any defect in either file is a
-    DataError naming that file."""
+    """The model saved at ``path``; any defect in either file is a DataError
+    naming that file, the ``.npy`` one when the header's layers do not fit it."""
 
     def decode(doc) -> GanModel:
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
@@ -387,19 +357,13 @@ def load_checkpoint(path) -> GanModel:
         if doc.get("version") != CHECKPOINT_VERSION:
             raise DataError(
                 f"checkpoint version {doc.get('version')} is incompatible "
-                f"(expected {CHECKPOINT_VERSION})"
+                f"(expected {CHECKPOINT_VERSION}); run the 'train' command again"
             )
-        # a KeyError, TypeError or ValueError (ShapeError too) reads as malformed
+        # a KeyError, TypeError or ValueError reads as malformed
         config = GanConfig.from_dict(doc["config"])
-        shapes = [_layer_shapes(doc["generator"]), _layer_shapes(doc["critic"])]
-        size = sum(map(nets.parameter_count, shapes))
-        vector = load_cache_matrix(path, (size,))
-        model = GanModel(*nets.networks(shapes, vector), config)
-        if model.feature_count != doc["feature_count"]:
-            raise DataError(
-                f"checkpoint feature count {doc['feature_count']} does not match "
-                f"network output {model.feature_count}"
-            )
-        return model
+        check_count("feature_count", doc["feature_count"], 1)
+        shapes = list(map(nets.layer_shapes, _layer_sizes(config, doc["feature_count"])))
+        vector = load_cache_matrix(path, (sum(map(nets.parameter_count, shapes)),))
+        return GanModel(*nets.networks(shapes, vector), config)
 
     return read_json(path, decode)

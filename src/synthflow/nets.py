@@ -12,8 +12,9 @@ away from the kink, where the ReLU subgradient is taken as 0.
 Batches are plain float64 numpy arrays, one sample per row. Weights follow
 the (out_dim, in_dim) convention, so a layer computes ``x @ W.T + b``.
 
-Callers (``gan``) pass finite float64 batches of the network's width and,
-for input gradients and the penalty, a scalar-output network; nothing here
+Callers (``gan``) lay out networks by :func:`layer_shapes`, so layer sizes
+chain, and pass finite float64 batches of the network's width and, for
+input gradients and the penalty, a scalar-output network; nothing here
 re-checks that. The only checks are the two ``TrainingDiverged`` rests on:
 a non-finite network output and a non-finite gradient.
 """
@@ -24,10 +25,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
 
 
 class NonFiniteError(ValueError):
@@ -52,7 +49,7 @@ class DenseLayer:
 
 @dataclass
 class MlpNetwork:
-    """Dense layers with a ReLU between each pair; dimensions must chain.
+    """One or more dense layers with a ReLU between each pair.
 
     Every parameter lives in the one float64 ``vector``; the layers' weights
     and biases are views into it (see :func:`networks`), so an in-place
@@ -62,20 +59,6 @@ class MlpNetwork:
     layers: list[DenseLayer]
     vector: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        for k, (prev, nxt) in enumerate(zip(self.layers, self.layers[1:])):
-            if prev.out_dim != nxt.in_dim:
-                raise ShapeError(
-                    f"layer {k} output dim {prev.out_dim} feeds layer {k + 1} "
-                    f"expecting in_dim {nxt.in_dim}"
-                )
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].in_dim
-
     @property
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
@@ -83,6 +66,11 @@ class MlpNetwork:
     @property
     def shapes(self) -> list[tuple[int, int]]:
         return [layer.weights.shape for layer in self.layers]
+
+
+def layer_shapes(sizes) -> list[tuple[int, int]]:
+    """Each layer's (out_dim, in_dim) for ``sizes = [in_dim, h1, ..., out_dim]``."""
+    return [(fan_out, fan_in) for fan_in, fan_out in zip(sizes, sizes[1:])]
 
 
 def parameter_count(shapes) -> int:
@@ -138,8 +126,7 @@ def build_mlp(layer_sizes, rng: np.random.Generator) -> MlpNetwork:
     ``[-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))]``, drawn layer
     by layer, and biases start at zero.
     """
-    sizes = list(layer_sizes)
-    shapes = [(fan_out, fan_in) for fan_in, fan_out in zip(sizes, sizes[1:])]
+    shapes = layer_shapes(layer_sizes)
     (net,) = networks([shapes], np.zeros(parameter_count(shapes)))
     for layer in net.layers:
         limit = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from synthflow import dataio, nets, toydata
+from synthflow.gan import GanConfig
 
 FD_STEP = 1e-4
 # Pre-activations must clear this margin so FD perturbation cannot flip a
@@ -39,6 +40,16 @@ def mlp(*layers):
     vector = np.concatenate([np.append(w, b) for w, b in layers], dtype=np.float64)
     (net,) = nets.networks([[np.shape(w) for w, _ in layers]], vector)
     return net
+
+
+def config_for(generator, critic, **overrides):
+    """The small config whose layer sizes are the ones these networks have."""
+    return GanConfig.small(
+        noise_dim=generator.layers[0].in_dim,
+        generator_hidden=tuple(layer.out_dim for layer in generator.layers[:-1]),
+        critic_hidden=tuple(layer.out_dim for layer in critic.layers[:-1]),
+        **overrides,
+    )
 
 
 def fd_input_grad(net, x, h=FD_STEP):

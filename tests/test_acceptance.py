@@ -27,6 +27,7 @@ from synthflow.gan import GanConfig, GanModel, critic_loss, generate, interpolat
 from synthflow.nets import mlp_forward, mlp_input_grad, mlp_param_grad, penalty_param_grad
 
 from helpers import (
+    config_for,
     fd_input_grad,
     fd_param_grad,
     mlp,
@@ -115,7 +116,7 @@ def test_c2_double_backprop():
 def test_c3_loss_assembly():
     critic = mlp((np.array([[2.0]]), np.zeros(1)))
     generator = nets.build_mlp([2, 4, 1], np.random.default_rng(0))
-    model = GanModel(generator, critic, GanConfig.small(noise_dim=2))
+    model = GanModel(generator, critic, config_for(generator, critic))
     real = np.array([[1.0]])
     fake = np.array([[0.0]])
     x_hat = interpolate(real, fake, np.array([0.7]))
@@ -126,10 +127,9 @@ def test_c3_loss_assembly():
     rng = np.random.default_rng(20_003)
     for _ in range(10):
         net, _ = random_mlp(rng, scalar_output=True)
-        d = net.in_dim
-        m = GanModel(
-            nets.build_mlp([2, 4, d], rng), net, GanConfig.small(noise_dim=2)
-        )
+        d = net.layers[0].in_dim
+        generator = nets.build_mlp([2, 4, d], rng)
+        m = GanModel(generator, net, config_for(generator, net))
         real = rng.normal(size=(5, d))
         fake = rng.normal(size=(5, d))
         out = critic_loss(m, real, fake, interpolate(real, fake, rng.uniform(0, 1, 5)))

@@ -130,7 +130,7 @@ def test_unknown_label_is_data_error(tmp_path):
 def test_train_without_ingest_names_prerequisite(tmp_path, capsys):
     config = write_toy_run(tmp_path)
     assert run(config, "train") == EXIT_MISSING
-    assert "ingest" in capsys.readouterr().err
+    assert "run the 'ingest' command first" in capsys.readouterr().err
 
 
 def test_generate_without_train_is_missing(tmp_path):
@@ -240,7 +240,8 @@ def test_checkpoint_noise_dim_mismatch_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     for verb in ("generate", "evaluate"):
         assert run(config, verb) == EXIT_DATA
-        assert "noise_dim" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert cli.MODEL_MATRIX_FILE in err and "records" in err
 
 
 def _damage_cache(out, damage):
@@ -634,6 +635,7 @@ MALFORMED_INPUTS = {
         "run/ingest_manifest.json", {"dataset_fingerprint": [1]}, "report", EXIT_DATA),
     "model a directory": ("run/model.sgmodel", None, "generate", EXIT_DATA),
     "model not utf-8": ("run/model.sgmodel", b'{"format": "\xff"}', "generate", EXIT_DATA),
+    "model version 2": ("run/model.sgmodel", {"version": 2}, "generate", EXIT_DATA),
     "model.npy a directory": ("run/model.npy", None, "generate", EXIT_DATA),
     "model.npy truncated": (
         "run/model.npy", npy_bytes(np.zeros(TOY_PARAMETERS))[:-8], "generate", EXIT_DATA),
@@ -678,6 +680,23 @@ def test_missing_checkpoint_vector_is_data_error(evaluated_run, tmp_path, capsys
     assert cli.MODEL_MATRIX_FILE in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    {"generator_hidden": [32]}, {"critic_hidden": [32, 16]}, {"feature_count": 3},
+], ids=repr)
+def test_checkpoint_header_edit_that_changes_the_layers_names_the_vector(
+    evaluated_run, tmp_path, capsys, edit
+):
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "run" / cli.MODEL_FILE
+    doc = json.loads(path.read_text())
+    (doc if "feature_count" in edit else doc["config"]).update(edit)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path / "config.json", "generate") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert cli.MODEL_MATRIX_FILE in err and "records" in err
+
+
 def test_zeroed_checkpoint_vector_of_the_right_length_loads(evaluated_run, tmp_path):
     # the damaged rows above differ from a valid vector only in their defect
     shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
@@ -693,6 +712,10 @@ def test_zeroed_checkpoint_vector_of_the_right_length_loads(evaluated_run, tmp_p
     ({"eval_overrides": {"n_trees": 2.5}}, "n_trees"),
     ({"eval_overrides": {"max_depth": True}}, "max_depth"),
     ({"seed": True}, "seed"),
+    ({"gan_overrides": {"lr": True}}, "lr must be a finite number"),
+    ({"eval_overrides": {"shrinkage": True}}, "shrinkage must be a finite number"),
+    ({"gan_overrides": {"noise_dim": 2**70}}, "noise_dim, generator_hidden and critic_hidden"),
+    ({"gan_overrides": {"critic_hidden": [2**40]}}, f"over {cli.MAX_PARAMETERS}"),
 ])
 def test_wrongly_typed_config_value_rejected_at_every_verb(
     tmp_path, capsys, overrides, name

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from synthflow import nets
 from synthflow.dataio import DataError, NormalizationStats, denormalize
 from synthflow.gan import (
+    CHECKPOINT_VERSION,
     GENERATE_BLOCK_ROWS,
     GanConfig,
     GanModel,
@@ -24,7 +25,14 @@ from synthflow.gan import (
     train,
 )
 
-from helpers import constant_dataset, fd_param_grad, mlp, rel_err, toy_attack_dataset
+from helpers import (
+    config_for,
+    constant_dataset,
+    fd_param_grad,
+    mlp,
+    rel_err,
+    toy_attack_dataset,
+)
 
 
 def scalar_linear_critic(weights):
@@ -68,11 +76,10 @@ def test_interpolation_stays_on_segment(seed, rows, cols):
 # --------------------------------------------------------------- critic loss
 
 def make_model_with_critic(critic, noise_dim=2):
-    cfg = GanConfig.small(noise_dim=noise_dim)
     generator = nets.build_mlp(
-        [noise_dim, 4, critic.in_dim], np.random.default_rng(0)
+        [noise_dim, 4, critic.layers[0].in_dim], np.random.default_rng(0)
     )
-    return GanModel(generator, critic, cfg)
+    return GanModel(generator, critic, config_for(generator, critic))
 
 
 def test_critic_loss_vanishes_for_unit_norm_critic_on_equal_batches():
@@ -88,7 +95,7 @@ def test_critic_loss_vanishes_for_unit_norm_critic_on_equal_batches():
 def test_critic_loss_lambda_zero_is_wasserstein_surrogate():
     critic = scalar_linear_critic([[3.0, -1.0]])
     generator = nets.build_mlp([2, 4, 2], np.random.default_rng(0))
-    model = GanModel(generator, critic, GanConfig.small(noise_dim=2, gp_lambda=0.0))
+    model = GanModel(generator, critic, config_for(generator, critic, gp_lambda=0.0))
     rng = np.random.default_rng(8)
     real = rng.normal(size=(6, 2))
     fake = rng.normal(size=(6, 2))
@@ -145,7 +152,7 @@ def test_generator_loss_is_negated_mean_score():
     # critic f(x) = x on 1-d fakes; generator is identity-ish via fixed nets
     critic = scalar_linear_critic([[1.0]])
     generator = mlp((np.array([[1.0]]), np.zeros(1)))
-    model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
+    model = GanModel(generator, critic, config_for(generator, critic))
     loss, _ = generator_loss(model, np.array([[2.0], [4.0]]))
     assert loss == -3.0
 
@@ -260,7 +267,7 @@ def test_generate_clamps_to_unit_range():
 def test_generate_denormalizes_with_stats():
     generator = mlp((np.zeros((1, 1)), np.array([0.5])))
     critic = scalar_linear_critic([[1.0]])
-    model = GanModel(generator, critic, GanConfig.small(noise_dim=1))
+    model = GanModel(generator, critic, config_for(generator, critic))
     stats = NormalizationStats(np.array([0.0]), np.array([10.0]))
     out = generate(model, 3, np.random.default_rng(0), stats=stats)
     assert out.tolist() == [[5.0], [5.0], [5.0]]
@@ -323,9 +330,27 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert loaded.config == model.config
     assert checkpoint_bytes(loaded, tmp_path / "again.sgmodel") == payload
     assert (tmp_path / "again.npy").read_bytes() == (tmp_path / "model.npy").read_bytes()
-    doc = json.loads(payload)
-    for net in ("generator", "critic"):
-        assert [layer["activation"] for layer in doc[net]] == ["relu", "relu", "linear"]
+    assert set(json.loads(payload)) == {"format", "version", "config", "feature_count"}
+
+
+@pytest.mark.parametrize("noise_dim, generator_hidden, critic_hidden, feature_count", [
+    (3, (), (), 5),
+    (2, (7,), (4, 3, 6, 2), 1),
+    (9, (5, 4, 3, 2), (6,), 4),
+])
+def test_checkpoint_round_trip_over_layouts(
+    tmp_path, noise_dim, generator_hidden, critic_hidden, feature_count
+):
+    cfg = GanConfig.small(
+        noise_dim=noise_dim, generator_hidden=generator_hidden, critic_hidden=critic_hidden
+    )
+    model = build_model(cfg, feature_count, np.random.default_rng(4))
+    save_checkpoint(model, tmp_path / "model.sgmodel")
+    loaded = load_checkpoint(tmp_path / "model.sgmodel")
+    assert loaded.config == cfg and loaded.feature_count == feature_count
+    for net, back in [(model.generator, loaded.generator), (model.critic, loaded.critic)]:
+        assert net.shapes == back.shapes
+        assert net.vector.tobytes() == back.vector.tobytes()
 
 
 def test_checkpoint_vector_is_generator_then_critic_loaded_as_views(tmp_path):
@@ -354,7 +379,8 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
 def test_checkpoint_version_mismatch_rejected(tmp_path):
     path = tmp_path / "model.sgmodel"
     payload = checkpoint_bytes(tiny_model(), path)
-    path.write_bytes(payload.replace(b'"version": 2', b'"version": 99'))
+    current = f'"version": {CHECKPOINT_VERSION}'.encode()
+    path.write_bytes(payload.replace(current, b'"version": 99'))
     with pytest.raises(DataError, match="version"):
         load_checkpoint(path)
 
@@ -365,10 +391,21 @@ def test_checkpoint_wrong_format_rejected(tmp_path):
     with pytest.raises(DataError, match="not a model checkpoint"):
         load_checkpoint(path)
     doc = json.loads(checkpoint_bytes(tiny_model(), path))
-    doc["critic"][0]["activation"] = "linear"
+    doc["feature_count"] = 0
     path.write_bytes(json.dumps(doc).encode())
-    with pytest.raises(DataError, match="activations"):
+    with pytest.raises(DataError, match="feature_count"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [
+    GanConfig.small(noise_dim=2, generator_hidden=(32,)),
+    GanConfig.small(noise_dim=2, critic_hidden=(32, 16)),
+    GanConfig.small(noise_dim=3),
+])
+def test_model_rejects_networks_its_config_does_not_describe(config):
+    model = build_model(GanConfig.small(noise_dim=2), 3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not the ones this config describes for 3 features"):
+        GanModel(model.generator, model.critic, config)
 
 
 # ------------------------------------------------------------------- config

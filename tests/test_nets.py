@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from synthflow.nets import (
     NonFiniteError,
-    ShapeError,
     build_mlp,
     mlp_forward,
     mlp_input_grad,
@@ -56,11 +55,6 @@ def test_forward_rejects_nonfinite_input():
     net = linear_net([[1.0]])
     with pytest.raises(NonFiniteError):
         mlp_forward(net, [[np.nan]])
-
-
-def test_incompatible_layer_dims_rejected():
-    with pytest.raises(ShapeError):
-        mlp((np.ones((2, 3)), np.zeros(2)), (np.ones((1, 5)), np.zeros(1)))
 
 
 # ---------------------------------------------------------- parameter grads
