@@ -8,10 +8,10 @@ filtering. Cleaning maps infinities to the column's finite extrema and drops
 rows with unparseable cells, so the resulting matrix is always finite.
 
 Ingest streams: :func:`parse_csv` reads only the header and hands back the
-data rows as a lazy iterator, and :func:`clean_numeric` parses them in
-blocks of :data:`BLOCK_ROWS` rows into one growing float64 matrix. Memory is
-bounded by one block of text cells plus the output matrix, whatever the
-size of the input.
+data records as a lazy iterator of raw text, and :func:`clean_numeric`
+parses them, a block of :data:`BLOCK_ROWS` at a time, into one growing
+float64 matrix: with numpy's C reader, or cell by cell where a block needs
+it. Memory is bounded by one block of raw text plus the output matrix.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one.
@@ -32,9 +32,9 @@ import math
 import operator
 import os
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -244,13 +244,14 @@ def schema_to_json(schema: FeatureSchema, path) -> None:
 
 @dataclass
 class RawTable:
-    """Header names plus an iterable of data rows, each a list of cells.
+    """Header names plus an iterable of data records, each the raw text of a
+    CSV record of ``len(header)`` cells (lines, if a quoted cell holds one).
 
-    :func:`parse_csv` returns the rows as a one-shot lazy iterator.
+    :func:`parse_csv` returns the records as a one-shot lazy iterator.
     """
 
     header: list[str]
-    rows: Iterable[list[str]]
+    rows: Iterable[str]
 
 
 def _mangle_duplicates(names: list[str]) -> list[str]:
@@ -268,62 +269,88 @@ def _mangle_duplicates(names: list[str]) -> list[str]:
     return out
 
 
-def _records(source) -> Iterator[list[str]]:
-    """The non-blank CSV records of a path (opened here, closed when the
-    iterator ends or is discarded) or of an open text stream."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="replace", newline="") as fh:
-            yield from filter(None, csv.reader(fh))
-    else:
-        yield from filter(None, csv.reader(source))
+def _record(line: str, lines) -> tuple[list[str], str]:
+    """The cells of the CSV record that starts with ``line`` and its raw
+    text, which a quoted cell may carry on over further ``lines``."""
+    taken = [line]
+    more = (taken.append(text) or text for text in lines)
+    return next(csv.reader(chain([line], more)), []), "".join(taken)
 
 
-def _checked_rows(
-    records, width: int, need_rows: bool, where: str
-) -> Iterator[list[str]]:
-    n = 0
-    for n, record in enumerate(records, start=1):
-        if len(record) != width:
-            raise DataError(
-                f"{where}ragged row {n}: expected {width} cells, got {len(record)}"
-            )
-        yield record
-    if need_rows and n == 0:
+def _records(source, names: list[str] | None) -> Iterator:
+    """Yield the header (read from the file when ``names`` is None), then
+    the raw text of each non-blank data record. A path is opened here and
+    closed when the iterator ends or is discarded."""
+    path = isinstance(source, (str, Path))
+    where = f"{source}: " if path else ""
+    headerless = names is not None
+    fh = open(source, encoding="utf-8-sig", errors="replace", newline="") if path else source
+    with fh if path else nullcontext():
+        if not headerless:
+            first = next(filter(None, csv.reader(fh)), None)
+            if first is None:
+                raise DataError("empty CSV: no header row found")
+            names = _mangle_duplicates([cell.strip() for cell in first])
+        yield names
+        width, n = len(names), 0
+        for line in fh:
+            # a line of width - 1 commas and no quote is a record of width
+            # cells; the csv module reads any other: blank, quoted or ragged
+            if line.count(",") != width - 1 or '"' in line:
+                cells, line = _record(line, fh)
+                if not cells:
+                    continue
+                if len(cells) != width:
+                    raise DataError(
+                        f"{where}ragged row {n + 1}: expected {width} cells, got {len(cells)}"
+                    )
+            n += 1
+            yield line
+    if headerless and n == 0:
         raise DataError(f"{where}empty CSV: no data rows found")
 
 
 def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -> RawTable:
-    """Read the header of a comma-separated file; stream its data rows.
+    """Read the header of a comma-separated file; stream its data records.
 
-    ``source`` is a path or an open text stream. Header cells are
-    whitespace-trimmed and duplicates are suffix-mangled. For headerless
-    files pass ``has_header=False`` and supply ``names`` (for example from a
-    schema). Only the header is read here: the returned table's ``rows`` is
-    a lazy iterator, and a path stays open until it is exhausted. Blank
-    lines are skipped; a ragged row, or a headerless file without data
-    rows, raises :class:`DataError` when the iterator reaches it, naming
-    the 1-based data row and, for a path, the file.
+    ``source`` is a path, read as UTF-8 without its byte-order mark, or an
+    open text stream. Header cells are whitespace-trimmed and duplicates
+    are suffix-mangled. For headerless files pass ``has_header=False`` and
+    supply ``names`` (for example from a schema). Only the header is read
+    here: the returned table's ``rows`` is a lazy iterator of raw record
+    texts, and a path stays open until it is exhausted. Blank lines are
+    skipped; a ragged row, or a headerless file without data rows, raises
+    :class:`DataError` when the iterator reaches it, naming the 1-based
+    data row and, for a path, the file.
     """
     if not has_header and not names:
         raise DataError("headerless CSV needs schema-supplied column names")
-    records = _records(source)
-    if has_header:
-        first = next(records, None)
-        if first is None:
-            raise DataError("empty CSV: no header row found")
-        header = _mangle_duplicates([cell.strip() for cell in first])
-    else:
-        header = list(names)
-    where = f"{source}: " if isinstance(source, (str, Path)) else ""
-    return RawTable(header, _checked_rows(records, len(header), not has_header, where))
+    records = _records(source, None if has_header else list(names))
+    return RawTable(next(records), records)
 
 
-# Rows parsed per block by clean_numeric: enough to amortise the per-block
-# numpy calls, few enough that a block's text cells (about 1.3 MB of str
-# objects for 85 CICIDS columns) stay in cache while they are transposed and
-# parsed. On a 30k-row CICIDS-shaped file 256-row blocks parsed faster than
-# 1024-row ones, and 8192-row blocks slower still.
+# Records per block in clean_numeric. On a 30k-record CICIDS-shaped file it
+# took the same time with 256-, 1024- and 4096-record blocks (64 was about
+# 15% slower), so the block stays small: its raw text, and its str cells when
+# the csv module splits it (about 1.3 MB for 85 columns), are then a small
+# share of ingest memory.
 BLOCK_ROWS = 256
+
+_LOADTXT = {"delimiter": ",", "comments": None, "ndmin": 2}
+
+
+def _loadtxt(block: list[str], numeric_cols: list[int], text_cols: list[int]):
+    """The block's numeric columns as a float64 matrix and its text columns
+    as lists of str, read by numpy's C reader; None when the block is not
+    for it: a quote is the csv module's to read, numpy's text type drops a
+    trailing NUL, and the C reader rejects some cells ``float`` reads."""
+    if any('"' in line or "\0" in line for line in block):
+        return None
+    try:
+        numbers = np.loadtxt(block, usecols=numeric_cols, **_LOADTXT)
+        return numbers, np.loadtxt(block, dtype=str, usecols=text_cols, **_LOADTXT).T.tolist()
+    except ValueError:
+        return None
 
 
 def _parse_cell(cell: str, cats: dict[str, float] | None) -> float:
@@ -346,11 +373,13 @@ def clean_numeric(
     values) drop the whole row. Returns (values, labels, dropped_row_count)
     with matrix columns in schema feature order.
 
-    Rows are consumed in blocks of :data:`BLOCK_ROWS`. A numeric column of
-    a block is parsed by one ``float`` pass; only if a cell of it fails does
-    that column of that block fall back to the per-cell rule (strip, then
-    ``float``, NaN on failure), which gives the same values, since ``float``
-    ignores surrounding whitespace itself.
+    Records are consumed in blocks of :data:`BLOCK_ROWS`, so memory is one
+    block of raw text plus the output matrix. numpy's C reader parses a
+    block (:func:`_loadtxt`): the numeric columns as float64, the
+    categorical and label columns as text. A block it cannot take goes
+    through the csv module and :func:`_parse_cell`, which states the rules
+    (a numeric column tries one ``float`` pass first); every cell the C
+    reader accepts, ``float`` reads the same.
     """
     index = {name: i for i, name in enumerate(table.header)}
     feature_cols = schema.feature_columns()
@@ -364,6 +393,10 @@ def clean_numeric(
         {v: float(i) for i, v in enumerate(c.categories)} if c.role == CATEGORICAL else None
         for c in feature_cols
     ]
+    numeric = [j for j, cats in enumerate(cat_maps) if cats is None]
+    text = [j for j, cats in enumerate(cat_maps) if cats is not None]
+    numeric_cols = [index[required[j]] for j in numeric]
+    text_cols = [index[required[j]] for j in text] + [index[required[-1]]]
 
     d = len(feature_cols)
     # Each block's kept rows are appended by growing one matrix in place
@@ -375,16 +408,21 @@ def clean_numeric(
     rows = iter(table.rows)
     while block := list(islice(rows, BLOCK_ROWS)):
         m = len(block)
-        *cells, block_labels = zip(*map(pick, block))
         parsed = np.empty((m, d))
-        for j, (col, cats) in enumerate(zip(cells, cat_maps)):
-            if cats is None:
-                try:
+        if read := _loadtxt(block, numeric_cols, text_cols):
+            parsed[:, numeric], (*cells, block_labels) = read
+            columns = zip(text, cells)
+        else:  # the csv module splits every column
+            *cells, block_labels = zip(*map(pick, csv.reader(block)))
+            columns = enumerate(cells)
+        for j, col in columns:
+            if cat_maps[j] is None:
+                try:  # float ignores surrounding whitespace: the same values
                     parsed[:, j] = np.fromiter(map(float, col), np.float64, m)
                     continue
                 except ValueError:
                     pass
-            parsed[:, j] = [_parse_cell(cell, cats) for cell in col]
+            parsed[:, j] = [_parse_cell(cell, cat_maps[j]) for cell in col]
         keep = ~np.isnan(parsed).any(axis=1)
         kept = parsed[keep]
         n = len(values)

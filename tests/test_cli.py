@@ -79,6 +79,29 @@ def test_generate_writes_count_rows_in_feature_units(toy_pipeline):
     assert (data >= lo - 1e-12).all() and (data <= hi + 1e-12).all()
 
 
+def test_ingest_manifest_times_each_stage(toy_pipeline):
+    timings = json.loads((toy_pipeline / "ingest_manifest.json").read_text())["timings_ms"]
+    stages = ("parse_clean", "normalize", "filter")
+    assert set(timings) == {*stages, "save", "total"}
+    assert min(timings.values()) >= 0.0
+    assert timings["total"] == pytest.approx(sum(timings[s] for s in stages))
+
+
+def test_generate_count_over_the_cell_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 2})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    capsys.readouterr()
+    assert run(config, "generate", "--count", "10000000000000") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"over {cli.MAX_SYNTHETIC_CELLS}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / cli.SYNTH_FILE).exists()
+    monkeypatch.setattr(cli, "MAX_SYNTHETIC_CELLS", 20)  # 10 rows of the 2 toy features
+    assert run(config, "generate", "--count", "11") == EXIT_CONFIG
+    assert not (tmp_path / "run" / cli.SYNTH_FILE).exists()
+    assert run(config, "generate", "--count", "10") == EXIT_OK
+
+
 def test_quality_report_fields(toy_pipeline):
     report = json.loads((toy_pipeline / cli.REPORT_JSON_FILE).read_text())
     assert set(report) >= {

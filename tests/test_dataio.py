@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import re
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,7 +59,7 @@ def make_dataset(features, labels=None, schema=None):
 def test_parse_minimal_table():
     t = parse_csv(io.StringIO("a,b\n1,2\n"))
     assert t.header == ["a", "b"]
-    assert list(t.rows) == [["1", "2"]]
+    assert list(t.rows) == ["1,2\n"]
 
 
 def test_parse_ragged_row_reports_index():
@@ -67,7 +69,10 @@ def test_parse_ragged_row_reports_index():
 
 def test_parse_quoted_field_is_one_cell():
     t = parse_csv(io.StringIO('a,b\n"x,y",2\n'))
-    assert list(t.rows) == [["x,y", "2"]]
+    assert list(t.rows) == ['"x,y",2\n']
+    t = parse_csv(io.StringIO('b,label\n2,"x,y"\n'))
+    schema = FeatureSchema((Column("b", NUMERIC), Column("label", LABEL)))
+    assert clean_numeric(t, schema)[1] == ["x,y"]
 
 
 def test_parse_empty_file_errors():
@@ -85,18 +90,18 @@ def test_parse_headerless_requires_names():
         parse_csv(io.StringIO("1,2\n"), has_header=False)
     t = parse_csv(io.StringIO("1,2\n"), has_header=False, names=["a", "b"])
     assert t.header == ["a", "b"]
-    assert list(t.rows) == [["1", "2"]]
+    assert list(t.rows) == ["1,2\n"]
 
 
 # -------------------------------------------------------------- clean_numeric
 
 def test_clean_infinity_replaced_by_finite_extrema():
     table = RawTable(["a", "b", "label"], [
-        ["1", "0", "x"],
-        ["Infinity", "0", "x"],
-        ["7", "0", "x"],
-        ["99", "junk", "x"],  # dropped: its 99 must not become the max
-        ["-Infinity", "0", "x"],
+        "1,0,x",
+        "Infinity,0,x",
+        "7,0,x",
+        "99,junk,x",  # dropped: its 99 must not become the max
+        "-Infinity,0,x",
     ])
     values, labels, dropped = clean_numeric(table, TWO_COL)
     assert dropped == 1
@@ -105,9 +110,9 @@ def test_clean_infinity_replaced_by_finite_extrema():
 
 def test_clean_nan_row_dropped_and_counted():
     table = RawTable(["a", "b", "label"], [
-        ["1", "2", "x"],
-        ["NaN", "2", "y"],
-        ["3", "junk", "z"],
+        "1,2,x",
+        "NaN,2,y",
+        "3,junk,z",
     ])
     values, labels, dropped = clean_numeric(table, TWO_COL)
     assert dropped == 2
@@ -116,20 +121,20 @@ def test_clean_nan_row_dropped_and_counted():
 
 
 def test_clean_all_finite_passthrough():
-    table = RawTable(["a", "b", "label"], [["1", "2", "x"], ["3", "4", "y"]])
+    table = RawTable(["a", "b", "label"], ["1,2,x", "3,4,y"])
     values, labels, dropped = clean_numeric(table, TWO_COL)
     assert dropped == 0
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_clean_column_without_finite_values_errors():
-    table = RawTable(["a", "b", "label"], [["Infinity", "1", "x"]])
+    table = RawTable(["a", "b", "label"], ["Infinity,1,x"])
     with pytest.raises(DataError, match="'a'"):
         clean_numeric(table, TWO_COL)
 
 
 def test_clean_missing_schema_column_errors():
-    table = RawTable(["a", "label"], [["1", "x"]])
+    table = RawTable(["a", "label"], ["1,x"])
     with pytest.raises(DataError, match="missing"):
         clean_numeric(table, TWO_COL)
 
@@ -143,9 +148,9 @@ def test_clean_categorical_coding_and_unknown_drop():
         )
     )
     table = RawTable(["proto", "n", "label"], [
-        ["udp", "1", "x"],
-        ["bogus", "2", "y"],
-        ["icmp", "3", "z"],
+        "udp,1,x",
+        "bogus,2,y",
+        "icmp,3,z",
     ])
     values, labels, dropped = clean_numeric(table, schema)
     assert values.tolist() == [[2.0, 1.0], [0.0, 3.0]]
@@ -157,7 +162,7 @@ def test_clean_ignores_missing_drop_columns():
     schema = FeatureSchema(
         (Column("gone", DROP), Column("a", NUMERIC), Column("label", LABEL))
     )
-    table = RawTable(["a", "label"], [["1", "x"]])
+    table = RawTable(["a", "label"], ["1,x"])
     values, _, _ = clean_numeric(table, schema)
     assert values.tolist() == [[1.0]]
 
@@ -284,7 +289,7 @@ def test_parse_csv_reads_only_the_header(tmp_path):
     path.write_text("a,b\n1,2\n1,2,3\n")
     table = parse_csv(path)  # the ragged row is not read yet
     assert table.header == ["a", "b"]
-    assert next(iter(table.rows)) == ["1", "2"]
+    assert next(iter(table.rows)) == "1,2\n"
 
 
 def test_ragged_row_after_first_block_names_its_row(monkeypatch):
@@ -316,6 +321,153 @@ def test_two_files_stream_as_one_table(tmp_path, monkeypatch):
     ref_values, ref_labels, ref_dropped = reference_clean_numeric(header, rows, MIXED)
     assert values.tobytes() == ref_values.tobytes()
     assert (labels, dropped) == (ref_labels, ref_dropped)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("a,b,label\n1,2,x\n", encoding="utf-8-sig")
+    table = parse_csv(path)
+    assert table.header == ["a", "b", "label"]
+    assert clean_numeric(table, TWO_COL)[0].tolist() == [[1.0, 2.0]]
+
+
+def test_byte_order_mark_keeps_the_first_headerless_row(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("1,2,x\n3,4,y\n", encoding="utf-8-sig")
+    table = parse_csv(path, has_header=False, names=["a", "b", "label"])
+    values, labels, dropped = clean_numeric(table, TWO_COL)
+    assert (values.tolist(), labels, dropped) == ([[1.0, 2.0], [3.0, 4.0]], ["x", "y"], 0)
+
+
+@pytest.mark.parametrize("bad_file", ["1.csv", "2.csv"])
+def test_row_with_too_many_cells_names_its_file_and_row(tmp_path, monkeypatch, bad_file):
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 4)
+    for name in ("1.csv", "2.csv"):
+        lines = ["a,b,label\n"] + [f"{r},{r},x\n" for r in range(10)]
+        if name == bad_file:
+            lines[6] = "5,5,x,9\n"  # data row 6, in the second block
+        (tmp_path / name).write_text("".join(lines))
+    tables = [parse_csv(tmp_path / name) for name in ("1.csv", "2.csv")]
+    table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
+    message = f"{tmp_path / bad_file}: ragged row 6: expected 3 cells, got 4"
+    with pytest.raises(DataError, match=re.escape(message)):
+        clean_numeric(table, TWO_COL)
+
+
+def test_long_label_survives_intact():
+    label = "DoS " + "Slowhttptest" * 8
+    text = f"a,b,label\n1,2,{label}\n3,4, y \n"
+    values, labels, _ = clean_numeric(parse_csv(io.StringIO(text)), TWO_COL)
+    assert len(label) > 64 and labels == [label, "y"]
+
+
+class LoadtxtSpy:
+    """Wraps np.loadtxt and records, per call, the block's first record and
+    whether the C reader took the block."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", self)
+
+    def __call__(self, lines, **kwargs):
+        try:
+            out = self.real(lines, **kwargs)
+        except ValueError:
+            self.calls.append((lines[0], False))
+            raise
+        self.calls.append((lines[0], True))
+        return out
+
+
+@pytest.mark.parametrize("middle, loaded", [
+    ("id5,junk,tcp,5,x,-5.25\n", [False]),  # the C reader rejects the block
+    ('id5,5.5,tcp,5,"x,y",-5.25\n', []),  # a quote: the C reader never sees it
+])
+def test_one_block_falls_back_between_fast_blocks(monkeypatch, middle, loaded):
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 4)
+    rows = [f"id{r},{r}.5,{('tcp', 'udp')[r % 2]},{r},x,{-r}.25\n" for r in range(12)]
+    rows[5] = middle
+    text = "id, a ,proto,b,label, c\n" + "".join(rows)
+    spy = LoadtxtSpy(monkeypatch)
+    values, labels, dropped = clean_numeric(parse_csv(io.StringIO(text)), MIXED)
+    ref_values, ref_labels, ref_dropped = reference_clean_numeric(
+        *reference_parse_csv(io.StringIO(text)), MIXED
+    )
+    assert values.tobytes() == ref_values.tobytes()
+    assert (labels, dropped) == (ref_labels, ref_dropped)
+    assert spy.calls == [(rows[0], True)] * 2 + [(rows[4], ok) for ok in loaded] + [
+        (rows[8], True)
+    ] * 2
+
+
+PADS = st.sampled_from(["", " ", "\t", "  "])
+TEXT = st.text(st.characters(exclude_characters=',"\r\n'), max_size=6)
+# numbers numpy's C reader parses, and so every line of a block can go to it
+C_NUMBERS = st.tuples(PADS, st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:.6g}".format),
+    st.floats(allow_nan=False).map("{:.17e}".format),
+    st.floats(-2.3e-308, 2.3e-308).map(repr),  # subnormals
+    st.sampled_from(["1e400", "-1e400", "Infinity", "-Infinity", "NaN", "inf", "-0", "+.5"]),
+), PADS).map("".join)
+OTHER_NUMBERS = st.one_of(
+    st.sampled_from([
+        "", " ", "junk", "nan(1)", "0x10", "1e", "1\x00", "\xa07", "\x1c2",
+        # float reads these, the C reader does not
+        "1_000", "１２", "١٢٣",
+        # quoted cells holding a comma or a line break
+        '"1,5"', '"2\n"', '"\r\n3"', '" 4 "', '"5"""',
+    ]),
+    TEXT,
+)
+C_PROTOS = st.sampled_from(["icmp", "tcp", "udp", " tcp ", "bogus", ""])
+C_LABELS = st.one_of(
+    st.sampled_from(["x", " y ", "z\t", "DoS GoldenEye", "l" * 70, "x\x00", "\x85x\u2028"]),
+    TEXT,
+)
+OTHER_TEXT = st.sampled_from([
+    '"udp"', '"t,cp"', '"a,b"', '"two\nlines"', '"two\r\nlines"', '"x\n\ny"', '"say ""hi"""',
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text over MIXED. Most rows hold only cells numpy's C reader
+    takes; the others may also hold the cells it rejects or reads
+    differently, and quoted cells with commas and line breaks. Blank lines
+    and CRLF line endings come in between."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["id, a ,proto,b,label, c" + end]
+    for r in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["\n", "\r\n"])))
+        special = draw(st.integers(0, 3)) == 0
+        number = st.one_of(C_NUMBERS, OTHER_NUMBERS) if special else C_NUMBERS
+        proto, label = (
+            [st.one_of(C_PROTOS, C_LABELS, OTHER_TEXT)] * 2 if special else [C_PROTOS, C_LABELS]
+        )
+        cells = [
+            f"id{r}", draw(number), draw(proto), draw(number), draw(label), draw(number),
+        ]
+        lines.append(",".join(cells) + draw(st.sampled_from(["\n", "\r\n"])))
+    # every column keeps a finite value; the file may end without a newline
+    lines.append("idz,1.0,tcp,2,x,3.0" + draw(st.sampled_from(["", end])))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, dataio.BLOCK_ROWS])
+@settings(deadline=None, max_examples=150)
+@given(text=csv_texts())
+def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text):
+    with mock.patch.object(dataio, "BLOCK_ROWS", block_rows):
+        values, labels, dropped = clean_numeric(parse_csv(io.StringIO(text)), MIXED)
+    ref_values, ref_labels, ref_dropped = reference_clean_numeric(
+        *reference_parse_csv(io.StringIO(text)), MIXED
+    )
+    assert values.tobytes() == ref_values.tobytes()
+    assert labels == ref_labels
+    assert dropped == ref_dropped
 
 
 # ------------------------------------------------------------- normalization
@@ -497,7 +649,7 @@ def test_row_count_conservation():
 
 
 def test_feature_order_follows_schema():
-    table = RawTable(["b", "label", "a"], [["10", "x", "1"]])
+    table = RawTable(["b", "label", "a"], ["10,x,1"])
     values, _, _ = clean_numeric(table, TWO_COL)
     # schema order (a, b), not file order
     assert values.tolist() == [[1.0, 10.0]]
