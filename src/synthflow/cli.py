@@ -36,7 +36,6 @@ import argparse
 import re
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -51,7 +50,7 @@ from .dataio import (
     RawTable,
     atomic_write,
     clean_numeric,
-    filter_by_label,
+    filter_by_label,  # for perfbench/tracer.py WRAPS; goes when ROADMAP item 1 allows it absent
     load_dataset,
     matrix_path,
     minmax_normalize,
@@ -330,42 +329,38 @@ def cmd_ingest(cfg: RunConfig) -> int:
             raise DataError(f"CSV header of {p} differs from {cfg.csv[0]}")
     table = RawTable(header, chain.from_iterable(t.rows for t in tables))
 
-    values, labels, dropped = clean_numeric(table, schema)
+    values, labels, label_counts, dropped, stats = clean_numeric(table, schema, cfg.labels)
     stamps.append(time.perf_counter())
-    parsed_rows = values.shape[0] + dropped
-    normalized, stats = minmax_normalize(values)  # scales values in place
+    data = DatasetMatrix(minmax_normalize(values, stats), labels, stats, schema)
     stamps.append(time.perf_counter())
-    full = DatasetMatrix(normalized, labels, stats, schema)
-    filtered = filter_by_label(full, cfg.labels)
-    stamps.append(time.perf_counter())
+    kept_rows = label_counts.total()
+    parsed_rows = kept_rows + dropped
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _remove_downstream_artifacts(cfg.out_dir, ("train", "generate", "evaluate", "report"))
-    save_dataset(filtered, cfg.out_dir / DATASET_FILE)  # the matrix, then dataset.json
+    save_dataset(data, cfg.out_dir / DATASET_FILE)  # the matrix, then dataset.json
     stamps.append(time.perf_counter())
     ms = (np.diff(stamps) * 1000.0).tolist()
-    timings_ms = dict(zip(("parse_clean", "normalize", "filter", "save"), ms))
-    timings_ms["total"] = sum(ms[:3])  # the work before the save, as in the other verbs
+    timings_ms = dict(zip(("parse_clean", "normalize", "save"), ms))
+    timings_ms["total"] = sum(ms[:2])  # the work before the save, as in the other verbs
 
-    label_counts = Counter(labels)
     lines = [
         "ingest summary",
         "==============",
         f"dataset kind: {cfg.dataset}",
         f"rows parsed: {parsed_rows}",
         f"rows dropped (unparseable): {dropped}",
-        f"rows kept: {full.n_rows}",
+        f"rows kept: {kept_rows}",
         f"feature count: {len(schema.feature_names())}",
         "label histogram:",
     ]
     for name, count in sorted(label_counts.items(), key=lambda kv: (-kv[1], kv[0])):
         lines.append(f"  {name}: {count}")
     lines.append(f"selected labels: {', '.join(cfg.labels)}")
-    lines.append(f"rows after label filter: {filtered.n_rows}")
-    low_sample = filtered.n_rows < LOW_SAMPLE_THRESHOLD
-    if low_sample:
+    lines.append(f"rows after label filter: {data.n_rows}")
+    if data.n_rows < LOW_SAMPLE_THRESHOLD:
         warning = (
-            f"warning: only {filtered.n_rows} rows match the selected labels "
+            f"warning: only {data.n_rows} rows match the selected labels "
             f"(< {LOW_SAMPLE_THRESHOLD}); expect weak statistical relevance"
         )
         lines.append(warning)
@@ -376,8 +371,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     fingerprint = {
         "rows_parsed": parsed_rows,
         "rows_dropped": dropped,
-        "rows_kept": full.n_rows,
-        "rows_selected": filtered.n_rows,
+        "rows_kept": kept_rows,
+        "rows_selected": data.n_rows,
         "features": len(schema.feature_names()),
     }
     write_manifest(
@@ -385,7 +380,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
         timings_ms, fingerprint,
     )
     print(
-        f"ingested {filtered.n_rows} rows "
+        f"ingested {data.n_rows} rows "
         f"({len(schema.feature_names())} features) -> {cfg.out_dir / DATASET_FILE}"
     )
     return EXIT_OK

@@ -9,9 +9,10 @@ rows with unparseable cells, so the resulting matrix is always finite.
 
 Ingest streams: :func:`parse_csv` reads only the header and hands back the
 data records as a lazy iterator of raw text, and :func:`clean_numeric`
-parses them, a block of :data:`BLOCK_ROWS` at a time, into one growing
-float64 matrix: with numpy's C reader, or cell by cell where a block needs
-it. Memory is bounded by one block of raw text plus the output matrix.
+parses them a block of :data:`BLOCK_ROWS` at a time (numpy's C reader, or
+cell by cell where a block needs it), keeps the rows of the selected labels
+in one growing float64 matrix and the stats of every row. Memory is bounded
+by one block plus the selected rows.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one.
@@ -31,6 +32,7 @@ import json
 import math
 import operator
 import os
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
@@ -297,7 +299,10 @@ def _records(source, names: list[str] | None) -> Iterator:
             # a line of width - 1 commas and no quote is a record of width
             # cells; the csv module reads any other: blank, quoted or ragged
             if line.count(",") != width - 1 or '"' in line:
-                cells, line = _record(line, fh)
+                try:
+                    cells, line = _record(line, fh)
+                except csv.Error as exc:  # an unbalanced quote overruns the field limit
+                    raise DataError(f"{where}unreadable row {n + 1}: {exc}") from exc
                 if not cells:
                     continue
                 if len(cells) != width:
@@ -364,22 +369,25 @@ def _parse_cell(cell: str, cats: dict[str, float] | None) -> float:
 
 
 def clean_numeric(
-    table: RawTable, schema: FeatureSchema
-) -> tuple[np.ndarray, list[str], int]:
-    """Parse feature cells to a finite float64 matrix.
+    table: RawTable, schema: FeatureSchema, wanted
+) -> tuple[np.ndarray, list[str], Counter, int, NormalizationStats]:
+    """Parse to a finite float64 matrix the rows :func:`filter_by_label` selects.
 
-    Policy: +Infinity becomes the column's max finite value, -Infinity the
-    min finite value; NaN or unparseable cells (including unknown categorical
-    values) drop the whole row. Returns (values, labels, dropped_row_count)
-    with matrix columns in schema feature order.
+    Policy: NaN or unparseable cells (including unknown categorical values)
+    drop the whole row. The stats are each column's finite min and max over
+    all kept rows, a zero extreme as +0.0; +Infinity becomes the max and
+    -Infinity the min. Returns (values, labels, label_counts, dropped,
+    stats): the selected rows, columns in schema feature order, and their
+    trimmed labels, then the trimmed labels of all kept rows counted. No
+    kept row, a column without a finite value or no selected row (in that
+    order) is a :class:`DataError`.
 
-    Records are consumed in blocks of :data:`BLOCK_ROWS`, so memory is one
-    block of raw text plus the output matrix. numpy's C reader parses a
-    block (:func:`_loadtxt`): the numeric columns as float64, the
-    categorical and label columns as text. A block it cannot take goes
-    through the csv module and :func:`_parse_cell`, which states the rules
-    (a numeric column tries one ``float`` pass first); every cell the C
-    reader accepts, ``float`` reads the same.
+    Only the selected rows of each block of :data:`BLOCK_ROWS` records are
+    kept. numpy's C reader parses a block (:func:`_loadtxt`): the numeric
+    columns as float64, the categorical and label columns as text. A block
+    it cannot take goes through the csv module and :func:`_parse_cell`,
+    which states the rules (a numeric column tries one ``float`` pass
+    first); every cell the C reader accepts, ``float`` reads the same.
     """
     index = {name: i for i, name in enumerate(table.header)}
     feature_cols = schema.feature_columns()
@@ -399,12 +407,14 @@ def clean_numeric(
     text_cols = [index[required[j]] for j in text] + [index[required[-1]]]
 
     d = len(feature_cols)
-    # Each block's kept rows are appended by growing one matrix in place
+    # Each block's selected rows are appended by growing one matrix in place
     # (``resize`` reallocates): joining a list of blocks at the end would
     # hold the matrix twice. No view of it exists while it grows.
     values = np.empty((0, d))
     labels: list[str] = []
+    label_counts: Counter = Counter()
     dropped = 0
+    col_min, col_max = np.full(d, np.inf), np.full(d, -np.inf)
     rows = iter(table.rows)
     while block := list(islice(rows, BLOCK_ROWS)):
         m = len(block)
@@ -425,21 +435,33 @@ def clean_numeric(
             parsed[:, j] = [_parse_cell(cell, cat_maps[j]) for cell in col]
         keep = ~np.isnan(parsed).any(axis=1)
         kept = parsed[keep]
-        n = len(values)
-        values.resize((n + len(kept), d), refcheck=False)
-        values[n:] = kept
-        labels += [lbl.strip() for lbl in compress(block_labels, keep)]
+        finite = np.isfinite(kept)
+        np.minimum(col_min, kept.min(axis=0, initial=np.inf, where=finite), out=col_min)
+        np.maximum(col_max, kept.max(axis=0, initial=-np.inf, where=finite), out=col_max)
+        kept_labels = [lbl.strip() for lbl in compress(block_labels, keep)]
+        label_counts.update(kept_labels)
         dropped += m - len(kept)
 
-    for j, col in enumerate(feature_cols):
-        column = values[:, j]
-        finite = np.isfinite(column)
-        if column.size and not finite.any():
-            raise DataError(f"column {col.name!r} has no finite values")
-        if not finite.all():
-            column[column == np.inf] = column[finite].max()
-            column[column == -np.inf] = column[finite].min()
-    return values, labels, dropped
+        selected = filter_by_label(kept_labels, wanted)
+        n = len(values)
+        values.resize((n + np.count_nonzero(selected), d), refcheck=False)
+        values[n:] = kept[selected]
+        labels += compress(kept_labels, selected)
+
+    if not label_counts:
+        raise DataError(f"cannot normalize matrix of shape {values.shape}")
+    for j in np.flatnonzero(col_min == np.inf):
+        raise DataError(f"column {feature_cols[j].name!r} has no finite values")
+    if not labels:
+        raise DataError(
+            f"no rows match labels {sorted({str(w).strip().lower() for w in wanted})}; "
+            f"available: {sorted(label_counts)}"
+        )
+    stats = NormalizationStats(col_min + 0.0, col_max + 0.0)  # -0.0 + 0.0 is +0.0
+    for column, lo, hi in zip(values.T, stats.col_min, stats.col_max):
+        column[column == np.inf] = hi
+        column[column == -np.inf] = lo
+    return values, labels, label_counts, dropped, stats
 
 
 @dataclass
@@ -471,24 +493,15 @@ class NormalizationStats:
         return cls(np.asarray(data["min"]), np.asarray(data["max"]))
 
 
-def minmax_normalize(values: np.ndarray) -> tuple[np.ndarray, NormalizationStats]:
-    """Scale each column to [0, 1]; constant columns map to 0.
-
-    The values must be finite, as :func:`clean_numeric` leaves them. A
-    float64 array is scaled in place and returned, so the caller holds one
-    matrix, not two; pass a copy to keep the original.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] == 0:
-        raise DataError(f"cannot normalize matrix of shape {values.shape}")
-    col_min = values.min(axis=0)
-    col_max = values.max(axis=0)
-    span = col_max - col_min
-    safe_span = np.where(span > 0, span, 1.0)
-    values -= col_min
-    values /= safe_span
+def minmax_normalize(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """Scale each column of the float64 matrix ``values`` in place from its
+    [min, max] in ``stats`` to [0, 1] and return it; a constant column maps
+    to 0. The values must lie in that range, as :func:`clean_numeric` leaves them."""
+    span = stats.col_max - stats.col_min
+    values -= stats.col_min
+    values /= np.where(span > 0, span, 1.0)
     values[:, span == 0] = 0.0
-    return values, NormalizationStats(col_min, col_max)
+    return values
 
 
 def denormalize(normalized: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -533,20 +546,12 @@ class DatasetMatrix:
         return self.features.shape[0]
 
 
-def filter_by_label(data: DatasetMatrix, wanted) -> DatasetMatrix:
-    """Keep rows whose label matches one of ``wanted``, a nonempty set of
-    label texts (case-insensitive, trimmed)."""
-    wanted_norm = {str(w).strip().lower() for w in wanted}
-    mask = np.array(
-        [lbl.strip().lower() in wanted_norm for lbl in data.labels], dtype=bool
-    )
-    if not mask.any():
-        available = sorted({lbl.strip() for lbl in data.labels})
-        raise DataError(
-            f"no rows match labels {sorted(wanted_norm)}; available: {available}"
-        )
-    labels = [lbl for lbl, keep in zip(data.labels, mask) if keep]
-    return DatasetMatrix(data.features[mask], labels, data.stats, data.schema)
+def filter_by_label(labels, wanted) -> np.ndarray:
+    """The boolean mask of the ``labels`` that match one of ``wanted``, a
+    nonempty set of label texts; case and surrounding whitespace do not
+    count. :func:`clean_numeric` applies it to each block's kept rows."""
+    wanted = {str(w).strip().lower() for w in wanted}
+    return np.array([lbl.strip().lower() in wanted for lbl in labels], dtype=bool)
 
 
 def matrix_path(path) -> Path:

@@ -280,7 +280,6 @@ class GbmModel:
     base_score: float
     trees: list[RegressionTree]
     shrinkage: float
-    max_depth: int
     n_features: int
 
 
@@ -312,7 +311,7 @@ def gbm_fit(
         hessians = p * (1.0 - p)
         trees.append(RegressionTree(build(residuals, hessians, fitted)))
         scores += shrinkage * fitted
-    return GbmModel(base_score, trees, shrinkage, max_depth, train.features.shape[1])
+    return GbmModel(base_score, trees, shrinkage, train.features.shape[1])
 
 
 def gbm_predict(model: GbmModel, features) -> np.ndarray:

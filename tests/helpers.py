@@ -98,13 +98,12 @@ def random_net_and_batch(seed, sizes=(3, 5, 4, 1), batch=4, margin=KINK_MARGIN):
 
 
 def toy_attack_dataset():
-    """The toy dataset ingested the same way the CLI does, attack rows only."""
-    rows = toydata.toy_rows()
-    values = np.array([[r[0], r[1]] for r in rows])
-    labels = [r[2] for r in rows]
-    normalized, stats = dataio.minmax_normalize(values)
-    full = dataio.DatasetMatrix(normalized, labels, stats, toydata.toy_schema())
-    return dataio.filter_by_label(full, {"attack"})
+    """The toy dataset ingested the way the CLI ingests toy.csv, attack rows only."""
+    schema = toydata.toy_schema()
+    lines = (f"{x!r},{y!r},{label}\n" for x, y, label in toydata.toy_rows())
+    table = dataio.RawTable(["f1", "f2", "label"], lines)
+    values, labels, _, _, stats = dataio.clean_numeric(table, schema, {"attack"})
+    return dataio.DatasetMatrix(dataio.minmax_normalize(values, stats), labels, stats, schema)
 
 
 def constant_dataset(value=0.5, n_rows=500):

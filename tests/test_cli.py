@@ -81,7 +81,7 @@ def test_generate_writes_count_rows_in_feature_units(toy_pipeline):
 
 def test_ingest_manifest_times_each_stage(toy_pipeline):
     timings = json.loads((toy_pipeline / "ingest_manifest.json").read_text())["timings_ms"]
-    stages = ("parse_clean", "normalize", "filter")
+    stages = ("parse_clean", "normalize")
     assert set(timings) == {*stages, "save", "total"}
     assert min(timings.values()) >= 0.0
     assert timings["total"] == pytest.approx(sum(timings[s] for s in stages))
@@ -387,6 +387,23 @@ def test_ragged_row_in_second_file_names_that_file(tmp_path, capsys):
     assert run(config, "ingest") == EXIT_DATA
     err = capsys.readouterr().err
     assert "b.csv: ragged row 5: expected 3 cells, got 2" in err
+    assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
+
+
+def test_unbalanced_quote_names_its_file_and_row(tmp_path, capsys):
+    from synthflow import toydata
+
+    config = write_toy_run(tmp_path)
+    toydata.write_toy_csv(tmp_path / "toy.csv", n_rows=20_000)
+    lines = (tmp_path / "toy.csv").read_text().splitlines(keepends=True)
+    # the open quote takes in the rest of the file, past the csv module's field limit
+    lines[10] = '"1.5,2,attack\n'
+    (tmp_path / "toy.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "toy.csv: unreadable row 10: field larger than field limit" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
 

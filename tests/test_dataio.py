@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import re
-from itertools import chain
+import tracemalloc
+from collections import Counter
+from itertools import chain, compress
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,7 @@ from synthflow.dataio import (
 TWO_COL = FeatureSchema(
     (Column("a", NUMERIC), Column("b", NUMERIC), Column("label", LABEL))
 )
+XYZ = {"x", "y", "z"}  # every label the tables below use
 
 
 def make_dataset(features, labels=None, schema=None):
@@ -72,7 +75,7 @@ def test_parse_quoted_field_is_one_cell():
     assert list(t.rows) == ['"x,y",2\n']
     t = parse_csv(io.StringIO('b,label\n2,"x,y"\n'))
     schema = FeatureSchema((Column("b", NUMERIC), Column("label", LABEL)))
-    assert clean_numeric(t, schema)[1] == ["x,y"]
+    assert clean_numeric(t, schema, {"x,y"})[1] == ["x,y"]
 
 
 def test_parse_empty_file_errors():
@@ -103,7 +106,7 @@ def test_clean_infinity_replaced_by_finite_extrema():
         "99,junk,x",  # dropped: its 99 must not become the max
         "-Infinity,0,x",
     ])
-    values, labels, dropped = clean_numeric(table, TWO_COL)
+    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
     assert dropped == 1
     assert values[:, 0].tolist() == [1.0, 7.0, 7.0, 1.0]
 
@@ -114,7 +117,7 @@ def test_clean_nan_row_dropped_and_counted():
         "NaN,2,y",
         "3,junk,z",
     ])
-    values, labels, dropped = clean_numeric(table, TWO_COL)
+    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
     assert dropped == 2
     assert values.tolist() == [[1.0, 2.0]]
     assert labels == ["x"]
@@ -122,7 +125,7 @@ def test_clean_nan_row_dropped_and_counted():
 
 def test_clean_all_finite_passthrough():
     table = RawTable(["a", "b", "label"], ["1,2,x", "3,4,y"])
-    values, labels, dropped = clean_numeric(table, TWO_COL)
+    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
     assert dropped == 0
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
@@ -130,13 +133,13 @@ def test_clean_all_finite_passthrough():
 def test_clean_column_without_finite_values_errors():
     table = RawTable(["a", "b", "label"], ["Infinity,1,x"])
     with pytest.raises(DataError, match="'a'"):
-        clean_numeric(table, TWO_COL)
+        clean_numeric(table, TWO_COL, XYZ)
 
 
 def test_clean_missing_schema_column_errors():
     table = RawTable(["a", "label"], ["1,x"])
     with pytest.raises(DataError, match="missing"):
-        clean_numeric(table, TWO_COL)
+        clean_numeric(table, TWO_COL, XYZ)
 
 
 def test_clean_categorical_coding_and_unknown_drop():
@@ -152,7 +155,7 @@ def test_clean_categorical_coding_and_unknown_drop():
         "bogus,2,y",
         "icmp,3,z",
     ])
-    values, labels, dropped = clean_numeric(table, schema)
+    values, labels, _, dropped, _ = clean_numeric(table, schema, XYZ)
     assert values.tolist() == [[2.0, 1.0], [0.0, 3.0]]
     assert labels == ["x", "z"]
     assert dropped == 1
@@ -163,7 +166,7 @@ def test_clean_ignores_missing_drop_columns():
         (Column("gone", DROP), Column("a", NUMERIC), Column("label", LABEL))
     )
     table = RawTable(["a", "label"], ["1,x"])
-    values, _, _ = clean_numeric(table, schema)
+    values, *_ = clean_numeric(table, schema, XYZ)
     assert values.tolist() == [[1.0]]
 
 
@@ -216,10 +219,43 @@ def reference_clean_numeric(header, rows, schema):
     for j in range(values.shape[1]):
         column = values[:, j]
         finite = np.isfinite(column)
-        if not finite.all():
-            column[column == np.inf] = column[finite].max()
-            column[column == -np.inf] = column[finite].min()
+        if not finite.all():  # a zero extreme is +0.0: -0.0 + 0.0 is +0.0
+            column[column == np.inf] = column[finite].max() + 0.0
+            column[column == -np.inf] = column[finite].min() + 0.0
     return values, labels, dropped
+
+
+def assert_streams_like_the_eager_reference(table, header, rows, schema, wanted):
+    """``clean_numeric`` then ``minmax_normalize`` over ``table`` give, bit for
+    bit, what the eager pipeline gives over the same records: every row
+    cleaned by :func:`reference_clean_numeric`, the whole matrix normalized
+    by its min and max (a zero extreme as +0.0), then the label mask.
+
+    Returns what ``clean_numeric`` returned, or None when no row matches
+    ``wanted`` and it rightly refuses.
+    """
+    ref_values, ref_labels, ref_dropped = reference_clean_numeric(header, rows, schema)
+    col_min, col_max = ref_values.min(axis=0) + 0.0, ref_values.max(axis=0) + 0.0
+    span = col_max - col_min
+    ref_normalized = (ref_values - col_min) / np.where(span > 0, span, 1.0)
+    ref_normalized[:, span == 0] = 0.0
+    keys = {str(w).strip().lower() for w in wanted}
+    mask = np.array([lbl.strip().lower() in keys for lbl in ref_labels], dtype=bool)
+    if not mask.any():
+        with pytest.raises(DataError, match="no rows match"):
+            clean_numeric(table, schema, wanted)
+        return None
+    cleaned = clean_numeric(table, schema, wanted)
+    values, labels, label_counts, dropped, stats = cleaned
+    assert values.tobytes() == ref_values[mask].tobytes()
+    assert labels == list(compress(ref_labels, mask))
+    assert label_counts == Counter(ref_labels)
+    assert dropped == ref_dropped
+    assert stats.col_min.tobytes() == col_min.tobytes()
+    assert stats.col_max.tobytes() == col_max.tobytes()
+    normalized = minmax_normalize(values.copy(), stats)
+    assert normalized.tobytes() == ref_normalized[mask].tobytes()
+    return cleaned
 
 
 MIXED = FeatureSchema((
@@ -271,13 +307,9 @@ def mixed_csv(seed, n_rows=40):
 def test_streamed_ingest_matches_eager_reference_bitwise(monkeypatch, block_rows, seed):
     monkeypatch.setattr(dataio, "BLOCK_ROWS", block_rows)
     text = mixed_csv(seed)
-    values, labels, dropped = clean_numeric(parse_csv(io.StringIO(text)), MIXED)
-    ref_values, ref_labels, ref_dropped = reference_clean_numeric(
-        *reference_parse_csv(io.StringIO(text)), MIXED
+    values, _, _, dropped, _ = assert_streams_like_the_eager_reference(
+        parse_csv(io.StringIO(text)), *reference_parse_csv(io.StringIO(text)), MIXED, XYZ
     )
-    assert values.tobytes() == ref_values.tobytes()
-    assert labels == ref_labels
-    assert dropped == ref_dropped
     # the table really exercises what it is meant to
     assert dropped > 0 and values.shape[0] > 4 * block_rows
     assert values[0, 0] == 99.5 and values[1, 3] == -7.25
@@ -296,7 +328,7 @@ def test_ragged_row_after_first_block_names_its_row(monkeypatch):
     monkeypatch.setattr(dataio, "BLOCK_ROWS", 3)
     text = "a,b,label\n" + "1,2,x\n\n" * 7 + "1,2\n" + "3,4,y\n"
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
-        clean_numeric(parse_csv(io.StringIO(text)), TWO_COL)
+        clean_numeric(parse_csv(io.StringIO(text)), TWO_COL, XYZ)
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
         reference_parse_csv(io.StringIO(text))
 
@@ -304,7 +336,7 @@ def test_ragged_row_after_first_block_names_its_row(monkeypatch):
 def test_headerless_csv_without_rows_errors_when_read():
     table = parse_csv(io.StringIO("\n\n"), has_header=False, names=["a", "b", "label"])
     with pytest.raises(DataError, match="no data rows"):
-        clean_numeric(table, TWO_COL)
+        clean_numeric(table, TWO_COL, XYZ)
 
 
 def test_two_files_stream_as_one_table(tmp_path, monkeypatch):
@@ -313,14 +345,10 @@ def test_two_files_stream_as_one_table(tmp_path, monkeypatch):
     (tmp_path / "1.csv").write_text(first)
     (tmp_path / "2.csv").write_text(second)
     tables = [parse_csv(tmp_path / "1.csv"), parse_csv(tmp_path / "2.csv")]
-    values, labels, dropped = clean_numeric(
-        RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables)), MIXED
-    )
+    table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
     header, rows = reference_parse_csv(io.StringIO(first))
     rows += reference_parse_csv(io.StringIO(second))[1]
-    ref_values, ref_labels, ref_dropped = reference_clean_numeric(header, rows, MIXED)
-    assert values.tobytes() == ref_values.tobytes()
-    assert (labels, dropped) == (ref_labels, ref_dropped)
+    assert_streams_like_the_eager_reference(table, header, rows, MIXED, XYZ)
 
 
 def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
@@ -328,14 +356,14 @@ def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
     path.write_text("a,b,label\n1,2,x\n", encoding="utf-8-sig")
     table = parse_csv(path)
     assert table.header == ["a", "b", "label"]
-    assert clean_numeric(table, TWO_COL)[0].tolist() == [[1.0, 2.0]]
+    assert clean_numeric(table, TWO_COL, XYZ)[0].tolist() == [[1.0, 2.0]]
 
 
 def test_byte_order_mark_keeps_the_first_headerless_row(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("1,2,x\n3,4,y\n", encoding="utf-8-sig")
     table = parse_csv(path, has_header=False, names=["a", "b", "label"])
-    values, labels, dropped = clean_numeric(table, TWO_COL)
+    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
     assert (values.tolist(), labels, dropped) == ([[1.0, 2.0], [3.0, 4.0]], ["x", "y"], 0)
 
 
@@ -351,13 +379,13 @@ def test_row_with_too_many_cells_names_its_file_and_row(tmp_path, monkeypatch, b
     table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
     message = f"{tmp_path / bad_file}: ragged row 6: expected 3 cells, got 4"
     with pytest.raises(DataError, match=re.escape(message)):
-        clean_numeric(table, TWO_COL)
+        clean_numeric(table, TWO_COL, XYZ)
 
 
 def test_long_label_survives_intact():
     label = "DoS " + "Slowhttptest" * 8
     text = f"a,b,label\n1,2,{label}\n3,4, y \n"
-    values, labels, _ = clean_numeric(parse_csv(io.StringIO(text)), TWO_COL)
+    labels = clean_numeric(parse_csv(io.StringIO(text)), TWO_COL, {label, "y"})[1]
     assert len(label) > 64 and labels == [label, "y"]
 
 
@@ -389,13 +417,9 @@ def test_one_block_falls_back_between_fast_blocks(monkeypatch, middle, loaded):
     rows = [f"id{r},{r}.5,{('tcp', 'udp')[r % 2]},{r},x,{-r}.25\n" for r in range(12)]
     rows[5] = middle
     text = "id, a ,proto,b,label, c\n" + "".join(rows)
+    reference = reference_parse_csv(io.StringIO(text))
     spy = LoadtxtSpy(monkeypatch)
-    values, labels, dropped = clean_numeric(parse_csv(io.StringIO(text)), MIXED)
-    ref_values, ref_labels, ref_dropped = reference_clean_numeric(
-        *reference_parse_csv(io.StringIO(text)), MIXED
-    )
-    assert values.tobytes() == ref_values.tobytes()
-    assert (labels, dropped) == (ref_labels, ref_dropped)
+    assert_streams_like_the_eager_reference(parse_csv(io.StringIO(text)), *reference, MIXED, XYZ)
     assert spy.calls == [(rows[0], True)] * 2 + [(rows[4], ok) for ok in loaded] + [
         (rows[8], True)
     ] * 2
@@ -411,6 +435,15 @@ C_NUMBERS = st.tuples(PADS, st.one_of(
     st.floats(-2.3e-308, 2.3e-308).map(repr),  # subnormals
     st.sampled_from(["1e400", "-1e400", "Infinity", "-Infinity", "NaN", "inf", "-0", "+.5"]),
 ), PADS).map("".join)
+# zeros of both signs beside a few positives and infinities: a zero is then
+# often a column's min, and the value a -Infinity becomes
+ZERO_HEAVY = st.tuples(PADS, st.sampled_from(
+    ["0", "-0", "0.0", "-0.0", "0e0", "-0e0", "1", "2.5", "Infinity", "-Infinity"]
+), PADS).map("".join)
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(["0", "-0"])
+)
+INFINITIES = st.sampled_from(["Infinity", "-Infinity", "1e400", "-inf"])
 OTHER_NUMBERS = st.one_of(
     st.sampled_from([
         "", " ", "junk", "nan(1)", "0x10", "1e", "1\x00", "\xa07", "\x1c2",
@@ -423,7 +456,10 @@ OTHER_NUMBERS = st.one_of(
 )
 C_PROTOS = st.sampled_from(["icmp", "tcp", "udp", " tcp ", "bogus", ""])
 C_LABELS = st.one_of(
-    st.sampled_from(["x", " y ", "z\t", "DoS GoldenEye", "l" * 70, "x\x00", "\x85x\u2028"]),
+    st.sampled_from([
+        "x", " y ", "z\t", "X", " Y ", "DoS GoldenEye", "dos goldeneye", "l" * 70, "x\x00",
+        "\x85x\u2028",
+    ]),
     TEXT,
 )
 OTHER_TEXT = st.sampled_from([
@@ -434,60 +470,94 @@ OTHER_TEXT = st.sampled_from([
 @st.composite
 def csv_texts(draw):
     """CSV text over MIXED. Most rows hold only cells numpy's C reader
-    takes; the others may also hold the cells it rejects or reads
-    differently, and quoted cells with commas and line breaks. Blank lines
-    and CRLF line endings come in between."""
+    takes, numbers from one pool per text: any, zero-heavy or finite. The
+    others may also hold the cells it rejects or reads differently, and
+    quoted cells with commas and line breaks; or they are labelled
+    "inf row" and hold infinities. Blank lines and CRLF line endings come
+    in between. In some texts every row labelled x holds b = 7, so b is
+    constant among those rows only."""
     end = draw(st.sampled_from(["\n", "\r\n"]))
+    numbers = draw(st.sampled_from([C_NUMBERS, ZERO_HEAVY, FINITE]))
+    constant_b = draw(st.booleans())
     lines = ["id, a ,proto,b,label, c" + end]
     for r in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["\n", "\r\n"])))
-        special = draw(st.integers(0, 3)) == 0
-        number = st.one_of(C_NUMBERS, OTHER_NUMBERS) if special else C_NUMBERS
-        proto, label = (
-            [st.one_of(C_PROTOS, C_LABELS, OTHER_TEXT)] * 2 if special else [C_PROTOS, C_LABELS]
-        )
-        cells = [
-            f"id{r}", draw(number), draw(proto), draw(number), draw(label), draw(number),
-        ]
+        if draw(st.integers(0, 5)) == 0:
+            cells = [f"id{r}", draw(INFINITIES), "tcp", "5", "inf row", draw(INFINITIES)]
+        else:
+            special = draw(st.integers(0, 3)) == 0
+            number = st.one_of(numbers, OTHER_NUMBERS) if special else numbers
+            proto, label = (
+                [st.one_of(C_PROTOS, C_LABELS, OTHER_TEXT)] * 2 if special
+                else [C_PROTOS, C_LABELS]
+            )
+            cells = [
+                f"id{r}", draw(number), draw(proto), draw(number), draw(label), draw(number),
+            ]
+        if constant_b and cells[4].strip().lower() == "x":
+            cells[3] = "7"
         lines.append(",".join(cells) + draw(st.sampled_from(["\n", "\r\n"])))
     # every column keeps a finite value; the file may end without a newline
-    lines.append("idz,1.0,tcp,2,x,3.0" + draw(st.sampled_from(["", end])))
+    b = 7 if constant_b else 2
+    lines.append(f"idz,1.0,tcp,{b},x,3.0" + draw(st.sampled_from(["", end])))
     return "".join(lines)
+
+
+# the labels a run selects; None stands for every label of the text, padded
+WANTED = st.one_of(st.none(), st.sets(
+    st.sampled_from(["x", " X", "y ", "Z", "dos GOLDENEYE", "inf row", "teardrop"]),
+    min_size=1, max_size=3,
+))
 
 
 @pytest.mark.parametrize("block_rows", [2, 3, dataio.BLOCK_ROWS])
 @settings(deadline=None, max_examples=150)
-@given(text=csv_texts())
-def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text):
+@given(text=csv_texts(), wanted=WANTED)
+def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text, wanted):
+    header, rows = reference_parse_csv(io.StringIO(text))
+    if wanted is None:
+        wanted = {f" {lbl}\t" for lbl in reference_clean_numeric(header, rows, MIXED)[1]}
     with mock.patch.object(dataio, "BLOCK_ROWS", block_rows):
-        values, labels, dropped = clean_numeric(parse_csv(io.StringIO(text)), MIXED)
-    ref_values, ref_labels, ref_dropped = reference_clean_numeric(
-        *reference_parse_csv(io.StringIO(text)), MIXED
-    )
-    assert values.tobytes() == ref_values.tobytes()
-    assert labels == ref_labels
-    assert dropped == ref_dropped
+        assert_streams_like_the_eager_reference(
+            parse_csv(io.StringIO(text)), header, rows, MIXED, wanted
+        )
 
 
 # ------------------------------------------------------------- normalization
 
 def test_minmax_endpoints():
-    norm, stats = minmax_normalize(np.array([[0.0], [5.0], [10.0]]))
+    table = RawTable(["a", "b", "label"], ["0,1,x", "5,1,x", "10,1,x"])
+    values, _, _, _, stats = clean_numeric(table, TWO_COL, XYZ)
+    norm = minmax_normalize(values, stats)
     assert norm[:, 0].tolist() == [0.0, 0.5, 1.0]
     assert stats.col_min[0] == 0.0 and stats.col_max[0] == 10.0
 
 
 def test_minmax_constant_column_maps_to_zero():
-    norm, _ = minmax_normalize(np.array([[4.0], [4.0]]))
+    norm = minmax_normalize(np.array([[4.0], [4.0]]), NormalizationStats([4.0], [4.0]))
     assert norm[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_minmax_normalize_scales_in_place():
     values = np.array([[1.0, 4.0], [3.0, 4.0]])
-    norm, _ = minmax_normalize(values)
+    norm = minmax_normalize(values, NormalizationStats([1.0, 4.0], [3.0, 4.0]))
     assert norm is values
     assert values.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
+def test_stats_cover_every_kept_row_and_a_zero_extreme_is_positive():
+    # the max of 'a' and the min of 'b' sit in a row that is not selected; the
+    # -Infinity in 'b' becomes that min, and the min of 'a', a zero written
+    # both ways, is stored as +0.0
+    table = RawTable(["a", "b", "label"], [
+        "-0,5,x", "0,-Infinity,x", "-0,6,x", "9,-3,y", "4,junk,x",
+    ])
+    values, labels, _, _, stats = clean_numeric(table, TWO_COL, {"x"})
+    assert (stats.col_min.tolist(), stats.col_max.tolist()) == ([0.0, -3.0], [9.0, 6.0])
+    assert not np.signbit(stats.col_min[0])
+    assert values[:, 1].tolist() == [5.0, -3.0, 6.0] and labels == ["x"] * 3
+    assert minmax_normalize(values, stats)[:, 1].tolist() == [8 / 9, 0.0, 1.0]
 
 
 def test_denormalize_endpoints_and_no_clamping():
@@ -508,7 +578,8 @@ def test_normalize_denormalize_round_trip(seed, rows, cols):
     rng = np.random.default_rng(seed)
     values = rng.normal(scale=100.0, size=(rows, cols))
     values[0] += 1.0  # keep at least two distinct values per column likely
-    norm, stats = minmax_normalize(values.copy())  # scales its argument in place
+    stats = NormalizationStats(values.min(axis=0), values.max(axis=0))
+    norm = minmax_normalize(values.copy(), stats)  # scales its argument in place
     assert norm.min() >= 0.0 and norm.max() <= 1.0
     back = denormalize(norm, stats)
     span = np.where(stats.col_max > stats.col_min, stats.col_max - stats.col_min, 1.0)
@@ -518,23 +589,74 @@ def test_normalize_denormalize_round_trip(seed, rows, cols):
 
 # ------------------------------------------------------------------ filtering
 
+ONE_COL = FeatureSchema((Column("f0", NUMERIC), Column("label", LABEL)))
+
+
+def one_col_table(values, labels):
+    return RawTable(["f0", "label"], [f"{v!r},{lbl}" for v, lbl in zip(values, labels)])
+
+
 def test_filter_keeps_matching_rows():
-    data = make_dataset([[0.1], [0.2], [0.3]], ["smurf", "normal", "smurf"])
-    out = filter_by_label(data, {"smurf"})
-    assert out.n_rows == 2
-    assert out.labels == ["smurf", "smurf"]
-    assert out.stats is data.stats and out.schema is data.schema
+    assert filter_by_label(["smurf", "normal", "smurf"], {"smurf"}).tolist() == [True, False, True]
+    table = one_col_table([0.1, 0.5, 0.3], ["smurf", "normal", "smurf"])
+    values, labels, label_counts, _, stats = clean_numeric(table, ONE_COL, {"smurf"})
+    assert len(values) == 2
+    assert labels == ["smurf", "smurf"]
+    # the stats, and the label counts, are those of every kept row
+    assert (stats.col_min[0], stats.col_max[0]) == (0.1, 0.5)
+    assert label_counts == {"smurf": 2, "normal": 1}
 
 
 def test_filter_is_case_insensitive_and_trimmed():
-    data = make_dataset([[0.1], [0.2]], ["smurf", " SMURF "])
-    assert filter_by_label(data, {"SMURF"}).n_rows == 2
+    assert filter_by_label(["smurf", " SMURF "], {"SMURF"}).all()
+    table = one_col_table([0.1, 0.2], ["smurf", " SMURF "])
+    assert len(clean_numeric(table, ONE_COL, {" SMURF\t"})[0]) == 2
 
 
 def test_filter_zero_matches_lists_available():
-    data = make_dataset([[0.1], [0.2]], ["smurf", "normal"])
+    table = one_col_table([0.1, 0.2], ["smurf", "normal"])
     with pytest.raises(DataError, match="normal.*smurf|smurf.*normal"):
-        filter_by_label(data, {"teardrop"})
+        clean_numeric(table, ONE_COL, {"teardrop"})
+
+
+def test_column_without_finite_values_wins_over_no_match():
+    table = RawTable(["a", "b", "label"], ["Infinity,1,x", "-Infinity,2,y"])
+    with pytest.raises(DataError, match="column 'a' has no finite values"):
+        clean_numeric(table, TWO_COL, {"teardrop"})
+
+
+def test_all_rows_dropped_is_the_empty_matrix_error_not_no_match():
+    table = RawTable(["a", "b", "label"], ["NaN,1,x", "junk,2,y", "Infinity,,x"])
+    with pytest.raises(DataError, match=re.escape("cannot normalize matrix of shape (0, 2)")):
+        clean_numeric(table, TWO_COL, {"teardrop"})
+
+
+def test_ingest_memory_is_bounded_by_the_selected_rows():
+    # 20k rows of 40 features, 5% of them selected. The peak is the selected
+    # cells plus a few copies of one block (its text, parsed and kept rows,
+    # masks); holding every row would take 6.4 MB. About 1.2 MB is measured.
+    d, n_rows = 40, 20_000
+    schema = FeatureSchema(
+        tuple(Column(f"f{j}", NUMERIC) for j in range(d)) + (Column("label", LABEL),)
+    )
+    rng = np.random.default_rng(11)
+    cells = np.char.mod("%.6g", rng.lognormal(2.0, 1.5, size=(n_rows, d)))
+    labels = np.where(np.arange(n_rows) % 20 == 7, "DoS GoldenEye", "BENIGN")
+    lines = [",".join(row) + f",{lbl}\n" for row, lbl in zip(cells.tolist(), labels.tolist())]
+    del cells
+    header = [f"f{j}" for j in range(d)] + ["label"]
+    block_bytes = sum(map(len, lines[:dataio.BLOCK_ROWS])) + dataio.BLOCK_ROWS * d * 8
+    tracemalloc.start()
+    try:
+        values, _, _, _, stats = clean_numeric(
+            RawTable(header, iter(lines)), schema, {"DoS GoldenEye"}
+        )
+        minmax_normalize(values, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (n_rows // 20, d)
+    assert peak <= values.nbytes + 8 * block_bytes, (peak, values.nbytes, block_bytes)
 
 
 # --------------------------------------------------------- schema and caching
@@ -640,16 +762,15 @@ def test_row_count_conservation():
     table = parse_csv(io.StringIO(text))
     table.rows = list(table.rows)
     parsed = len(table.rows)
-    values, labels, dropped = clean_numeric(table, TWO_COL)
-    norm, stats = minmax_normalize(values)
-    data = DatasetMatrix(norm, labels, stats, TWO_COL)
-    kept = filter_by_label(data, {"x"})
-    filtered_away = data.n_rows - kept.n_rows
+    values, labels, label_counts, dropped, stats = clean_numeric(table, TWO_COL, {"x"})
+    kept = DatasetMatrix(minmax_normalize(values, stats), labels, stats, TWO_COL)
+    filtered_away = sum(label_counts.values()) - kept.n_rows
+    assert (kept.n_rows, filtered_away, dropped) == (2, 1, 1)
     assert kept.n_rows + filtered_away + dropped == parsed
 
 
 def test_feature_order_follows_schema():
     table = RawTable(["b", "label", "a"], ["10,x,1"])
-    values, _, _ = clean_numeric(table, TWO_COL)
+    values, *_ = clean_numeric(table, TWO_COL, XYZ)
     # schema order (a, b), not file order
     assert values.tolist() == [[1.0, 10.0]]

@@ -387,7 +387,7 @@ def test_gbm_training_logloss_non_increasing():
 
 def test_gbm_predict_zero_trees_gives_prior():
     model = GbmModel(base_score=math.log(0.25 / 0.75), trees=[], shrinkage=0.1,
-                     max_depth=3, n_features=2)
+                     n_features=2)
     probs = gbm_predict(model, np.zeros((3, 2)))
     assert np.allclose(probs, 0.25, atol=1e-15)
 
@@ -410,7 +410,7 @@ def test_gbm_predict_hand_traced_two_trees():
     )
     tree2 = RegressionTree(TreeNode(value=0.5))
     model = GbmModel(base_score=0.2, trees=[tree1, tree2], shrinkage=0.1,
-                     max_depth=2, n_features=2)
+                     n_features=2)
     rows = np.array([[0.3, 9.0], [0.7, 9.0], [0.5, 0.0]])
     got = gbm_predict(model, rows)
     expected = [
