@@ -60,6 +60,7 @@ from .dataio import (
     schema_from_json,
     write_csv,
     write_json,
+    write_matrix_csv,
 )
 from .evaluator import EvalConfig, QualityReport, evaluate
 from .gan import (
@@ -452,13 +453,16 @@ def cmd_generate(cfg: RunConfig, count: int) -> int:
     t0 = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, 1])
     rows = generate(model, count, rng, stats=data.stats)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    t1 = time.perf_counter()
 
     names = data.schema.feature_names()
     out_path = cfg.out_dir / SYNTH_FILE
-    write_csv(out_path, names, (row.tolist() for row in rows))
+    write_matrix_csv(out_path, names, rows)  # this process and one forked worker
+    t2 = time.perf_counter()
+    # total is the generation alone; the write is timed beside it, as ingest's save
+    timings_ms = {"total": (t1 - t0) * 1000.0, "write": (t2 - t1) * 1000.0}
     write_manifest(
-        cfg, "generate", [SYNTH_FILE], {"total": wall_ms},
+        cfg, "generate", [SYNTH_FILE], timings_ms,
         {"rows": count, "features": len(names)},
     )
     print(f"generated {count} synthetic rows -> {out_path}")

@@ -32,6 +32,7 @@ import json
 import math
 import operator
 import os
+import shutil
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext
@@ -127,6 +128,53 @@ def write_csv(path, header, rows) -> None:
         fh.write(_csv_line(header))
         for row in rows:
             fh.write(_csv_line(row))
+
+
+def _write_float_rows(fh, matrix: np.ndarray) -> None:
+    for row in matrix:  # one row's text at a time: memory stays flat
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
+    """Write a float64 matrix as a CSV artifact: the bytes :func:`write_csv`
+    writes for its rows' ``tolist()``, from two processes.
+
+    Float ``repr`` is the cost, so a worker made with ``os.fork`` formats
+    the second half of the rows into ``<name>.part`` while this process
+    writes the header and the first half into ``<name>.tmp``; the part is
+    then appended and removed. The worker is reaped on every path; one
+    that fails raises ``OSError`` and leaves ``path`` as it was. Without
+    ``os.fork`` this process writes every row.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    with atomic_write(path) as fh:
+        fh.write(_csv_line(header))
+        if not hasattr(os, "fork"):
+            _write_float_rows(fh, matrix)
+            return
+        half = len(matrix) // 2
+        pid = os.fork()
+        if pid == 0:  # the worker: leaves by os._exit alone, flushing nothing inherited
+            code = 1
+            try:
+                with open(part, "w", encoding="utf-8", newline="") as out:
+                    _write_float_rows(out, matrix[half:])
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            try:
+                _write_float_rows(fh, matrix[:half])
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise OSError(f"the worker writing {part} exited with {status}")
+            fh.flush()
+            with open(part, "rb") as rest:
+                shutil.copyfileobj(rest, fh.buffer)
+        finally:
+            part.unlink(missing_ok=True)
 
 
 def config_from_dict(cls, data: dict):
@@ -534,12 +582,9 @@ class DatasetMatrix:
             )
         if len(self.labels) != self.features.shape[0]:
             raise DataError("label count does not match row count")
-        if self.features.size and not np.isfinite(self.features).all():
-            raise DataError("dataset features must be finite")
-        if self.features.size and (
-            self.features.min() < 0.0 or self.features.max() > 1.0
-        ):
-            raise DataError("dataset features must lie in [0, 1]")
+        f = self.features
+        if not ((f >= 0.0) & (f <= 1.0)).all():  # a NaN or ±inf cell fails too
+            raise DataError("dataset features must be finite and lie in [0, 1]")
 
     @property
     def n_rows(self) -> int:

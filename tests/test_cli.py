@@ -87,6 +87,12 @@ def test_ingest_manifest_times_each_stage(toy_pipeline):
     assert timings["total"] == pytest.approx(sum(timings[s] for s in stages))
 
 
+def test_generate_manifest_times_the_write_beside_the_total(toy_pipeline):
+    timings = json.loads((toy_pipeline / "generate_manifest.json").read_text())["timings_ms"]
+    assert set(timings) == {"total", "write"}
+    assert min(timings.values()) >= 0.0
+
+
 def test_generate_count_over_the_cell_cap_is_config_error(tmp_path, capsys, monkeypatch):
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 2})
     assert run(config, "ingest") == EXIT_OK

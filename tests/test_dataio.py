@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -34,6 +35,7 @@ from synthflow.dataio import (
     save_dataset,
     schema_from_json,
     schema_to_json,
+    write_csv,
 )
 
 TWO_COL = FeatureSchema(
@@ -683,6 +685,78 @@ def test_atomic_write_failure_keeps_previous_file(tmp_path):
         fh.write("new\n")
     assert path.read_bytes() == b"new\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 0.1, 1.0, 3.0, 1e16, 1.7976931348623157e308]
+
+
+def float_matrix(n):
+    """n rows of the edge values and random floats of many magnitudes."""
+    rng = np.random.default_rng(n)
+    matrix = rng.standard_normal((n, len(EDGE_FLOATS))) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    matrix[0] = EDGE_FLOATS
+    matrix[-1] = EDGE_FLOATS[::-1]
+    return matrix
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])
+@pytest.mark.parametrize("n", [1, 2, 3, 1025])
+def test_matrix_csv_is_the_bytes_of_write_csv(tmp_path, monkeypatch, n, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    matrix = float_matrix(n)
+    names = ["f0", "f,1", *(f"f{j}" for j in range(2, matrix.shape[1]))]
+    write_csv(tmp_path / "expected.csv", names, (r.tolist() for r in matrix))
+    dataio.write_matrix_csv(tmp_path / "out.csv", names, matrix)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "out.csv"]
+    assert_no_child_left()
+
+
+def fail_in(process: str, monkeypatch):
+    """Make the row writer raise in the worker or in this process only."""
+    parent, write_rows = os.getpid(), dataio._write_float_rows
+
+    def failing(fh, rows):
+        if (os.getpid() == parent) == (process == "parent"):
+            raise RuntimeError(f"{process} failed")
+        write_rows(fh, rows)
+
+    monkeypatch.setattr(dataio, "_write_float_rows", failing)
+
+
+@pytest.mark.parametrize("failure, error", [
+    ("worker", OSError), ("part is a directory", OSError), ("parent", RuntimeError),
+])
+def test_failed_matrix_csv_keeps_the_earlier_file_and_reaps_the_worker(
+    tmp_path, monkeypatch, failure, error
+):
+    path = tmp_path / "synthetic.csv"
+    path.write_bytes(b"earlier\n")
+    if failure == "part is a directory":  # the worker cannot open its part
+        (tmp_path / "synthetic.csv.part").mkdir()
+    else:
+        fail_in(failure, monkeypatch)
+    with pytest.raises(error):
+        dataio.write_matrix_csv(path, ["a", "b"], float_matrix(100)[:, :2])
+    assert path.read_bytes() == b"earlier\n"
+    assert not (tmp_path / "synthetic.csv.tmp").exists()
+    assert not (tmp_path / "synthetic.csv.part").is_file()
+    assert_no_child_left()
+
+
+def test_dataset_matrix_names_both_rules_it_checks():
+    for bad in (np.nan, np.inf, -np.inf, -0.5, 1.5):
+        features = np.array([[0.0, 1.0], [0.5, bad]])
+        with pytest.raises(DataError, match=r"must be finite and lie in \[0, 1\]"):
+            make_dataset(features)
+    assert make_dataset(np.array([[-0.0, 1.0], [5e-324, 0.5]])).n_rows == 2
+    assert make_dataset(np.empty((0, 2))).n_rows == 0
 
 
 def test_schema_json_round_trip(tmp_path):
