@@ -27,12 +27,14 @@ a stale model or report.
 Exit codes: 0 success, 2 config/validation error, 3 data error, 4 training
 divergence, 5 missing prerequisite artifact. A run config or schema that
 cannot be read or decoded is exit 2, a dataset cache document, model
-checkpoint, manifest or quality report exit 3; the message names the file.
+checkpoint, manifest or quality report exit 3, and so is an artifact that
+cannot be written; the message names the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import re
 import sys
 import time
@@ -86,6 +88,11 @@ MAX_PARAMETERS = 10_000_000
 # Most cells `generate --count` may ask for: the (count, features) float64
 # output is held whole, 800 MB at this cap (about 1.3M CICIDS2017 rows).
 MAX_SYNTHETIC_CELLS = 100_000_000
+
+# Both of train's heap thresholds: glibc's 64-bit ceiling for the mmap threshold,
+# far above the few MB a generator step frees and the next step faults back in.
+HEAP_KEEP_BYTES = 32 * 1024 * 1024
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 DATASET_FILE = "dataset.json"
 DATASET_MATRIX_FILE = matrix_path(DATASET_FILE).name
@@ -387,6 +394,20 @@ def cmd_ingest(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc's allocator keep up to HEAP_KEEP_BYTES of freed memory, for
+    the whole process. No result changes; a C library without ``mallopt``
+    (not glibc) keeps its own allocator."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # TypeError: Windows loads no CDLL(None)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param in (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD):
+        mallopt(param, HEAP_KEEP_BYTES)
+
+
 def cmd_train(cfg: RunConfig) -> int:
     data = load_dataset(_require(cfg.out_dir / DATASET_FILE, "ingest"))
     fingerprint = {"rows": data.n_rows, "features": data.features.shape[1]}
@@ -401,6 +422,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
 
+    _keep_freed_heap()  # here, not in gan.train: library callers keep their allocator
     t0 = time.perf_counter()
     failure = None
     try:
@@ -634,6 +656,9 @@ def main(argv=None) -> int:
         return EXIT_MISSING
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # an artifact that cannot be written; the message names it
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

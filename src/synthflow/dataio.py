@@ -35,7 +35,7 @@ import os
 import shutil
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -61,7 +61,8 @@ def atomic_write(path):
     """Stream UTF-8 text to ``<path>.tmp``, then move it over ``path``.
 
     The rename happens only when the block finishes; if it raises, the
-    temporary file is removed and ``path`` keeps its previous content.
+    temporary file is removed and ``path`` keeps its previous content. The
+    block's own error is the one raised; a failed write names the file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -69,8 +70,11 @@ def atomic_write(path):
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # the block's own error is the one to raise
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno and exc.filename is None:
+            exc.filename = str(tmp)  # a write or close error carries no file name
         raise
 
 
@@ -173,8 +177,11 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
             fh.flush()
             with open(part, "rb") as rest:
                 shutil.copyfileobj(rest, fh.buffer)
-        finally:
-            part.unlink(missing_ok=True)
+        except BaseException:
+            with suppress(OSError):  # as in atomic_write: the first error is raised
+                part.unlink(missing_ok=True)
+            raise
+        part.unlink()
 
 
 def config_from_dict(cls, data: dict):

@@ -1,8 +1,13 @@
+import ctypes
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,8 @@ from synthflow.dataio import (
 )
 
 from helpers import write_toy_run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(config_path, *args):
@@ -905,3 +912,71 @@ def test_reevaluate_leaves_only_the_histograms_its_manifest_lists(tmp_path):
     assert sorted(p.name for p in out.glob("hist_*.csv")) == ["hist_f2.csv"]
     assert not (out / cli.REPORT_MD_FILE).exists()  # it rendered the earlier report
     assert {p.name for p in out.iterdir()} == _listed_artifacts(out)
+
+
+def test_artifact_that_cannot_be_written_exits_3_and_keeps_the_earlier_file(
+    evaluated_run, tmp_path, capsys
+):
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    assert run(config, "generate", "--count", "10") == EXIT_OK
+    earlier = (out / cli.SYNTH_FILE).read_bytes()
+    (out / "synthetic.csv.part").mkdir()  # the forked worker cannot open its part
+    capsys.readouterr()
+    assert run(config, "generate", "--count", "20") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "synthetic.csv.part" in err
+    assert (out / cli.SYNTH_FILE).read_bytes() == earlier
+    assert not (out / "synthetic.csv.tmp").exists()
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except TypeError:  # Windows loads no CDLL(None)
+        return False
+
+
+def train_minor_faults(config, gen_steps: int) -> int:
+    """Minor page faults of the train verb run as a child for ``gen_steps``."""
+    doc = json.loads(config.read_text())
+    doc["gan"]["gen_steps"] = gen_steps
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "synthflow.cli", "train", "--config", str(config)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert proc.returncode == EXIT_OK
+    return usage.ru_minflt
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt (not glibc)")
+def test_train_verb_does_not_fault_its_heap_back_in_every_step(tmp_path):
+    # reference hidden sizes: each gradient is a parameter-sized vector of
+    # about 0.5 MB, freed every critic update
+    reference = {"noise_dim": 64, "generator_hidden": [256, 128, 128, 128],
+                 "critic_hidden": [256, 128, 128, 128], "batch_size": 32}
+    config = write_toy_run(tmp_path, gan_overrides=reference)
+    assert run(config, "ingest") == EXIT_OK
+    steps = 5
+    extra = train_minor_faults(config, 4 * steps) - train_minor_faults(config, steps)
+    # about 1000 per step when glibc trims the freed heap top after each step
+    assert extra / (3 * steps) < 200
+
+
+def test_train_without_mallopt_writes_the_same_model(tmp_path, monkeypatch):
+    asked, models = [], []
+    for name in ("glibc", "other"):
+        (tmp_path / name).mkdir()
+        config = write_toy_run(tmp_path / name, gan_overrides={"gen_steps": 5})
+        assert run(config, "ingest") == EXIT_OK
+        if name == "other":  # a C library without mallopt
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda lib: asked.append(lib) or object())
+        assert run(config, "train") == EXIT_OK
+        models.append((tmp_path / name / "run" / cli.MODEL_MATRIX_FILE).read_bytes())
+    assert asked == [None]
+    assert models[1] == models[0]

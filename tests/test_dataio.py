@@ -742,12 +742,24 @@ def test_failed_matrix_csv_keeps_the_earlier_file_and_reaps_the_worker(
         (tmp_path / "synthetic.csv.part").mkdir()
     else:
         fail_in(failure, monkeypatch)
-    with pytest.raises(error):
+    # the first error, not the part's cleanup, is raised
+    with pytest.raises(error, match="parent failed" if failure == "parent" else "worker writing"):
         dataio.write_matrix_csv(path, ["a", "b"], float_matrix(100)[:, :2])
     assert path.read_bytes() == b"earlier\n"
     assert not (tmp_path / "synthetic.csv.tmp").exists()
     assert not (tmp_path / "synthetic.csv.part").is_file()
     assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_names_its_file_and_keeps_the_earlier_one(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"earlier\n")
+    (tmp_path / "out.csv.tmp").symlink_to("/dev/full")  # every write: no space left
+    with pytest.raises(OSError, match="out.csv.tmp"):
+        write_csv(path, ["a"], [[1.0]])
+    assert path.read_bytes() == b"earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 def test_dataset_matrix_names_both_rules_it_checks():
