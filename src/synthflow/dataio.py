@@ -139,6 +139,9 @@ def _write_float_rows(fh, matrix: np.ndarray) -> None:
         fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
+_WORKER_FAILED = 255  # exit code of a worker failing without an errno; every errno is below it
+
+
 def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     """Write a float64 matrix as a CSV artifact: the bytes :func:`write_csv`
     writes for its rows' ``tolist()``, from two processes.
@@ -147,7 +150,8 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     the second half of the rows into ``<name>.part`` while this process
     writes the header and the first half into ``<name>.tmp``; the part is
     then appended and removed. The worker is reaped on every path; one
-    that fails raises ``OSError`` and leaves ``path`` as it was. Without
+    that fails raises ``OSError``, with the errno of the worker's own
+    ``OSError`` if it had one, and leaves ``path`` as it was. Without
     ``os.fork`` this process writes every row.
     """
     path = Path(path)
@@ -160,11 +164,14 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
         half = len(matrix) // 2
         pid = os.fork()
         if pid == 0:  # the worker: leaves by os._exit alone, flushing nothing inherited
-            code = 1
+            code = _WORKER_FAILED
             try:
                 with open(part, "w", encoding="utf-8", newline="") as out:
                     _write_float_rows(out, matrix[half:])
                 code = 0
+            except OSError as exc:  # its errno is the exit code, for the reason
+                if 0 < (exc.errno or 0) < _WORKER_FAILED:
+                    code = exc.errno
             finally:
                 os._exit(code)
         try:
@@ -172,6 +179,8 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
                 _write_float_rows(fh, matrix[:half])
             finally:
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if 0 < status < _WORKER_FAILED:
+                raise OSError(status, os.strerror(status), str(part))
             if status != 0:
                 raise OSError(f"the worker writing {part} exited with {status}")
             fh.flush()

@@ -32,6 +32,10 @@ float64 rows of half the root block each), and the rest for the blocks of
 nodes still to grow. On the goldeneye benchmark's 3,392 x 78 fit that is
 9.2 MB; float64 value blocks with int64 row ids took 22.2 MB (84 bytes per
 cell).
+
+``evaluate`` leaves each class in the matrix it arrived in: the fit matrix is
+the only copy it makes before the fit, and each class's holdout is scored
+on its own after it.
 """
 
 from __future__ import annotations
@@ -40,9 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import (
-    DataError, DatasetMatrix, check_count, check_finite, config_from_dict, denormalize,
-)
+from .dataio import DataError, DatasetMatrix, check_count, check_finite, config_from_dict
 
 HISTOGRAM_BINS = 32
 
@@ -413,14 +415,16 @@ def default_histogram_features(feature_names) -> list[str]:
 
 
 def histogram_compare(
-    real, synth, feature_names, selected=None
+    real, synth, stats, feature_names, selected=None
 ) -> list[FeatureHistogram]:
-    """Paired histograms on the union range of both inputs.
+    """Paired histograms in feature units on the union range of both inputs.
 
-    ``selected`` must be a subset of ``feature_names``; by default the
-    preferred flow features are used when present, otherwise the first few
-    columns. Both matrices have one column per feature name. Single-valued
-    features put all mass in one bin.
+    ``real`` and ``synth`` are normalized, one column per feature name; only
+    the selected columns are mapped to feature units with ``stats``, as
+    ``dataio.denormalize`` maps them. ``selected`` must be a subset of
+    ``feature_names``; by default the preferred flow features are used when
+    present, otherwise the first few columns. Single-valued features put all
+    mass in one bin.
     """
     names = list(feature_names)
     if selected is None:
@@ -432,12 +436,14 @@ def histogram_compare(
     out = []
     for name in selected:
         j = names.index(name)
-        lo = float(min(real[:, j].min(), synth[:, j].min()))
-        hi = float(max(real[:, j].max(), synth[:, j].max()))
+        scale, shift = stats.col_max[j] - stats.col_min[j], stats.col_min[j]
+        real_j, synth_j = (m[:, j] * scale + shift for m in (real, synth))
+        lo = float(min(real_j.min(), synth_j.min()))
+        hi = float(max(real_j.max(), synth_j.max()))
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        count_real, edges = np.histogram(real[:, j], HISTOGRAM_BINS, range=(lo, hi))
-        count_synth, _ = np.histogram(synth[:, j], HISTOGRAM_BINS, range=(lo, hi))
+        count_real, edges = np.histogram(real_j, HISTOGRAM_BINS, range=(lo, hi))
+        count_synth, _ = np.histogram(synth_j, HISTOGRAM_BINS, range=(lo, hi))
         out.append(
             FeatureHistogram(
                 name, edges.tolist(), count_real.tolist(), count_synth.tolist()
@@ -507,8 +513,9 @@ class QualityReport:
         return cls(**data)
 
 
-def _stratified_split(labels: np.ndarray, holdout_fraction: float, rng):
-    """Index split keeping both classes in both parts.
+def _stratified_split(sizes, holdout_fraction: float, rng):
+    """Per class, the ``(fit, holdout)`` row indices of a split keeping both
+    classes in both parts; ``sizes`` holds the real and synthetic row counts.
 
     When the classes have equal counts the same permutation is applied to
     both, so row i of each class lands on the same side. For generated data
@@ -517,21 +524,16 @@ def _stratified_split(labels: np.ndarray, holdout_fraction: float, rng):
     duplicate pair together, which stops the classifier from scoring
     holdout rows against their memorized twins.
     """
-    idx0 = np.flatnonzero(labels == 0)
-    idx1 = np.flatnonzero(labels == 1)
-    if idx0.size == idx1.size:
-        perms = [rng.permutation(idx0.size)] * 2
+    if sizes[0] == sizes[1]:
+        perms = [rng.permutation(sizes[0])] * 2
     else:
-        perms = [rng.permutation(idx0.size), rng.permutation(idx1.size)]
-    train_idx: list[np.ndarray] = []
-    hold_idx: list[np.ndarray] = []
-    for idx, perm in zip((idx0, idx1), perms):
-        shuffled = idx[perm]
-        k = int(np.floor(holdout_fraction * idx.size + 0.5))
-        k = min(max(k, 1), idx.size - 1) if idx.size > 1 else k
-        hold_idx.append(shuffled[:k])
-        train_idx.append(shuffled[k:])
-    return np.concatenate(train_idx), np.concatenate(hold_idx)
+        perms = [rng.permutation(n) for n in sizes]
+    splits = []
+    for perm in perms:
+        k = int(np.floor(holdout_fraction * perm.size + 0.5))
+        k = min(max(k, 1), perm.size - 1) if perm.size > 1 else k
+        splits.append((perm[k:], perm[:k]))
+    return splits
 
 
 def evaluate(
@@ -545,7 +547,7 @@ def evaluate(
     Fits the classifier on a stratified 70/30-style split (real = 0,
     synthetic = 1), reports ROC/AUC on the holdout, RMSE divergences on the
     full normalized matrices, and paired histograms in denormalized feature
-    units.
+    units. The fit matrix is the only copy it makes before the fit.
     """
     synth = np.asarray(synth, dtype=np.float64)
     if synth.ndim != 2 or synth.shape[1] != real.features.shape[1]:
@@ -560,29 +562,25 @@ def evaluate(
 
     names = real.schema.feature_names()
     histograms = histogram_compare(
-        denormalize(real.features, real.stats),
-        denormalize(synth, real.stats),
-        names,
-        selected=config.histogram_features,
+        real.features, synth, real.stats, names, selected=config.histogram_features
     )
 
-    features = np.vstack([real.features, synth])
-    labels = np.concatenate(
-        [np.zeros(real.n_rows, np.int64), np.ones(synth.shape[0], np.int64)]
+    (fit_real, hold_real), (fit_synth, hold_synth) = _stratified_split(
+        (real.n_rows, synth.shape[0]), config.holdout_fraction, rng
     )
-    train_idx, hold_idx = _stratified_split(labels, config.holdout_fraction, rng)
-    train = LabeledSet(features[train_idx], labels[train_idx])
-    hold_features, hold_labels = features[hold_idx], labels[hold_idx]
-    del features  # the fit and the holdout have their own copies
+    train = LabeledSet(
+        np.concatenate((real.features[fit_real], synth[fit_synth])),
+        np.repeat([0, 1], (fit_real.size, fit_synth.size)),
+    )
     model = gbm_fit(
         train,
         n_trees=config.n_trees,
         max_depth=config.max_depth,
         shrinkage=config.shrinkage,
     )
-    hold_scores = gbm_predict(model, hold_features)
     auc, roc_points = roc_auc(
-        hold_scores[hold_labels == 0], hold_scores[hold_labels == 1]
+        gbm_predict(model, real.features[hold_real]),
+        gbm_predict(model, synth[hold_synth]),
     )
     importances = dict(zip(names, feature_importance(model).tolist()))
     return QualityReport(

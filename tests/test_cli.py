@@ -926,6 +926,7 @@ def test_artifact_that_cannot_be_written_exits_3_and_keeps_the_earlier_file(
     assert run(config, "generate", "--count", "20") == EXIT_DATA
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "synthetic.csv.part" in err
+    assert "Is a directory" in err  # the worker's reason reaches the message
     assert (out / cli.SYNTH_FILE).read_bytes() == earlier
     assert not (out / "synthetic.csv.tmp").exists()
 

@@ -742,8 +742,13 @@ def test_failed_matrix_csv_keeps_the_earlier_file_and_reaps_the_worker(
         (tmp_path / "synthetic.csv.part").mkdir()
     else:
         fail_in(failure, monkeypatch)
-    # the first error, not the part's cleanup, is raised
-    with pytest.raises(error, match="parent failed" if failure == "parent" else "worker writing"):
+    # the first error, not the part's cleanup, is raised; a worker's OSError
+    # keeps its reason
+    reason = {
+        "worker": "worker writing", "part is a directory": "Is a directory: .*csv.part",
+        "parent": "parent failed",
+    }[failure]
+    with pytest.raises(error, match=reason):
         dataio.write_matrix_csv(path, ["a", "b"], float_matrix(100)[:, :2])
     assert path.read_bytes() == b"earlier\n"
     assert not (tmp_path / "synthetic.csv.tmp").exists()

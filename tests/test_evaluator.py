@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthflow import dataio, evaluator
 from synthflow.evaluator import (
     BLOCK_ENTRY,
     HISTOGRAM_BINS,
     EvalConfig,
+    FeatureHistogram,
     GbmModel,
     LabeledSet,
     QualityReport,
     RegressionTree,
     TreeNode,
+    default_histogram_features,
     evaluate,
     feature_importance,
     gbm_fit,
@@ -565,9 +568,14 @@ def test_rmse_rejects_values_outside_the_unit_interval(bad):
 
 # -------------------------------------------------------------- histograms
 
+def unit_stats(width):
+    """Stats under which feature units are the normalized values."""
+    return dataio.NormalizationStats(np.zeros(width), np.ones(width))
+
+
 def test_histogram_identical_inputs():
     m = np.random.default_rng(1).uniform(size=(50, 2))
-    hists = histogram_compare(m, m.copy(), ["a", "b"], selected=["a"])
+    hists = histogram_compare(m, m.copy(), unit_stats(2), ["a", "b"], selected=["a"])
     assert len(hists) == 1
     assert hists[0].count_real == hists[0].count_synth
 
@@ -576,7 +584,7 @@ def test_histogram_counts_conserved():
     rng = np.random.default_rng(2)
     real = rng.normal(size=(40, 1))
     synth = rng.normal(size=(25, 1))
-    hist = histogram_compare(real, synth, ["a"], selected=["a"])[0]
+    hist = histogram_compare(real, synth, unit_stats(1), ["a"], selected=["a"])[0]
     assert sum(hist.count_real) == 40
     assert sum(hist.count_synth) == 25
     assert len(hist.edges) == len(hist.count_real) + 1
@@ -584,7 +592,7 @@ def test_histogram_counts_conserved():
 
 def test_histogram_single_value_feature_single_bin():
     m = np.full((10, 1), 3.0)
-    hist = histogram_compare(m, m, ["a"], selected=["a"])[0]
+    hist = histogram_compare(m, m, unit_stats(1), ["a"], selected=["a"])[0]
     assert max(hist.count_real) == 10
     assert sum(1 for c in hist.count_real if c > 0) == 1
 
@@ -592,13 +600,13 @@ def test_histogram_single_value_feature_single_bin():
 def test_histogram_unknown_feature_lists_candidates():
     m = np.zeros((2, 2))
     with pytest.raises(ValueError, match="candidates"):
-        histogram_compare(m, m, ["a", "b"], selected=["nope"])
+        histogram_compare(m, m, unit_stats(2), ["a", "b"], selected=["nope"])
 
 
 def test_histogram_default_prefers_flow_features():
     names = ["x", "Flow Duration", "y", "Packet Length Mean"]
     m = np.random.default_rng(0).uniform(size=(10, 4))
-    hists = histogram_compare(m, m, names)
+    hists = histogram_compare(m, m, unit_stats(4), names)
     assert [h.feature for h in hists] == ["Packet Length Mean", "Flow Duration"]
 
 
@@ -648,3 +656,129 @@ def test_evaluate_width_mismatch():
     data = toy_attack_dataset()
     with pytest.raises(ValueError, match="width|match"):
         evaluate(data, np.zeros((5, 3)), EvalConfig(), np.random.default_rng(0))
+
+
+def stacked_evaluate(real, synth, config, rng):
+    """``evaluate`` on one stacked matrix of both classes with a 0/1 label
+    vector, whole denormalized matrices and label masks: the reference the
+    in-place protocol must match byte for byte."""
+    names = real.schema.feature_names()
+    real_units = dataio.denormalize(real.features, real.stats)
+    synth_units = dataio.denormalize(synth, real.stats)
+    histograms = []
+    selected = config.histogram_features
+    for name in default_histogram_features(names) if selected is None else selected:
+        j = names.index(name)
+        lo = float(min(real_units[:, j].min(), synth_units[:, j].min()))
+        hi = float(max(real_units[:, j].max(), synth_units[:, j].max()))
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        count_real, edges = np.histogram(real_units[:, j], HISTOGRAM_BINS, range=(lo, hi))
+        count_synth, _ = np.histogram(synth_units[:, j], HISTOGRAM_BINS, range=(lo, hi))
+        histograms.append(
+            FeatureHistogram(name, edges.tolist(), count_real.tolist(), count_synth.tolist())
+        )
+
+    features = np.vstack([real.features, synth])
+    labels = np.concatenate([np.zeros(real.n_rows, np.int64), np.ones(len(synth), np.int64)])
+    classes = [np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)]
+    if classes[0].size == classes[1].size:
+        perms = [rng.permutation(classes[0].size)] * 2
+    else:
+        perms = [rng.permutation(idx.size) for idx in classes]
+    fit, hold = [], []
+    for idx, perm in zip(classes, perms):
+        shuffled = idx[perm]
+        k = int(np.floor(config.holdout_fraction * idx.size + 0.5))
+        k = min(max(k, 1), idx.size - 1) if idx.size > 1 else k
+        hold.append(shuffled[:k])
+        fit.append(shuffled[k:])
+    fit, hold = np.concatenate(fit), np.concatenate(hold)
+    model = gbm_fit(
+        LabeledSet(features[fit], labels[fit]),
+        n_trees=config.n_trees, max_depth=config.max_depth, shrinkage=config.shrinkage,
+    )
+    scores = gbm_predict(model, features[hold])
+    auc, roc_points = roc_auc(scores[labels[hold] == 0], scores[labels[hold] == 1])
+    return QualityReport(
+        *rmse_quality(real.features, synth), auc, roc_points,
+        dict(zip(names, feature_importance(model).tolist())), histograms,
+        real.n_rows, len(synth),
+    )
+
+
+def flow_dataset(n_rows, stats, seed):
+    """Tie-heavy rows of four features, the third constant, under ``stats``."""
+    names = ["Flow Duration", "a", "b", "Packet Length Mean"]
+    schema = dataio.FeatureSchema(
+        tuple(dataio.Column(n, dataio.NUMERIC) for n in names)
+        + (dataio.Column("label", dataio.LABEL),)
+    )
+    x = np.random.default_rng(seed).integers(0, 7, size=(n_rows, 4)) / 6.0
+    x[:, 2] = 0.5
+    return dataio.DatasetMatrix(x, ["attack"] * n_rows, stats, schema)
+
+
+SCALED_STATS = dataio.NormalizationStats(
+    np.array([-3.0, 0.0, 12.5, 1e-3]), np.array([2.0, 1e6, 12.5, 1479.25])
+)
+
+
+@pytest.mark.parametrize("n_real,n_synth,stats,selected", [
+    (300, 300, unit_stats(4), None),
+    (301, 300, SCALED_STATS, None),
+    (120, 410, SCALED_STATS, ("b", "a")),
+    (2, 2, SCALED_STATS, ("Flow Duration",)),
+    (3, 7, unit_stats(4), ("a", "b", "Packet Length Mean")),
+])
+def test_evaluate_matches_the_stacked_protocol_byte_for_byte(n_real, n_synth, stats, selected):
+    real = flow_dataset(n_real, stats, seed=n_real)
+    synth = flow_dataset(n_synth, stats, seed=n_synth + 1).features
+    synth[:, 0] = np.clip(synth[:, 0] + 0.1, 0.0, 1.0)  # separable by one feature
+    config = EvalConfig(n_trees=6, histogram_features=selected)
+    report = evaluate(real, synth, config, np.random.default_rng(5))
+    want = stacked_evaluate(real, synth, config, np.random.default_rng(5))
+    assert json.dumps(asdict(report)) == json.dumps(asdict(want))
+
+
+def test_evaluate_adds_little_beyond_the_fit_matrix(monkeypatch):
+    # goldeneye-sized: 2423 + 2423 rows of 78 tie-heavy features, 3392 fit rows
+    rng = np.random.default_rng(0)
+    n, d = 2423, 78
+    levels = 2 + np.arange(d) % 6
+    stats = dataio.NormalizationStats(np.zeros(d), np.full(d, 100.0))
+    schema = dataio.FeatureSchema(
+        tuple(dataio.Column(f"f{j}", dataio.NUMERIC) for j in range(d))
+        + (dataio.Column("label", dataio.LABEL),)
+    )
+    real = dataio.DatasetMatrix(
+        rng.integers(0, levels, size=(n, d)) / levels, ["attack"] * n, stats, schema
+    )
+    synth = np.clip(real.features + rng.normal(0, 0.05, size=(n, d)), 0.0, 1.0)
+    config = EvalConfig(n_trees=3)
+
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    fits = []
+
+    def recording_fit(train, **kwargs):
+        fits.append(train)
+        return gbm_fit(train, **kwargs)
+
+    with monkeypatch.context() as m:  # the fit evaluate makes, to replay alone
+        m.setattr(evaluator, "gbm_fit", recording_fit)
+        evaluate(real, synth, config, np.random.default_rng(1))
+    (train,) = fits
+    fit_peak = traced_peak(gbm_fit, train, config.n_trees, config.max_depth, config.shrinkage)
+    cells = train.features.size
+    del fits, train
+    extra = traced_peak(evaluate, real, synth, config, np.random.default_rng(1)) - fit_peak
+    # the fit matrix takes 8 bytes per fit cell; nothing else may come close
+    assert extra <= 10 * cells, f"{extra / cells:.1f} bytes per fit cell"
