@@ -10,9 +10,14 @@ rows with unparseable cells, so the resulting matrix is always finite.
 Ingest streams: :func:`parse_csv` reads only the header and hands back the
 data records as a lazy iterator of raw text, and :func:`clean_numeric`
 parses them a block of :data:`BLOCK_ROWS` at a time (numpy's C reader, or
-cell by cell where a block needs it), keeps the rows of the selected labels
-in one growing float64 matrix and the stats of every row. Memory is bounded
-by one block plus the selected rows.
+cell by cell where a block needs it). From the second block on, two
+processes parse: a forked worker takes :data:`WORKER_BLOCKS` of each round
+of :data:`ROUND_BLOCKS` blocks, and this process reads every record, parses
+the other blocks and folds every block's result in file order. The fold
+keeps the rows of the selected labels in one growing float64 matrix and the
+stats of every row, so the output does not depend on which process parsed
+what. Memory is bounded by the blocks in flight, about two rounds, plus
+the selected rows.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one.
@@ -32,13 +37,15 @@ import json
 import math
 import operator
 import os
+import pickle
 import shutil
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,6 +149,46 @@ def _write_float_rows(fh, matrix: np.ndarray) -> None:
 _WORKER_FAILED = 255  # exit code of a worker failing without an errno; every errno is below it
 
 
+@contextmanager
+def _forked(work, what: str, filename: str | None = None):
+    """Run ``work()`` in a worker made with ``os.fork`` while the block runs,
+    and reap the worker when the block ends, on every path.
+
+    The worker leaves by ``os._exit`` alone, so it flushes no inherited
+    buffer and never unwinds into the caller. Its exit code is 0 once
+    ``work`` returns, the errno of an ``OSError`` it raised, or
+    :data:`_WORKER_FAILED`. A worker that failed raises ``OSError`` after
+    the block: ``[Errno N] <reason>: <filename>`` for an errno, else ``the
+    worker <what> exited with <code>``. So does an ``EOFError``, a
+    truncated pickle or a broken pipe from the block: that is how a worker
+    that stopped early shows to a process reading or writing its pipes.
+    Any other error of the block wins over the worker's. The block must
+    leave the worker nothing to wait for, or the reap waits too.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = _WORKER_FAILED
+        try:
+            work()
+            code = 0
+        except OSError as exc:  # its errno is the exit code, for the reason
+            if 0 < (exc.errno or 0) < _WORKER_FAILED:
+                code = exc.errno
+        finally:
+            os._exit(code)
+    ended_early = False
+    try:
+        yield
+    except (EOFError, pickle.UnpicklingError, BrokenPipeError):  # its exit code says why
+        ended_early = True
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if 0 < status < _WORKER_FAILED:
+        raise OSError(status, os.strerror(status), filename)
+    if status or ended_early:
+        raise OSError(f"the worker {what} exited with {status}")
+
+
 def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     """Write a float64 matrix as a CSV artifact: the bytes :func:`write_csv`
     writes for its rows' ``tolist()``, from two processes.
@@ -149,9 +196,8 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     Float ``repr`` is the cost, so a worker made with ``os.fork`` formats
     the second half of the rows into ``<name>.part`` while this process
     writes the header and the first half into ``<name>.tmp``; the part is
-    then appended and removed. The worker is reaped on every path; one
-    that fails raises ``OSError``, with the errno of the worker's own
-    ``OSError`` if it had one, and leaves ``path`` as it was. Without
+    then appended and removed. A worker that fails raises ``OSError``
+    (see :func:`_forked`) and leaves ``path`` as it was. Without
     ``os.fork`` this process writes every row.
     """
     path = Path(path)
@@ -162,27 +208,14 @@ def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
             _write_float_rows(fh, matrix)
             return
         half = len(matrix) // 2
-        pid = os.fork()
-        if pid == 0:  # the worker: leaves by os._exit alone, flushing nothing inherited
-            code = _WORKER_FAILED
-            try:
-                with open(part, "w", encoding="utf-8", newline="") as out:
-                    _write_float_rows(out, matrix[half:])
-                code = 0
-            except OSError as exc:  # its errno is the exit code, for the reason
-                if 0 < (exc.errno or 0) < _WORKER_FAILED:
-                    code = exc.errno
-            finally:
-                os._exit(code)
+
+        def write_part():
+            with open(part, "w", encoding="utf-8", newline="") as out:
+                _write_float_rows(out, matrix[half:])
+
         try:
-            try:
+            with _forked(write_part, f"writing {part}", str(part)):
                 _write_float_rows(fh, matrix[:half])
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if 0 < status < _WORKER_FAILED:
-                raise OSError(status, os.strerror(status), str(part))
-            if status != 0:
-                raise OSError(f"the worker writing {part} exited with {status}")
             fh.flush()
             with open(part, "rb") as rest:
                 shutil.copyfileobj(rest, fh.buffer)
@@ -404,6 +437,15 @@ def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -
 # the csv module splits it (about 1.3 MB for 85 columns), are then a small
 # share of ingest memory.
 BLOCK_ROWS = 256
+# Blocks per round of clean_numeric's two processes: a forked worker parses
+# the first WORKER_BLOCKS, this process the others besides reading every
+# record and folding every result, so with 3 of 5 both finish a round at
+# about the same time. On the 30k-row CICIDS-shaped ingest_day fixture
+# keeping DoS GoldenEye (in-process, each split in turn, median of 20 on a
+# shared 2-core Xeon VM), 3 of 5 took 0.75 of one process's time, 2 of 3
+# took 0.79 and 1 of 2 took 0.82.
+ROUND_BLOCKS = 5
+WORKER_BLOCKS = 3
 
 _LOADTXT = {"delimiter": ",", "comments": None, "ndmin": 2}
 
@@ -432,6 +474,106 @@ def _parse_cell(cell: str, cats: dict[str, float] | None) -> float:
         return np.nan
 
 
+class _BlockPlan(NamedTuple):
+    """Where the feature and label cells of a record are, and how each
+    feature parses: ``cat_maps[j]`` codes categorical feature ``j`` and is
+    None for a number."""
+
+    pick: operator.itemgetter  # a csv-split record's feature cells, then its label
+    cat_maps: list[dict[str, float] | None]
+    numeric: list[int]  # the numeric features
+    text: list[int]  # the categorical features
+    numeric_cols: list[int]  # the record columns of the numeric features
+    text_cols: list[int]  # the record columns of the categorical features, then the label's
+
+
+def _parse_block(block: list[str], plan: _BlockPlan) -> tuple[np.ndarray, list[str], int]:
+    """The kept rows of a block of record texts, those without a NaN or
+    unparseable cell, as float64 in schema feature order; their trimmed
+    labels; and the block's record count."""
+    m, cat_maps = len(block), plan.cat_maps
+    parsed = np.empty((m, len(cat_maps)))
+    if read := _loadtxt(block, plan.numeric_cols, plan.text_cols):
+        parsed[:, plan.numeric], (*cells, labels) = read
+        columns = zip(plan.text, cells)
+    else:  # the csv module splits every column
+        *cells, labels = zip(*map(plan.pick, csv.reader(block)))
+        columns = enumerate(cells)
+    for j, col in columns:
+        if cat_maps[j] is None:
+            try:  # float ignores surrounding whitespace: the same values
+                parsed[:, j] = np.fromiter(map(float, col), np.float64, m)
+                continue
+            except ValueError:
+                pass
+        parsed[:, j] = [_parse_cell(cell, cat_maps[j]) for cell in col]
+    keep = ~np.isnan(parsed).any(axis=1)
+    return parsed[keep], [lbl.strip() for lbl in compress(labels, keep)], m
+
+
+def _send(fh, obj) -> None:
+    pickle.dump(obj, fh, pickle.HIGHEST_PROTOCOL)
+    fh.flush()
+
+
+def _pipe():
+    """A pipe's read and write ends as binary file objects."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb"), open(write_fd, "wb")
+
+
+def _parsed_blocks(rows: Iterator[str], plan: _BlockPlan) -> Iterator[tuple]:
+    """:func:`_parse_block` of each block of :data:`BLOCK_ROWS` records of
+    ``rows``, in file order.
+
+    This process reads the records. From the second block on, a worker
+    made with ``os.fork`` (:func:`_forked`) parses the first
+    :data:`WORKER_BLOCKS` blocks of each round of :data:`ROUND_BLOCKS`:
+    they go to it pickled over one pipe, and their results come back over
+    another. This process parses the round's other blocks, then reads the
+    next round while the worker is busy. Without ``os.fork``, or with one
+    block, this process parses every block. Close the iterator when done
+    with it, as :func:`clean_numeric` does: that reaps the worker.
+    """
+    blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
+    batch = list(islice(blocks, ROUND_BLOCKS))
+    if len(batch) < 2 or not hasattr(os, "fork"):
+        for block in chain(batch, blocks):
+            yield _parse_block(block, plan)
+        return
+    (inbox, to_worker), (from_worker, outbox) = _pipe(), _pipe()
+    with inbox, to_worker, from_worker, outbox:
+
+        def serve():
+            # the worker drops its copies of this process's ends: its input then
+            # ends when this process closes to_worker, and its writes fail once
+            # this process closes from_worker
+            to_worker.close()
+            from_worker.close()
+            while True:
+                try:
+                    theirs = pickle.load(inbox)
+                except EOFError:
+                    return
+                _send(outbox, [_parse_block(block, plan) for block in theirs])
+
+        with _forked(serve, "parsing ingest blocks"):
+            inbox.close()
+            outbox.close()
+            with to_worker, from_worker:  # closed first, so the worker ends
+                _send(to_worker, batch[:WORKER_BLOCKS])
+                while batch:
+                    mine = [_parse_block(block, plan) for block in batch[WORKER_BLOCKS:]]
+                    batch.clear()  # sent or parsed: freed before the next round is read
+                    batch += islice(blocks, ROUND_BLOCKS)
+                    theirs = pickle.load(from_worker)
+                    if batch:
+                        _send(to_worker, batch[:WORKER_BLOCKS])
+                    yield from theirs
+                    yield from mine
+                    del theirs, mine  # folded: freed before the next round is parsed
+
+
 def clean_numeric(
     table: RawTable, schema: FeatureSchema, wanted
 ) -> tuple[np.ndarray, list[str], Counter, int, NormalizationStats]:
@@ -443,15 +585,21 @@ def clean_numeric(
     -Infinity the min. Returns (values, labels, label_counts, dropped,
     stats): the selected rows, columns in schema feature order, and their
     trimmed labels, then the trimmed labels of all kept rows counted. No
-    kept row, a column without a finite value or no selected row (in that
-    order) is a :class:`DataError`.
+    kept row, a column without a finite value, a column whose max - min
+    overflows float64, or no selected row (in that order) is a
+    :class:`DataError`.
 
-    Only the selected rows of each block of :data:`BLOCK_ROWS` records are
-    kept. numpy's C reader parses a block (:func:`_loadtxt`): the numeric
-    columns as float64, the categorical and label columns as text. A block
-    it cannot take goes through the csv module and :func:`_parse_cell`,
-    which states the rules (a numeric column tries one ``float`` pass
-    first); every cell the C reader accepts, ``float`` reads the same.
+    Each block of :data:`BLOCK_ROWS` records is parsed by
+    :func:`_parse_block`, from the second block on by two processes
+    (:func:`_parsed_blocks`). numpy's C reader parses a block
+    (:func:`_loadtxt`): the numeric columns as float64, the categorical
+    and label columns as text. A block it cannot take goes through the csv
+    module and :func:`_parse_cell`, which states the rules (a numeric
+    column tries one ``float`` pass first); every cell the C reader
+    accepts, ``float`` reads the same. The results are folded here in file
+    order, whichever process parsed them: the running stats and label
+    counts over every kept row, and the selected rows appended to one
+    growing matrix. The output is the same with one process or two.
     """
     index = {name: i for i, name in enumerate(table.header)}
     feature_cols = schema.feature_columns()
@@ -460,15 +608,20 @@ def clean_numeric(
     if missing:
         raise DataError(f"schema columns missing from CSV header: {missing}")
 
-    pick = operator.itemgetter(*(index[name] for name in required))
     cat_maps: list[dict[str, float] | None] = [
         {v: float(i) for i, v in enumerate(c.categories)} if c.role == CATEGORICAL else None
         for c in feature_cols
     ]
     numeric = [j for j, cats in enumerate(cat_maps) if cats is None]
     text = [j for j, cats in enumerate(cat_maps) if cats is not None]
-    numeric_cols = [index[required[j]] for j in numeric]
-    text_cols = [index[required[j]] for j in text] + [index[required[-1]]]
+    plan = _BlockPlan(
+        pick=operator.itemgetter(*(index[name] for name in required)),
+        cat_maps=cat_maps,
+        numeric=numeric,
+        text=text,
+        numeric_cols=[index[required[j]] for j in numeric],
+        text_cols=[index[required[j]] for j in text] + [index[required[-1]]],
+    )
 
     d = len(feature_cols)
     # Each block's selected rows are appended by growing one matrix in place
@@ -479,43 +632,28 @@ def clean_numeric(
     label_counts: Counter = Counter()
     dropped = 0
     col_min, col_max = np.full(d, np.inf), np.full(d, -np.inf)
-    rows = iter(table.rows)
-    while block := list(islice(rows, BLOCK_ROWS)):
-        m = len(block)
-        parsed = np.empty((m, d))
-        if read := _loadtxt(block, numeric_cols, text_cols):
-            parsed[:, numeric], (*cells, block_labels) = read
-            columns = zip(text, cells)
-        else:  # the csv module splits every column
-            *cells, block_labels = zip(*map(pick, csv.reader(block)))
-            columns = enumerate(cells)
-        for j, col in columns:
-            if cat_maps[j] is None:
-                try:  # float ignores surrounding whitespace: the same values
-                    parsed[:, j] = np.fromiter(map(float, col), np.float64, m)
-                    continue
-                except ValueError:
-                    pass
-            parsed[:, j] = [_parse_cell(cell, cat_maps[j]) for cell in col]
-        keep = ~np.isnan(parsed).any(axis=1)
-        kept = parsed[keep]
-        finite = np.isfinite(kept)
-        np.minimum(col_min, kept.min(axis=0, initial=np.inf, where=finite), out=col_min)
-        np.maximum(col_max, kept.max(axis=0, initial=-np.inf, where=finite), out=col_max)
-        kept_labels = [lbl.strip() for lbl in compress(block_labels, keep)]
-        label_counts.update(kept_labels)
-        dropped += m - len(kept)
+    with closing(_parsed_blocks(iter(table.rows), plan)) as parsed_blocks:
+        for kept, kept_labels, m in parsed_blocks:
+            finite = np.isfinite(kept)
+            np.minimum(col_min, kept.min(axis=0, initial=np.inf, where=finite), out=col_min)
+            np.maximum(col_max, kept.max(axis=0, initial=-np.inf, where=finite), out=col_max)
+            label_counts.update(kept_labels)
+            dropped += m - len(kept)
 
-        selected = filter_by_label(kept_labels, wanted)
-        n = len(values)
-        values.resize((n + np.count_nonzero(selected), d), refcheck=False)
-        values[n:] = kept[selected]
-        labels += compress(kept_labels, selected)
+            selected = filter_by_label(kept_labels, wanted)
+            n = len(values)
+            values.resize((n + np.count_nonzero(selected), d), refcheck=False)
+            values[n:] = kept[selected]
+            labels += compress(kept_labels, selected)
 
     if not label_counts:
         raise DataError(f"cannot normalize matrix of shape {values.shape}")
     for j in np.flatnonzero(col_min == np.inf):
         raise DataError(f"column {feature_cols[j].name!r} has no finite values")
+    with np.errstate(over="ignore"):  # an infinite span is the error below
+        span = col_max - col_min
+    for j in np.flatnonzero(span == np.inf):
+        raise DataError(f"column {feature_cols[j].name!r} spans more than the float64 range")
     if not labels:
         raise DataError(
             f"no rows match labels {sorted({str(w).strip().lower() for w in wanted})}; "

@@ -403,6 +403,19 @@ def test_ragged_row_in_second_file_names_that_file(tmp_path, capsys):
     assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
 
+def test_column_spanning_more_than_float64_exits_3_naming_it(tmp_path, capsys):
+    config = write_toy_run(tmp_path)
+    lines = (tmp_path / "toy.csv").read_text().splitlines(keepends=True)
+    lines[1] = "1.7976931348623157e+308,0.5,attack\n"
+    lines[-1] = "-1e300,0.5,normal\n"
+    (tmp_path / "toy.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "data error: column 'f1' spans more than the float64 range\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_unbalanced_quote_names_its_file_and_row(tmp_path, capsys):
     from synthflow import toydata
 

@@ -3,14 +3,15 @@ import io
 import json
 import os
 import re
+import signal
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from itertools import chain, compress
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthflow import dataio, schemas
@@ -138,6 +139,12 @@ def test_clean_column_without_finite_values_errors():
         clean_numeric(table, TWO_COL, XYZ)
 
 
+def test_clean_column_spanning_more_than_float64_errors():
+    table = RawTable(["a", "b", "label"], ["1.7976931348623157e+308,1,x", "-1e300,2,y"])
+    with pytest.raises(DataError, match="column 'a' spans more than the float64 range"):
+        clean_numeric(table, TWO_COL, XYZ)
+
+
 def test_clean_missing_schema_column_errors():
     table = RawTable(["a", "label"], ["1,x"])
     with pytest.raises(DataError, match="missing"):
@@ -233,12 +240,18 @@ def assert_streams_like_the_eager_reference(table, header, rows, schema, wanted)
     cleaned by :func:`reference_clean_numeric`, the whole matrix normalized
     by its min and max (a zero extreme as +0.0), then the label mask.
 
-    Returns what ``clean_numeric`` returned, or None when no row matches
-    ``wanted`` and it rightly refuses.
+    Returns what ``clean_numeric`` returned, or None when it rightly
+    refuses: a column's max - min overflows float64, or no row matches
+    ``wanted``.
     """
     ref_values, ref_labels, ref_dropped = reference_clean_numeric(header, rows, schema)
     col_min, col_max = ref_values.min(axis=0) + 0.0, ref_values.max(axis=0) + 0.0
-    span = col_max - col_min
+    with np.errstate(over="ignore"):
+        span = col_max - col_min
+    if np.isinf(span).any():
+        with pytest.raises(DataError, match="spans more than the float64 range"):
+            clean_numeric(table, schema, wanted)
+        return None
     ref_normalized = (ref_values - col_min) / np.where(span > 0, span, 1.0)
     ref_normalized[:, span == 0] = 0.0
     keys = {str(w).strip().lower() for w in wanted}
@@ -393,10 +406,11 @@ def test_long_label_survives_intact():
 
 class LoadtxtSpy:
     """Wraps np.loadtxt and records, per call, the block's first record and
-    whether the C reader took the block."""
+    whether the C reader took the block. Each call is appended as a line of
+    JSON to ``path``, so a forked worker's calls are recorded too."""
 
-    def __init__(self, monkeypatch):
-        self.calls = []
+    def __init__(self, monkeypatch, path):
+        self.path = path
         self.real = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", self)
 
@@ -404,28 +418,147 @@ class LoadtxtSpy:
         try:
             out = self.real(lines, **kwargs)
         except ValueError:
-            self.calls.append((lines[0], False))
+            self.record(lines[0], False)
             raise
-        self.calls.append((lines[0], True))
+        self.record(lines[0], True)
         return out
 
+    def record(self, first, loaded):
+        with open(self.path, "a", encoding="utf-8") as fh:  # one write per call
+            fh.write(json.dumps([first, loaded]) + "\n")
 
+    def calls(self, rows):
+        """The recorded calls in block order, each block's in call order."""
+        calls = [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
+        return sorted(calls, key=lambda call: rows.index(call[0]))
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])
 @pytest.mark.parametrize("middle, loaded", [
     ("id5,junk,tcp,5,x,-5.25\n", [False]),  # the C reader rejects the block
     ('id5,5.5,tcp,5,"x,y",-5.25\n', []),  # a quote: the C reader never sees it
 ])
-def test_one_block_falls_back_between_fast_blocks(monkeypatch, middle, loaded):
+def test_one_block_falls_back_between_fast_blocks(tmp_path, monkeypatch, middle, loaded, fork):
+    if not fork:
+        monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(dataio, "BLOCK_ROWS", 4)
     rows = [f"id{r},{r}.5,{('tcp', 'udp')[r % 2]},{r},x,{-r}.25\n" for r in range(12)]
     rows[5] = middle
     text = "id, a ,proto,b,label, c\n" + "".join(rows)
     reference = reference_parse_csv(io.StringIO(text))
-    spy = LoadtxtSpy(monkeypatch)
+    spy = LoadtxtSpy(monkeypatch, tmp_path / "loadtxt_calls.jsonl")
     assert_streams_like_the_eager_reference(parse_csv(io.StringIO(text)), *reference, MIXED, XYZ)
-    assert spy.calls == [(rows[0], True)] * 2 + [(rows[4], ok) for ok in loaded] + [
+    assert spy.calls(rows) == [(rows[0], True)] * 2 + [(rows[4], ok) for ok in loaded] + [
         (rows[8], True)
     ] * 2
 
+
+
+# ------------------------------------------ the worker that parses blocks
+
+def two_col_text(n_rows):
+    return "a,b,label\n" + "".join(f"{r},{r + 0.5},{'xy'[r % 2]}\n" for r in range(n_rows))
+
+
+def count_forks(monkeypatch):
+    """Count the os.fork calls of this process."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+@contextmanager
+def leaves_nothing_open(seconds=20):
+    """The block leaves no child process and no open descriptor behind; a
+    block still running after ``seconds`` raises TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("n_rows, forks", [
+    (1, 0), (dataio.BLOCK_ROWS, 0), (dataio.BLOCK_ROWS + 1, 1), (20 * dataio.BLOCK_ROWS, 1),
+])
+def test_a_second_block_starts_one_worker(monkeypatch, n_rows, forks):
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        values, labels, _, _, _ = clean_numeric(
+            parse_csv(io.StringIO(two_col_text(n_rows))), TWO_COL, {"x"}
+        )
+    assert len(counted) == forks
+    assert values[:, 0].tolist() == list(map(float, range(0, n_rows, 2)))
+    assert labels == ["x"] * len(values)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])
+def test_ragged_row_while_the_worker_parses_names_its_file_and_row(tmp_path, monkeypatch, fork):
+    # 2-record blocks: the ragged row is in the 8th block, in the second round
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", 2)
+    counted = count_forks(monkeypatch)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    for name in ("1.csv", "2.csv"):
+        (tmp_path / name).write_text(two_col_text(10))
+    lines = (tmp_path / "2.csv").read_text().splitlines(keepends=True)
+    lines[6] = "5,5,x,9\n"  # data row 6 of 2.csv, data row 16 of the stream
+    (tmp_path / "2.csv").write_text("".join(lines))
+    message = f"{tmp_path / '2.csv'}: ragged row 6: expected 3 cells, got 4"
+    with leaves_nothing_open():
+        tables = [parse_csv(tmp_path / name) for name in ("1.csv", "2.csv")]
+        table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
+        with pytest.raises(DataError, match=re.escape(message)):
+            clean_numeric(table, TWO_COL, XYZ)
+    assert len(counted) == fork
+
+
+def test_worker_that_fails_makes_ingest_raise(monkeypatch):
+    parent, parse_block = os.getpid(), dataio._parse_block
+
+    def failing_in_the_worker(block, plan):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        return parse_block(block, plan)
+
+    monkeypatch.setattr(dataio, "_parse_block", failing_in_the_worker)
+    with leaves_nothing_open():
+        with pytest.raises(OSError, match="the worker parsing ingest blocks exited with 255"):
+            clean_numeric(parse_csv(io.StringIO(two_col_text(4000))), TWO_COL, XYZ)
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, MemoryError])
+def test_interrupted_fold_reaps_the_worker(monkeypatch, interrupt):
+    calls, select = [], dataio.filter_by_label
+
+    def interrupted_on_the_third_block(labels, wanted):
+        calls.append(1)
+        if len(calls) == 3:
+            raise interrupt()
+        return select(labels, wanted)
+
+    monkeypatch.setattr(dataio, "filter_by_label", interrupted_on_the_third_block)
+    with leaves_nothing_open():
+        # the error is held, and its traceback with it, while the check runs:
+        # the worker must be gone all the same
+        with pytest.raises(interrupt) as caught:
+            clean_numeric(parse_csv(io.StringIO(two_col_text(4000))), TWO_COL, XYZ)
+    assert caught.traceback
 
 PADS = st.sampled_from(["", " ", "\t", "  "])
 TEXT = st.text(st.characters(exclude_characters=',"\r\n'), max_size=6)
@@ -516,14 +649,25 @@ WANTED = st.one_of(st.none(), st.sets(
 @pytest.mark.parametrize("block_rows", [2, 3, dataio.BLOCK_ROWS])
 @settings(deadline=None, max_examples=150)
 @given(text=csv_texts(), wanted=WANTED)
+# a column whose max - min overflows float64 is refused
+@example(
+    text="id, a ,proto,b,label, c\nid0,1.7976931348623157e+308,tcp,1,x,1.0\n"
+    "id1,-9.9792015476736e+291,udp,2,y,2.0\nidz,1.0,tcp,2,x,3.0\n",
+    wanted={"x"},
+)
 def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text, wanted):
     header, rows = reference_parse_csv(io.StringIO(text))
     if wanted is None:
         wanted = {f" {lbl}\t" for lbl in reference_clean_numeric(header, rows, MIXED)[1]}
-    with mock.patch.object(dataio, "BLOCK_ROWS", block_rows):
-        assert_streams_like_the_eager_reference(
-            parse_csv(io.StringIO(text)), header, rows, MIXED, wanted
-        )
+    for fork in (True, False):  # two processes parse the blocks, then one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "BLOCK_ROWS", block_rows)
+            if not fork:
+                mp.delattr(os, "fork")
+            assert_streams_like_the_eager_reference(
+                parse_csv(io.StringIO(text)), header, rows, MIXED, wanted
+            )
+        assert_no_child_left()
 
 
 # ------------------------------------------------------------- normalization
