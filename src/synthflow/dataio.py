@@ -11,16 +11,19 @@ Ingest streams: :func:`parse_csv` reads only the header and hands back the
 data records as a lazy iterator of raw text, and :func:`clean_numeric`
 parses them a block of :data:`BLOCK_ROWS` at a time (numpy's C reader, or
 cell by cell where a block needs it). From the second block on, two
-processes parse: a forked worker takes :data:`WORKER_BLOCKS` of each round
-of :data:`ROUND_BLOCKS` blocks, and this process reads every record, parses
-the other blocks and folds every block's result in file order. The fold
-keeps the rows of the selected labels in one growing float64 matrix and the
-stats of every row, so the output does not depend on which process parsed
-what. Memory is bounded by the blocks in flight, about two rounds, plus
-the selected rows.
+processes parse: :func:`_two_process_map` gives a forked worker 3 of each
+round of 5 blocks, and this process reads every record, parses the other
+blocks and folds every block's result in file order. The fold keeps the
+rows of the selected labels in one growing float64 matrix and the stats of
+every row, so the output does not depend on which process parsed what.
+Memory is bounded by the blocks in flight, about two rounds, plus the
+selected rows.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
-sees either the previous file or the complete new one.
+sees either the previous file or the complete new one. The float rows of
+``synthetic.csv`` are formatted by the same map, a worker taking 2 of each
+round of 4 blocks, and this process writes every text in order
+(:func:`write_matrix_csv`).
 
 The dataset cache and the model checkpoint are each two files: a raw
 float64 ``.npy`` beside a small JSON document that describes it (for the
@@ -38,7 +41,6 @@ import math
 import operator
 import os
 import pickle
-import shutil
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import closing, contextmanager, nullcontext, suppress
@@ -121,19 +123,27 @@ def read_json(path, decode=None):
         raise DataError(f"{path} is malformed: {exc!r}") from exc
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break (RFC 4180); else as it is."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_line(cells) -> str:
     return ",".join([
-        (f'"{c}"' if "," in c else c) if isinstance(c, str) else repr(c)
-        for c in cells
+        _csv_cell(c) if isinstance(c, str) else repr(c) for c in cells
     ]) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
     """Write a CSV artifact one row at a time.
 
-    Text cells are quoted only when they contain a comma; every other cell
-    is its ``repr``, which round-trips floats exactly. Pass plain Python
-    numbers (``ndarray.tolist()``), not numpy scalars.
+    Text cells are quoted as RFC 4180 asks, only when they hold a comma, a
+    quote or a line break; every other cell is its ``repr``, which
+    round-trips floats exactly. Pass plain Python numbers
+    (``ndarray.tolist()``), not numpy scalars.
     """
     with atomic_write(path) as fh:
         fh.write(_csv_line(header))
@@ -141,25 +151,20 @@ def write_csv(path, header, rows) -> None:
             fh.write(_csv_line(row))
 
 
-def _write_float_rows(fh, matrix: np.ndarray) -> None:
-    for row in matrix:  # one row's text at a time: memory stays flat
-        fh.write(",".join(map(repr, row.tolist())) + "\n")
-
-
-_WORKER_FAILED = 255  # exit code of a worker failing without an errno; every errno is below it
+def _float_rows(block: np.ndarray) -> str:
+    """The CSV text of the rows of a float64 matrix, each cell its ``repr``."""
+    return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
 
 
 @contextmanager
-def _forked(work, what: str, filename: str | None = None):
+def _forked(work, what: str):
     """Run ``work()`` in a worker made with ``os.fork`` while the block runs,
     and reap the worker when the block ends, on every path.
 
     The worker leaves by ``os._exit`` alone, so it flushes no inherited
-    buffer and never unwinds into the caller. Its exit code is 0 once
-    ``work`` returns, the errno of an ``OSError`` it raised, or
-    :data:`_WORKER_FAILED`. A worker that failed raises ``OSError`` after
-    the block: ``[Errno N] <reason>: <filename>`` for an errno, else ``the
-    worker <what> exited with <code>``. So does an ``EOFError``, a
+    buffer and never unwinds into the caller: with 0 once ``work`` returns,
+    else 255. A worker that failed raises ``OSError("the worker <what>
+    exited with <code>")`` after the block. So does an ``EOFError``, a
     truncated pickle or a broken pipe from the block: that is how a worker
     that stopped early shows to a process reading or writing its pipes.
     Any other error of the block wins over the worker's. The block must
@@ -167,13 +172,10 @@ def _forked(work, what: str, filename: str | None = None):
     """
     pid = os.fork()
     if pid == 0:
-        code = _WORKER_FAILED
+        code = 255
         try:
             work()
             code = 0
-        except OSError as exc:  # its errno is the exit code, for the reason
-            if 0 < (exc.errno or 0) < _WORKER_FAILED:
-                code = exc.errno
         finally:
             os._exit(code)
     ended_early = False
@@ -183,47 +185,94 @@ def _forked(work, what: str, filename: str | None = None):
         ended_early = True
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if 0 < status < _WORKER_FAILED:
-        raise OSError(status, os.strerror(status), filename)
     if status or ended_early:
         raise OSError(f"the worker {what} exited with {status}")
 
 
+def _send(fh, obj) -> None:
+    pickle.dump(obj, fh, pickle.HIGHEST_PROTOCOL)
+    fh.flush()
+
+
+def _pipe():
+    """A pipe's read and write ends as binary file objects."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb"), open(write_fd, "wb")
+
+
+def _two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator:
+    """``work(item)`` for each of ``items``, in order, from two processes.
+
+    ``items`` are taken in rounds of ``r`` for a ``share`` of ``(w, r)``. A
+    worker made with ``os.fork`` (:func:`_forked`, which names it by
+    ``what``) computes the first ``len(round) * w // r`` items of each
+    round, ``w`` of a full one: they go to it pickled over one pipe, and
+    their results come back over another. This process computes the
+    round's other items, then takes the next round while the worker is
+    busy. When the first round gives the worker nothing, or without
+    ``os.fork``, this process computes every item. Close the iterator when
+    done with it: that reaps the worker.
+    """
+    w, r = share
+    items = iter(items)
+    batch = list(islice(items, r))
+    k = len(batch) * w // r
+    if not k or not hasattr(os, "fork"):
+        for item in chain(batch, items):
+            yield work(item)
+        return
+    (inbox, to_worker), (from_worker, outbox) = _pipe(), _pipe()
+    with inbox, to_worker, from_worker, outbox:
+
+        def serve():
+            # the worker drops its copies of this process's ends: its input then
+            # ends when this process closes to_worker, and its writes fail once
+            # this process closes from_worker
+            to_worker.close()
+            from_worker.close()
+            while True:
+                try:
+                    theirs = pickle.load(inbox)
+                except EOFError:
+                    return
+                _send(outbox, [work(item) for item in theirs])
+
+        with _forked(serve, what):
+            inbox.close()
+            outbox.close()
+            with to_worker, from_worker:  # closed first, so the worker ends
+                _send(to_worker, batch[:k])
+                while batch:
+                    mine = [work(item) for item in batch[k:]]
+                    batch.clear()  # sent or computed: freed before the next round is taken
+                    batch += islice(items, r)
+                    k = len(batch) * w // r
+                    theirs = pickle.load(from_worker)
+                    if batch:
+                        _send(to_worker, batch[:k])
+                    yield from theirs
+                    yield from mine
+                    del theirs, mine  # consumed: freed before the next round is computed
+
+
 def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     """Write a float64 matrix as a CSV artifact: the bytes :func:`write_csv`
-    writes for its rows' ``tolist()``, from two processes.
+    writes for its rows' ``tolist()``.
 
-    Float ``repr`` is the cost, so a worker made with ``os.fork`` formats
-    the second half of the rows into ``<name>.part`` while this process
-    writes the header and the first half into ``<name>.tmp``; the part is
-    then appended and removed. A worker that fails raises ``OSError``
-    (see :func:`_forked`) and leaves ``path`` as it was. Without
-    ``os.fork`` this process writes every row.
+    Float ``repr`` is the cost, so the blocks of :data:`BLOCK_ROWS` rows
+    are formatted by :func:`_two_process_map`: the worker inherits the
+    matrix, so only each block's row offset goes to it and only text comes
+    back, and this process writes every block's text in order. A matrix of
+    one block is written by this process alone. A worker that fails raises
+    ``OSError`` (see :func:`_forked`) and leaves ``path`` as it was.
     """
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
     with atomic_write(path) as fh:
         fh.write(_csv_line(header))
-        if not hasattr(os, "fork"):
-            _write_float_rows(fh, matrix)
-            return
-        half = len(matrix) // 2
-
-        def write_part():
-            with open(part, "w", encoding="utf-8", newline="") as out:
-                _write_float_rows(out, matrix[half:])
-
-        try:
-            with _forked(write_part, f"writing {part}", str(part)):
-                _write_float_rows(fh, matrix[:half])
-            fh.flush()
-            with open(part, "rb") as rest:
-                shutil.copyfileobj(rest, fh.buffer)
-        except BaseException:
-            with suppress(OSError):  # as in atomic_write: the first error is raised
-                part.unlink(missing_ok=True)
-            raise
-        part.unlink()
+        with closing(_two_process_map(
+            lambda start: _float_rows(matrix[start:start + BLOCK_ROWS]),
+            range(0, len(matrix), BLOCK_ROWS), _CSV_SHARE, f"formatting {path}",
+        )) as texts:
+            fh.writelines(texts)
 
 
 def config_from_dict(cls, data: dict):
@@ -431,21 +480,26 @@ def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -
     return RawTable(next(records), records)
 
 
-# Records per block in clean_numeric. On a 30k-record CICIDS-shaped file it
-# took the same time with 256-, 1024- and 4096-record blocks (64 was about
-# 15% slower), so the block stays small: its raw text, and its str cells when
-# the csv module splits it (about 1.3 MB for 85 columns), are then a small
-# share of ingest memory.
+# Records per block in clean_numeric, and rows per block in
+# write_matrix_csv. On a 30k-record CICIDS-shaped file ingest took the same
+# time with 256-, 1024- and 4096-record blocks (64 was about 15% slower), so
+# the block stays small: its raw text, and its str cells when the csv module
+# splits it (about 1.3 MB for 85 columns), are then a small share of ingest
+# memory.
 BLOCK_ROWS = 256
-# Blocks per round of clean_numeric's two processes: a forked worker parses
-# the first WORKER_BLOCKS, this process the others besides reading every
-# record and folding every result, so with 3 of 5 both finish a round at
-# about the same time. On the 30k-row CICIDS-shaped ingest_day fixture
+# The worker's share (w, r) of each round of r blocks in clean_numeric's two
+# processes: it parses the first w, this process the others besides reading
+# every record and folding every result, so with 3 of 5 both finish a round
+# at about the same time. On the 30k-row CICIDS-shaped ingest_day fixture
 # keeping DoS GoldenEye (in-process, each split in turn, median of 20 on a
 # shared 2-core Xeon VM), 3 of 5 took 0.75 of one process's time, 2 of 3
 # took 0.79 and 1 of 2 took 0.82.
-ROUND_BLOCKS = 5
-WORKER_BLOCKS = 3
+_INGEST_SHARE = (3, 5)
+# The worker's share in write_matrix_csv, where this process also writes
+# every text. Formatting 8000 x 78 rows (in-process, 30 alternating repeats,
+# same VM), 2 of 4 took the time of the earlier half-and-half writer, 1 of 2
+# about the same and 3 of 5 20% more.
+_CSV_SHARE = (2, 4)
 
 _LOADTXT = {"delimiter": ",", "comments": None, "ndmin": 2}
 
@@ -511,69 +565,6 @@ def _parse_block(block: list[str], plan: _BlockPlan) -> tuple[np.ndarray, list[s
     return parsed[keep], [lbl.strip() for lbl in compress(labels, keep)], m
 
 
-def _send(fh, obj) -> None:
-    pickle.dump(obj, fh, pickle.HIGHEST_PROTOCOL)
-    fh.flush()
-
-
-def _pipe():
-    """A pipe's read and write ends as binary file objects."""
-    read_fd, write_fd = os.pipe()
-    return open(read_fd, "rb"), open(write_fd, "wb")
-
-
-def _parsed_blocks(rows: Iterator[str], plan: _BlockPlan) -> Iterator[tuple]:
-    """:func:`_parse_block` of each block of :data:`BLOCK_ROWS` records of
-    ``rows``, in file order.
-
-    This process reads the records. From the second block on, a worker
-    made with ``os.fork`` (:func:`_forked`) parses the first
-    :data:`WORKER_BLOCKS` blocks of each round of :data:`ROUND_BLOCKS`:
-    they go to it pickled over one pipe, and their results come back over
-    another. This process parses the round's other blocks, then reads the
-    next round while the worker is busy. Without ``os.fork``, or with one
-    block, this process parses every block. Close the iterator when done
-    with it, as :func:`clean_numeric` does: that reaps the worker.
-    """
-    blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
-    batch = list(islice(blocks, ROUND_BLOCKS))
-    if len(batch) < 2 or not hasattr(os, "fork"):
-        for block in chain(batch, blocks):
-            yield _parse_block(block, plan)
-        return
-    (inbox, to_worker), (from_worker, outbox) = _pipe(), _pipe()
-    with inbox, to_worker, from_worker, outbox:
-
-        def serve():
-            # the worker drops its copies of this process's ends: its input then
-            # ends when this process closes to_worker, and its writes fail once
-            # this process closes from_worker
-            to_worker.close()
-            from_worker.close()
-            while True:
-                try:
-                    theirs = pickle.load(inbox)
-                except EOFError:
-                    return
-                _send(outbox, [_parse_block(block, plan) for block in theirs])
-
-        with _forked(serve, "parsing ingest blocks"):
-            inbox.close()
-            outbox.close()
-            with to_worker, from_worker:  # closed first, so the worker ends
-                _send(to_worker, batch[:WORKER_BLOCKS])
-                while batch:
-                    mine = [_parse_block(block, plan) for block in batch[WORKER_BLOCKS:]]
-                    batch.clear()  # sent or parsed: freed before the next round is read
-                    batch += islice(blocks, ROUND_BLOCKS)
-                    theirs = pickle.load(from_worker)
-                    if batch:
-                        _send(to_worker, batch[:WORKER_BLOCKS])
-                    yield from theirs
-                    yield from mine
-                    del theirs, mine  # folded: freed before the next round is parsed
-
-
 def clean_numeric(
     table: RawTable, schema: FeatureSchema, wanted
 ) -> tuple[np.ndarray, list[str], Counter, int, NormalizationStats]:
@@ -591,7 +582,8 @@ def clean_numeric(
 
     Each block of :data:`BLOCK_ROWS` records is parsed by
     :func:`_parse_block`, from the second block on by two processes
-    (:func:`_parsed_blocks`). numpy's C reader parses a block
+    (:func:`_two_process_map`: the worker takes 3 blocks of every 5, and
+    ``n * 3 // 5`` of a last round of ``n``). numpy's C reader parses a block
     (:func:`_loadtxt`): the numeric columns as float64, the categorical
     and label columns as text. A block it cannot take goes through the csv
     module and :func:`_parse_cell`, which states the rules (a numeric
@@ -632,7 +624,12 @@ def clean_numeric(
     label_counts: Counter = Counter()
     dropped = 0
     col_min, col_max = np.full(d, np.inf), np.full(d, -np.inf)
-    with closing(_parsed_blocks(iter(table.rows), plan)) as parsed_blocks:
+    rows = iter(table.rows)
+    blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
+    parsed_blocks = _two_process_map(
+        lambda block: _parse_block(block, plan), blocks, _INGEST_SHARE, "parsing ingest blocks"
+    )
+    with closing(parsed_blocks):
         for kept, kept_labels, m in parsed_blocks:
             finite = np.isfinite(kept)
             np.minimum(col_min, kept.min(axis=0, initial=np.inf, where=finite), out=col_min)

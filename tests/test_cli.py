@@ -927,6 +927,7 @@ def test_reevaluate_leaves_only_the_histograms_its_manifest_lists(tmp_path):
     assert {p.name for p in out.iterdir()} == _listed_artifacts(out)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_artifact_that_cannot_be_written_exits_3_and_keeps_the_earlier_file(
     evaluated_run, tmp_path, capsys
 ):
@@ -934,12 +935,13 @@ def test_artifact_that_cannot_be_written_exits_3_and_keeps_the_earlier_file(
     config, out = tmp_path / "config.json", tmp_path / "run"
     assert run(config, "generate", "--count", "10") == EXIT_OK
     earlier = (out / cli.SYNTH_FILE).read_bytes()
-    (out / "synthetic.csv.part").mkdir()  # the forked worker cannot open its part
+    (out / "synthetic.csv.tmp").symlink_to("/dev/full")  # every write: no space left
     capsys.readouterr()
-    assert run(config, "generate", "--count", "20") == EXIT_DATA
+    # more than one block of rows, so a forked worker formats some of them
+    assert run(config, "generate", "--count", "600") == EXIT_DATA
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "synthetic.csv.part" in err
-    assert "Is a directory" in err  # the worker's reason reaches the message
+    assert len(err.splitlines()) == 1 and "synthetic.csv.tmp" in err
+    assert "No space left on device" in err
     assert (out / cli.SYNTH_FILE).read_bytes() == earlier
     assert not (out / "synthetic.csv.tmp").exists()
 

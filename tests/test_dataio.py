@@ -507,6 +507,26 @@ def test_a_second_block_starts_one_worker(monkeypatch, n_rows, forks):
     assert labels == ["x"] * len(values)
 
 
+@pytest.mark.parametrize("blocks", [2, 3])
+def test_both_processes_parse_a_short_input(tmp_path, monkeypatch, blocks):
+    # the worker takes its share of a short round, not the whole of it
+    pids, parse_block = tmp_path / "pids", dataio._parse_block
+
+    def recording(block, plan):
+        with open(pids, "a", encoding="utf-8") as fh:  # one write per call
+            fh.write(f"{os.getpid()}\n")
+        return parse_block(block, plan)
+
+    monkeypatch.setattr(dataio, "_parse_block", recording)
+    with leaves_nothing_open():
+        clean_numeric(
+            parse_csv(io.StringIO(two_col_text(blocks * dataio.BLOCK_ROWS))), TWO_COL, XYZ
+        )
+    parsed_by = pids.read_text().split()
+    assert len(parsed_by) == blocks and str(os.getpid()) in parsed_by
+    assert len(set(parsed_by)) == 2
+
+
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])
 def test_ragged_row_while_the_worker_parses_names_its_file_and_row(tmp_path, monkeypatch, fork):
     # 2-record blocks: the ragged row is in the 8th block, in the second round
@@ -851,6 +871,7 @@ def assert_no_child_left():
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])
 @pytest.mark.parametrize("n", [1, 2, 3, 1025])
 def test_matrix_csv_is_the_bytes_of_write_csv(tmp_path, monkeypatch, n, fork):
+    counted = count_forks(monkeypatch)
     if not fork:
         monkeypatch.delattr(os, "fork")
     matrix = float_matrix(n)
@@ -859,44 +880,62 @@ def test_matrix_csv_is_the_bytes_of_write_csv(tmp_path, monkeypatch, n, fork):
     dataio.write_matrix_csv(tmp_path / "out.csv", names, matrix)
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "out.csv"]
+    # one block of rows is written by this process alone
+    assert len(counted) == (fork and n > dataio.BLOCK_ROWS)
     assert_no_child_left()
 
 
-def fail_in(process: str, monkeypatch):
-    """Make the row writer raise in the worker or in this process only."""
-    parent, write_rows = os.getpid(), dataio._write_float_rows
+@pytest.mark.parametrize("name", ['a"b', "x\ny", '"q"', "c,d", "x\r\ny", "r\r", " p "])
+def test_csv_header_reads_back_through_the_csv_module(tmp_path, name):
+    names = [name, "f1"]
+    write_csv(tmp_path / "rows.csv", names, [[1.0, 2.0]])
+    dataio.write_matrix_csv(tmp_path / "matrix.csv", names, np.array([[1.0, 2.0]]))
+    for path in (tmp_path / "rows.csv", tmp_path / "matrix.csv"):
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [names, ["1.0", "2.0"]]
 
-    def failing(fh, rows):
+
+def fail_in(process: str, monkeypatch):
+    """Make the block formatter raise in the worker or in this process only."""
+    parent, float_rows = os.getpid(), dataio._float_rows
+
+    def failing(block):
         if (os.getpid() == parent) == (process == "parent"):
             raise RuntimeError(f"{process} failed")
-        write_rows(fh, rows)
+        return float_rows(block)
 
-    monkeypatch.setattr(dataio, "_write_float_rows", failing)
+    monkeypatch.setattr(dataio, "_float_rows", failing)
 
 
 @pytest.mark.parametrize("failure, error", [
-    ("worker", OSError), ("part is a directory", OSError), ("parent", RuntimeError),
+    ("worker", OSError),
+    pytest.param("tmp on /dev/full", OSError, marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full"
+    )),
+    ("parent", RuntimeError),
 ])
 def test_failed_matrix_csv_keeps_the_earlier_file_and_reaps_the_worker(
     tmp_path, monkeypatch, failure, error
 ):
     path = tmp_path / "synthetic.csv"
     path.write_bytes(b"earlier\n")
-    if failure == "part is a directory":  # the worker cannot open its part
-        (tmp_path / "synthetic.csv.part").mkdir()
+    counted = count_forks(monkeypatch)
+    if failure == "tmp on /dev/full":  # this process's writes fail, not the worker's
+        (tmp_path / "synthetic.csv.tmp").symlink_to("/dev/full")
     else:
         fail_in(failure, monkeypatch)
-    # the first error, not the part's cleanup, is raised; a worker's OSError
-    # keeps its reason
+    # the first error is raised: this process's own, named by its file, wins
+    # over the exit of the worker it stops
     reason = {
-        "worker": "worker writing", "part is a directory": "Is a directory: .*csv.part",
+        "worker": "the worker formatting .*synthetic.csv exited with 255",
+        "tmp on /dev/full": "No space left on device: .*synthetic.csv.tmp",
         "parent": "parent failed",
     }[failure]
     with pytest.raises(error, match=reason):
-        dataio.write_matrix_csv(path, ["a", "b"], float_matrix(100)[:, :2])
+        dataio.write_matrix_csv(path, ["a", "b"], float_matrix(4 * dataio.BLOCK_ROWS)[:, :2])
     assert path.read_bytes() == b"earlier\n"
-    assert not (tmp_path / "synthetic.csv.tmp").exists()
-    assert not (tmp_path / "synthetic.csv.part").is_file()
+    assert list(tmp_path.iterdir()) == [path]
+    assert len(counted) == 1
     assert_no_child_left()
 
 
