@@ -39,7 +39,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ from .dataio import (
     DataError,
     DatasetMatrix,
     FeatureSchema,
-    RawTable,
     atomic_write,
     clean_numeric,
     filter_by_label,  # for perfbench/tracer.py WRAPS; goes when ROADMAP item 1 allows it absent
@@ -114,7 +113,7 @@ TOP_FEATURES = 15
 REFERENCE_RMSE_MEANS = 0.10
 REFERENCE_AUC = 0.75
 
-DATASET_KINDS = ("nsl-kdd", "cicids2017", "custom")
+DATASET_KINDS = (*schemas.BUNDLED_SCHEMAS, "custom")
 
 
 class ConfigError(ValueError):
@@ -330,13 +329,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     # every header is checked before any data row is read; the rows of all
     # files then stream through clean_numeric one block at a time
     names = None if cfg.headered() else [c.name for c in schema.columns]
-    tables = [parse_csv(p, has_header=cfg.headered(), names=names) for p in cfg.csv]
-    header = tables[0].header
-    for p, t in zip(cfg.csv[1:], tables[1:]):
-        if t.header != header:
-            raise DataError(f"CSV header of {p} differs from {cfg.csv[0]}")
-    table = RawTable(header, chain.from_iterable(t.rows for t in tables))
-
+    table = parse_csv(cfg.csv, names)
     values, labels, label_counts, dropped, stats = clean_numeric(table, schema, cfg.labels)
     stamps.append(time.perf_counter())
     data = DatasetMatrix(minmax_normalize(values, stats), labels, stats, schema)

@@ -7,17 +7,17 @@ columns are ignored, and the single label column keeps its text for
 filtering. Cleaning maps infinities to the column's finite extrema and drops
 rows with unparseable cells, so the resulting matrix is always finite.
 
-Ingest streams: :func:`parse_csv` reads only the header and hands back the
-data records as a lazy iterator of raw text, and :func:`clean_numeric`
-parses them a block of :data:`BLOCK_ROWS` at a time (numpy's C reader, or
-cell by cell where a block needs it). From the second block on, two
-processes parse: :func:`_two_process_map` gives a forked worker 3 of each
-round of 5 blocks, and this process reads every record, parses the other
-blocks and folds every block's result in file order. The fold keeps the
-rows of the selected labels in one growing float64 matrix and the stats of
-every row, so the output does not depend on which process parsed what.
-Memory is bounded by the blocks in flight, about two rounds, plus the
-selected rows.
+Ingest streams: :func:`parse_csv` reads only the input files' headers and
+hands back the data records of every file as one lazy iterator of raw
+text, and :func:`clean_numeric` parses them a block of :data:`BLOCK_ROWS`
+at a time (numpy's C reader, or cell by cell where a block needs it).
+From the second block on, two processes parse: :func:`_two_process_map`
+gives a forked worker 3 of each round of 5 blocks, and this process reads
+every record, parses the other blocks and folds every block's result in
+file order. The fold keeps the rows of the selected labels in one growing
+float64 matrix and the stats of every row, so the output does not depend
+on which process parsed what. Memory is bounded by the blocks in flight,
+about two rounds, plus the selected rows.
 
 Every artifact file is written through :func:`atomic_write`, so a reader
 sees either the previous file or the complete new one. The float rows of
@@ -43,7 +43,7 @@ import os
 import pickle
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -163,12 +163,13 @@ def _forked(work, what: str):
 
     The worker leaves by ``os._exit`` alone, so it flushes no inherited
     buffer and never unwinds into the caller: with 0 once ``work`` returns,
-    else 255. A worker that failed raises ``OSError("the worker <what>
-    exited with <code>")`` after the block. So does an ``EOFError``, a
-    truncated pickle or a broken pipe from the block: that is how a worker
-    that stopped early shows to a process reading or writing its pipes.
-    Any other error of the block wins over the worker's. The block must
-    leave the worker nothing to wait for, or the reap waits too.
+    else 255. A worker that failed, or was killed by a signal, raises
+    ``OSError("the worker <what> exited with <code>")`` after the block. So
+    does an ``EOFError``, a truncated pickle or a broken pipe from the
+    block: that is how a worker that stopped early shows to a process
+    reading or writing its pipes. Any other error of the block wins over
+    the worker's, such as the reason a worker sent up its pipe. The block
+    must leave the worker nothing to wait for, or the reap waits too.
     """
     pid = os.fork()
     if pid == 0:
@@ -210,8 +211,11 @@ def _two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator
     their results come back over another. This process computes the
     round's other items, then takes the next round while the worker is
     busy. When the first round gives the worker nothing, or without
-    ``os.fork``, this process computes every item. Close the iterator when
-    done with it: that reaps the worker.
+    ``os.fork``, this process computes every item. When ``work`` raises in
+    the worker, its type and text come back in place of the round's
+    results, and the iterator raises ``OSError("the worker <what> failed:
+    <type>: <text>")``. Close the iterator when done with it: that reaps
+    the worker.
     """
     w, r = share
     items = iter(items)
@@ -235,7 +239,12 @@ def _two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator
                     theirs = pickle.load(inbox)
                 except EOFError:
                     return
-                _send(outbox, [work(item) for item in theirs])
+                try:
+                    results = [work(item) for item in theirs]
+                except Exception as exc:  # the reason goes up in place of the results
+                    _send(outbox, f"{type(exc).__name__}: {exc}")
+                    raise
+                _send(outbox, results)
 
         with _forked(serve, what):
             inbox.close()
@@ -248,6 +257,8 @@ def _two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator
                     batch += islice(items, r)
                     k = len(batch) * w // r
                     theirs = pickle.load(from_worker)
+                    if isinstance(theirs, str):
+                        raise OSError(f"the worker {what} failed: {theirs}")
                     if batch:
                         _send(to_worker, batch[:k])
                     yield from theirs
@@ -425,19 +436,16 @@ def _record(line: str, lines) -> tuple[list[str], str]:
     return next(csv.reader(chain([line], more)), []), "".join(taken)
 
 
-def _records(source, names: list[str] | None) -> Iterator:
+def _records(path, names: list[str] | None) -> Iterator:
     """Yield the header (read from the file when ``names`` is None), then
-    the raw text of each non-blank data record. A path is opened here and
-    closed when the iterator ends or is discarded."""
-    path = isinstance(source, (str, Path))
-    where = f"{source}: " if path else ""
+    the raw text of each non-blank data record. The file is opened here and
+    closed when the iterator ends or is discarded; every error names it."""
     headerless = names is not None
-    fh = open(source, encoding="utf-8-sig", errors="replace", newline="") if path else source
-    with fh if path else nullcontext():
+    with open(path, encoding="utf-8-sig", errors="replace", newline="") as fh:
         if not headerless:
             first = next(filter(None, csv.reader(fh)), None)
             if first is None:
-                raise DataError("empty CSV: no header row found")
+                raise DataError(f"{path}: empty CSV: no header row found")
             names = _mangle_duplicates([cell.strip() for cell in first])
         yield names
         width, n = len(names), 0
@@ -448,36 +456,38 @@ def _records(source, names: list[str] | None) -> Iterator:
                 try:
                     cells, line = _record(line, fh)
                 except csv.Error as exc:  # an unbalanced quote overruns the field limit
-                    raise DataError(f"{where}unreadable row {n + 1}: {exc}") from exc
+                    raise DataError(f"{path}: unreadable row {n + 1}: {exc}") from exc
                 if not cells:
                     continue
                 if len(cells) != width:
                     raise DataError(
-                        f"{where}ragged row {n + 1}: expected {width} cells, got {len(cells)}"
+                        f"{path}: ragged row {n + 1}: expected {width} cells, got {len(cells)}"
                     )
             n += 1
             yield line
     if headerless and n == 0:
-        raise DataError(f"{where}empty CSV: no data rows found")
+        raise DataError(f"{path}: empty CSV: no data rows found")
 
 
-def parse_csv(source, has_header: bool = True, names: list[str] | None = None) -> RawTable:
-    """Read the header of a comma-separated file; stream its data records.
+def parse_csv(paths, names: list[str] | None = None) -> RawTable:
+    """Read the headers of comma-separated files; stream their data records.
 
-    ``source`` is a path, read as UTF-8 without its byte-order mark, or an
-    open text stream. Header cells are whitespace-trimmed and duplicates
-    are suffix-mangled. For headerless files pass ``has_header=False`` and
-    supply ``names`` (for example from a schema). Only the header is read
-    here: the returned table's ``rows`` is a lazy iterator of raw record
-    texts, and a path stays open until it is exhausted. Blank lines are
-    skipped; a ragged row, or a headerless file without data rows, raises
-    :class:`DataError` when the iterator reaches it, naming the 1-based
-    data row and, for a path, the file.
+    Each of ``paths`` is read as UTF-8 without its byte-order mark. Header
+    cells are whitespace-trimmed and duplicates are suffix-mangled. Given
+    ``names`` (for example a schema's), the files have no header: every
+    line is data. Every file's header is read here, before any data row,
+    and must equal the first file's. The table's ``rows`` is a lazy
+    iterator of the raw record texts of each file in turn, and a file stays
+    open until its records are exhausted. Blank lines are skipped; a ragged
+    row, or a headerless file without data rows, raises :class:`DataError`
+    when the iterator reaches it, naming the file and the 1-based data row.
     """
-    if not has_header and not names:
-        raise DataError("headerless CSV needs schema-supplied column names")
-    records = _records(source, None if has_header else list(names))
-    return RawTable(next(records), records)
+    files = [_records(p, names) for p in paths]
+    header = next(files[0])
+    for p, records in zip(paths[1:], files[1:]):
+        if next(records) != header:
+            raise DataError(f"CSV header of {p} differs from {paths[0]}")
+    return RawTable(header, chain.from_iterable(files))
 
 
 # Records per block in clean_numeric, and rows per block in
@@ -657,9 +667,8 @@ def clean_numeric(
             f"available: {sorted(label_counts)}"
         )
     stats = NormalizationStats(col_min + 0.0, col_max + 0.0)  # -0.0 + 0.0 is +0.0
-    for column, lo, hi in zip(values.T, stats.col_min, stats.col_max):
-        column[column == np.inf] = hi
-        column[column == -np.inf] = lo
+    np.copyto(values, stats.col_max, where=values == np.inf)
+    np.copyto(values, stats.col_min, where=values == -np.inf)
     return values, labels, label_counts, dropped, stats
 
 

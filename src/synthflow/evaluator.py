@@ -285,17 +285,13 @@ class GbmModel:
     n_features: int
 
 
-def gbm_fit(
-    train: LabeledSet,
-    n_trees: int = 100,
-    max_depth: int = 3,
-    shrinkage: float = 0.1,
-) -> GbmModel:
-    """Boost regression trees on the logistic loss.
+def gbm_fit(train: LabeledSet, config: EvalConfig) -> GbmModel:
+    """Boost ``config.n_trees`` regression trees of at most
+    ``config.max_depth`` levels on the logistic loss.
 
     Each round fits a tree to the residual (label - predicted probability)
-    with hessian weights p*(1-p). Fitting is fully deterministic. The sizes
-    and the shrinkage are those an :class:`EvalConfig` admits.
+    with hessian weights p*(1-p), and adds it scaled by ``config.shrinkage``.
+    Fitting is fully deterministic.
     """
     y = train.labels.astype(np.float64)
     if y.min() == y.max():
@@ -304,16 +300,16 @@ def gbm_fit(
     base_score = float(np.log(prior / (1.0 - prior)))
     scores = np.full(y.shape, base_score)
     # the features never change between rounds: one presort serves all trees
-    build = _tree_builder(train.features, max_depth)
+    build = _tree_builder(train.features, config.max_depth)
     fitted = np.empty_like(scores)  # each round's tree prediction on train
     trees: list[RegressionTree] = []
-    for _ in range(n_trees):
+    for _ in range(config.n_trees):
         p = sigmoid(scores)
         residuals = y - p
         hessians = p * (1.0 - p)
         trees.append(RegressionTree(build(residuals, hessians, fitted)))
-        scores += shrinkage * fitted
-    return GbmModel(base_score, trees, shrinkage, train.features.shape[1])
+        scores += config.shrinkage * fitted
+    return GbmModel(base_score, trees, config.shrinkage, train.features.shape[1])
 
 
 def gbm_predict(model: GbmModel, features) -> np.ndarray:
@@ -572,12 +568,7 @@ def evaluate(
         np.concatenate((real.features[fit_real], synth[fit_synth])),
         np.repeat([0, 1], (fit_real.size, fit_synth.size)),
     )
-    model = gbm_fit(
-        train,
-        n_trees=config.n_trees,
-        max_depth=config.max_depth,
-        shrinkage=config.shrinkage,
-    )
+    model = gbm_fit(train, config)
     auc, roc_points = roc_auc(
         gbm_predict(model, real.features[hold_real]),
         gbm_predict(model, synth[hold_synth]),

@@ -272,9 +272,7 @@ class RmsPropState:
     scratch: np.ndarray
 
 
-def rmsprop_state(
-    params: np.ndarray, lr: float = 1e-3, rho: float = 0.9, epsilon: float = 1e-6
-) -> RmsPropState:
+def rmsprop_state(params: np.ndarray, lr: float, rho: float, epsilon: float) -> RmsPropState:
     """Fresh optimizer state with a zeroed accumulator matching ``params``."""
     return RmsPropState(lr, rho, epsilon, np.zeros_like(params), np.empty((2, params.size)))
 

@@ -174,7 +174,7 @@ def test_c5_evaluator_oracles():
     xor_rng = np.random.default_rng(42)
     x = xor_rng.uniform(0.0, 1.0, size=(200, 2))
     y = ((x[:, 0] > 0.5) ^ (x[:, 1] > 0.5)).astype(int)
-    model = gbm_fit(LabeledSet(x, y), n_trees=50, max_depth=2, shrinkage=0.1)
+    model = gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=50, max_depth=2))
     accuracy = ((gbm_predict(model, x) > 0.5).astype(int) == y).mean()
     assert accuracy >= 0.95
 

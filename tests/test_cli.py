@@ -1,4 +1,5 @@
 import ctypes
+import hashlib
 import io
 import json
 import os
@@ -403,6 +404,24 @@ def test_ragged_row_in_second_file_names_that_file(tmp_path, capsys):
     assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
 
+def test_second_file_with_another_header_exits_3_naming_both(tmp_path, capsys):
+    from synthflow import toydata
+
+    toydata.write_toy_csv(tmp_path / "a.csv", n_rows=20, seed=1)
+    (tmp_path / "b.csv").write_text("f1,f3,label\n0.5,0.5,attack\n")
+    config = write_toy_run(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["csv"] = ["a.csv", "b.csv"]
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        f"data error: CSV header of {tmp_path / 'b.csv'} differs from {tmp_path / 'a.csv'}\n"
+    )
+    assert not (tmp_path / "run").exists()
+
+
 def test_column_spanning_more_than_float64_exits_3_naming_it(tmp_path, capsys):
     config = write_toy_run(tmp_path)
     lines = (tmp_path / "toy.csv").read_text().splitlines(keepends=True)
@@ -605,6 +624,108 @@ def test_two_file_ingest_equals_ingest_of_joined_file(tmp_path):
         ])
     assert caches[0] == caches[1]
     assert "rows parsed: 200" in (tmp_path / "two" / cli.SUMMARY_FILE).read_text()
+
+
+# --------------------------------------------- ingest byte oracle
+
+def _numeric_schema(*names):
+    return {"columns": [{"name": n, "role": "numeric"} for n in names]
+            + [{"name": "label", "role": "label"}]}
+
+
+def _three_blocks() -> str:
+    """600 records: the first and last blocks for numpy's C reader, the middle
+    one (records 257-512) for the csv module, which a quoted comma and an
+    empty cell send it to."""
+    rows = ["a,b,label\n"]
+    for i in range(600):
+        label = "normal" if i % 3 == 0 else "attack"
+        a = "" if i == 300 else repr(i / 4)
+        if i in (270, 400):
+            label = '"dos, slow"'
+        rows.append(f"{a},{i % 9 - 4},{label}\n")
+    return "".join(rows)
+
+
+# case: (files, schema, labels, extra config keys)
+GOLDEN_INGESTS = {
+    "c reader and csv module": (
+        {"a.csv": _three_blocks().encode()},
+        _numeric_schema("a", "b"), ["attack", "dos, slow"], {},
+    ),
+    "bom, duplicate name, specials, crlf": (
+        {"a.csv": b"\xef\xbb\xbf a ,b,a,label\r\n"
+                  b"1,-0,2,x\r\n"
+                  b"Infinity,3,-0,x\r\n"
+                  b"-Infinity,4,5,y\r\n"
+                  b"NaN,1,1,x\r\n"
+                  b"2,-0.0,7, x \r\n"
+                  b"5,6,Infinity,x\r\n"
+                  b"-0,-Infinity,3,x\r\n"},
+        _numeric_schema("a", "b", "a.1"), ["x"], {},
+    ),
+    "two files": (
+        {"a.csv": b"f1,f2,label\n1,2,attack\n3,4,normal\n0.5,-1,attack",
+         "b.csv": b"f1,f2,label\n5,6,attack\n\n7,8e3,attack\n"},
+        _numeric_schema("f1", "f2"), ["attack"], {},
+    ),
+    "headerless, categorical": (
+        {"kdd.csv": b"0,tcp,100,normal,21\n1,udp,5,smurf,15\n2,icmp,7,smurf,3\n"
+                    b"3,bogus,9,smurf,1\n4,tcp,-2.5,smurf,9\n"},
+        {"columns": [
+            {"name": "duration", "role": "numeric"},
+            {"name": "proto", "role": "categorical", "categories": ["icmp", "tcp", "udp"]},
+            {"name": "bytes", "role": "numeric"},
+            {"name": "label", "role": "label"},
+            {"name": "difficulty", "role": "drop"},
+        ]},
+        ["smurf"], {"has_header": False},
+    ),
+}
+
+# sha256 of dataset.npy, dataset.json and ingest_summary.txt for each case: a
+# change to ingest must leave every byte of them as it is
+GOLDEN_DIGESTS = {
+    "c reader and csv module": [
+        "f67ec69b93abbe2184ec35977596865971114bf9aa540fda42e18520323abbe6",
+        "ef83305bfd6a51e3e58e30aac79a30728afcb4c779bddb70a87aa518e9a2476f",
+        "5bf4f930561b36ee90e38a3727f1b21d6fc7cae1c59b12bb2f4f6b7dff78c882",
+    ],
+    "bom, duplicate name, specials, crlf": [
+        "6d3ef45d53a9593947d7fa5cbaf0ea9c30c5313d102a89d4fd3cd501a4608f8a",
+        "7cd56b3e372bde2907b808372514130722a2d9df9094715b64f5730992d9d2c7",
+        "c8cdca976658a7dc35d0f39036173941fa50867a30b291d307173f7e899eb058",
+    ],
+    "two files": [
+        "9c57d761c117358ae5a1c71f3e0a547d4479a9ebbcd28df36b8cf59acb846cdb",
+        "f05a3ccc90e1e6f0ee4612a9b5efafb44ecafc7edbf4f70cb07a93d12ed16d24",
+        "c7001a82b4f2733cbf4be2fc0812e9b7e8d29205508955544effd8aeb753d6a2",
+    ],
+    "headerless, categorical": [
+        "4241138350df70b9176f518941b2ab2e433186ed01a9c35a54ab1e438fe802a2",
+        "91c14798e4e5fb0edc443d7f07cd57b826f8bb838fa2e91bc85b315e9892c076",
+        "bcc81948586e2ce97b0540c3e40729dd107bb57a1fb08085099202af0be78e58",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_INGESTS)
+def test_ingest_bytes_match_their_golden_digests(tmp_path, case):
+    files, schema, labels, extra = GOLDEN_INGESTS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": "custom", "csv": list(files), "labels": labels,
+        "schema": "schema.json", "seed": 1, "out": "run", **extra,
+    }))
+    assert run(config, "ingest") == EXIT_OK
+    digests = [
+        hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in (cli.DATASET_MATRIX_FILE, cli.DATASET_FILE, cli.SUMMARY_FILE)
+    ]
+    assert digests == GOLDEN_DIGESTS[case]
 
 
 def test_truncated_quality_report_is_data_error(tmp_path, capsys):

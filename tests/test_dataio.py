@@ -4,10 +4,11 @@ import json
 import os
 import re
 import signal
+import tempfile
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -62,39 +63,49 @@ def make_dataset(features, labels=None, schema=None):
 
 # ----------------------------------------------------------------- parse_csv
 
+def parse_text(text, names=None):
+    """``parse_csv`` of one file that holds ``text`` as UTF-8, its line ends
+    as they are. The file is removed once ``parse_csv`` has opened it."""
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return parse_csv([path], names)
+    finally:
+        os.remove(path)
+
+
 def test_parse_minimal_table():
-    t = parse_csv(io.StringIO("a,b\n1,2\n"))
+    t = parse_text("a,b\n1,2\n")
     assert t.header == ["a", "b"]
     assert list(t.rows) == ["1,2\n"]
 
 
 def test_parse_ragged_row_reports_index():
     with pytest.raises(DataError, match="row 2"):
-        list(parse_csv(io.StringIO("a,b\n1,2\n1,2,3\n")).rows)
+        list(parse_text("a,b\n1,2\n1,2,3\n").rows)
 
 
 def test_parse_quoted_field_is_one_cell():
-    t = parse_csv(io.StringIO('a,b\n"x,y",2\n'))
+    t = parse_text('a,b\n"x,y",2\n')
     assert list(t.rows) == ['"x,y",2\n']
-    t = parse_csv(io.StringIO('b,label\n2,"x,y"\n'))
+    t = parse_text('b,label\n2,"x,y"\n')
     schema = FeatureSchema((Column("b", NUMERIC), Column("label", LABEL)))
     assert clean_numeric(t, schema, {"x,y"})[1] == ["x,y"]
 
 
 def test_parse_empty_file_errors():
     with pytest.raises(DataError, match="empty"):
-        parse_csv(io.StringIO(""))
+        parse_text("")
 
 
 def test_parse_trims_and_mangles_header():
-    t = parse_csv(io.StringIO(" a , b ,a\n1,2,3\n"))
+    t = parse_text(" a , b ,a\n1,2,3\n")
     assert t.header == ["a", "b", "a.1"]
 
 
 def test_parse_headerless_requires_names():
-    with pytest.raises(DataError, match="names"):
-        parse_csv(io.StringIO("1,2\n"), has_header=False)
-    t = parse_csv(io.StringIO("1,2\n"), has_header=False, names=["a", "b"])
+    t = parse_text("1,2\n", ["a", "b"])  # names: the first line is data
     assert t.header == ["a", "b"]
     assert list(t.rows) == ["1,2\n"]
 
@@ -323,7 +334,7 @@ def test_streamed_ingest_matches_eager_reference_bitwise(monkeypatch, block_rows
     monkeypatch.setattr(dataio, "BLOCK_ROWS", block_rows)
     text = mixed_csv(seed)
     values, _, _, dropped, _ = assert_streams_like_the_eager_reference(
-        parse_csv(io.StringIO(text)), *reference_parse_csv(io.StringIO(text)), MIXED, XYZ
+        parse_text(text), *reference_parse_csv(io.StringIO(text)), MIXED, XYZ
     )
     # the table really exercises what it is meant to
     assert dropped > 0 and values.shape[0] > 4 * block_rows
@@ -334,7 +345,7 @@ def test_streamed_ingest_matches_eager_reference_bitwise(monkeypatch, block_rows
 def test_parse_csv_reads_only_the_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n1,2,3\n")
-    table = parse_csv(path)  # the ragged row is not read yet
+    table = parse_csv([path])  # the ragged row is not read yet
     assert table.header == ["a", "b"]
     assert next(iter(table.rows)) == "1,2\n"
 
@@ -343,13 +354,13 @@ def test_ragged_row_after_first_block_names_its_row(monkeypatch):
     monkeypatch.setattr(dataio, "BLOCK_ROWS", 3)
     text = "a,b,label\n" + "1,2,x\n\n" * 7 + "1,2\n" + "3,4,y\n"
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
-        clean_numeric(parse_csv(io.StringIO(text)), TWO_COL, XYZ)
+        clean_numeric(parse_text(text), TWO_COL, XYZ)
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
         reference_parse_csv(io.StringIO(text))
 
 
 def test_headerless_csv_without_rows_errors_when_read():
-    table = parse_csv(io.StringIO("\n\n"), has_header=False, names=["a", "b", "label"])
+    table = parse_text("\n\n", ["a", "b", "label"])
     with pytest.raises(DataError, match="no data rows"):
         clean_numeric(table, TWO_COL, XYZ)
 
@@ -359,17 +370,29 @@ def test_two_files_stream_as_one_table(tmp_path, monkeypatch):
     first, second = mixed_csv(3, n_rows=10), mixed_csv(4, n_rows=11)
     (tmp_path / "1.csv").write_text(first)
     (tmp_path / "2.csv").write_text(second)
-    tables = [parse_csv(tmp_path / "1.csv"), parse_csv(tmp_path / "2.csv")]
-    table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
+    table = parse_csv([tmp_path / "1.csv", tmp_path / "2.csv"])
     header, rows = reference_parse_csv(io.StringIO(first))
     rows += reference_parse_csv(io.StringIO(second))[1]
     assert_streams_like_the_eager_reference(table, header, rows, MIXED, XYZ)
 
 
+@pytest.mark.parametrize("first", ["a,b,label\n1,2,x\n", "a,b,label\n1,2,3,x\n"],
+                         ids=["clean", "ragged"])
+def test_second_header_that_differs_names_both_files(tmp_path, first):
+    # every header is read before any data row: a ragged row in the first
+    # file does not hide the second file's header
+    (tmp_path / "1.csv").write_text(first)
+    (tmp_path / "2.csv").write_text("a,c,label\n1,2,x\n")
+    paths = [tmp_path / "1.csv", tmp_path / "2.csv"]
+    message = f"CSV header of {paths[1]} differs from {paths[0]}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_csv(paths)
+
+
 def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("a,b,label\n1,2,x\n", encoding="utf-8-sig")
-    table = parse_csv(path)
+    table = parse_csv([path])
     assert table.header == ["a", "b", "label"]
     assert clean_numeric(table, TWO_COL, XYZ)[0].tolist() == [[1.0, 2.0]]
 
@@ -377,7 +400,7 @@ def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
 def test_byte_order_mark_keeps_the_first_headerless_row(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("1,2,x\n3,4,y\n", encoding="utf-8-sig")
-    table = parse_csv(path, has_header=False, names=["a", "b", "label"])
+    table = parse_csv([path], ["a", "b", "label"])
     values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
     assert (values.tolist(), labels, dropped) == ([[1.0, 2.0], [3.0, 4.0]], ["x", "y"], 0)
 
@@ -390,8 +413,7 @@ def test_row_with_too_many_cells_names_its_file_and_row(tmp_path, monkeypatch, b
         if name == bad_file:
             lines[6] = "5,5,x,9\n"  # data row 6, in the second block
         (tmp_path / name).write_text("".join(lines))
-    tables = [parse_csv(tmp_path / name) for name in ("1.csv", "2.csv")]
-    table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
+    table = parse_csv([tmp_path / "1.csv", tmp_path / "2.csv"])
     message = f"{tmp_path / bad_file}: ragged row 6: expected 3 cells, got 4"
     with pytest.raises(DataError, match=re.escape(message)):
         clean_numeric(table, TWO_COL, XYZ)
@@ -400,7 +422,7 @@ def test_row_with_too_many_cells_names_its_file_and_row(tmp_path, monkeypatch, b
 def test_long_label_survives_intact():
     label = "DoS " + "Slowhttptest" * 8
     text = f"a,b,label\n1,2,{label}\n3,4, y \n"
-    labels = clean_numeric(parse_csv(io.StringIO(text)), TWO_COL, {label, "y"})[1]
+    labels = clean_numeric(parse_text(text), TWO_COL, {label, "y"})[1]
     assert len(label) > 64 and labels == [label, "y"]
 
 
@@ -447,7 +469,7 @@ def test_one_block_falls_back_between_fast_blocks(tmp_path, monkeypatch, middle,
     text = "id, a ,proto,b,label, c\n" + "".join(rows)
     reference = reference_parse_csv(io.StringIO(text))
     spy = LoadtxtSpy(monkeypatch, tmp_path / "loadtxt_calls.jsonl")
-    assert_streams_like_the_eager_reference(parse_csv(io.StringIO(text)), *reference, MIXED, XYZ)
+    assert_streams_like_the_eager_reference(parse_text(text), *reference, MIXED, XYZ)
     assert spy.calls(rows) == [(rows[0], True)] * 2 + [(rows[4], ok) for ok in loaded] + [
         (rows[8], True)
     ] * 2
@@ -500,7 +522,7 @@ def test_a_second_block_starts_one_worker(monkeypatch, n_rows, forks):
     counted = count_forks(monkeypatch)
     with leaves_nothing_open():
         values, labels, _, _, _ = clean_numeric(
-            parse_csv(io.StringIO(two_col_text(n_rows))), TWO_COL, {"x"}
+            parse_text(two_col_text(n_rows)), TWO_COL, {"x"}
         )
     assert len(counted) == forks
     assert values[:, 0].tolist() == list(map(float, range(0, n_rows, 2)))
@@ -520,7 +542,7 @@ def test_both_processes_parse_a_short_input(tmp_path, monkeypatch, blocks):
     monkeypatch.setattr(dataio, "_parse_block", recording)
     with leaves_nothing_open():
         clean_numeric(
-            parse_csv(io.StringIO(two_col_text(blocks * dataio.BLOCK_ROWS))), TWO_COL, XYZ
+            parse_text(two_col_text(blocks * dataio.BLOCK_ROWS)), TWO_COL, XYZ
         )
     parsed_by = pids.read_text().split()
     assert len(parsed_by) == blocks and str(os.getpid()) in parsed_by
@@ -541,8 +563,7 @@ def test_ragged_row_while_the_worker_parses_names_its_file_and_row(tmp_path, mon
     (tmp_path / "2.csv").write_text("".join(lines))
     message = f"{tmp_path / '2.csv'}: ragged row 6: expected 3 cells, got 4"
     with leaves_nothing_open():
-        tables = [parse_csv(tmp_path / name) for name in ("1.csv", "2.csv")]
-        table = RawTable(tables[0].header, chain.from_iterable(t.rows for t in tables))
+        table = parse_csv([tmp_path / "1.csv", tmp_path / "2.csv"])
         with pytest.raises(DataError, match=re.escape(message)):
             clean_numeric(table, TWO_COL, XYZ)
     assert len(counted) == fork
@@ -558,8 +579,24 @@ def test_worker_that_fails_makes_ingest_raise(monkeypatch):
 
     monkeypatch.setattr(dataio, "_parse_block", failing_in_the_worker)
     with leaves_nothing_open():
-        with pytest.raises(OSError, match="the worker parsing ingest blocks exited with 255"):
-            clean_numeric(parse_csv(io.StringIO(two_col_text(4000))), TWO_COL, XYZ)
+        message = "the worker parsing ingest blocks failed: RuntimeError: worker failed"
+        with pytest.raises(OSError, match=message):
+            clean_numeric(parse_text(two_col_text(4000)), TWO_COL, XYZ)
+
+
+def test_worker_killed_by_a_signal_reads_its_exit_code(monkeypatch):
+    parent, parse_block = os.getpid(), dataio._parse_block
+
+    def killed_in_the_worker(block, plan):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse_block(block, plan)
+
+    monkeypatch.setattr(dataio, "_parse_block", killed_in_the_worker)
+    with leaves_nothing_open():
+        message = f"the worker parsing ingest blocks exited with {-signal.SIGKILL}"
+        with pytest.raises(OSError, match=message):
+            clean_numeric(parse_text(two_col_text(4000)), TWO_COL, XYZ)
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, MemoryError])
@@ -573,15 +610,18 @@ def test_interrupted_fold_reaps_the_worker(monkeypatch, interrupt):
         return select(labels, wanted)
 
     monkeypatch.setattr(dataio, "filter_by_label", interrupted_on_the_third_block)
+    # opened before the check: the held traceback keeps the input file open
+    table = parse_text(two_col_text(4000))
     with leaves_nothing_open():
         # the error is held, and its traceback with it, while the check runs:
-        # the worker must be gone all the same
+        # the worker and its pipes must be gone all the same
         with pytest.raises(interrupt) as caught:
-            clean_numeric(parse_csv(io.StringIO(two_col_text(4000))), TWO_COL, XYZ)
+            clean_numeric(table, TWO_COL, XYZ)
     assert caught.traceback
 
 PADS = st.sampled_from(["", " ", "\t", "  "])
-TEXT = st.text(st.characters(exclude_characters=',"\r\n'), max_size=6)
+# a CSV file holds UTF-8 text: no lone surrogate
+TEXT = st.text(st.characters(codec="utf-8", exclude_characters=',"\r\n'), max_size=6)
 # numbers numpy's C reader parses, and so every line of a block can go to it
 C_NUMBERS = st.tuples(PADS, st.one_of(
     st.floats().map(repr),
@@ -685,7 +725,7 @@ def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text, wa
             if not fork:
                 mp.delattr(os, "fork")
             assert_streams_like_the_eager_reference(
-                parse_csv(io.StringIO(text)), header, rows, MIXED, wanted
+                parse_text(text), header, rows, MIXED, wanted
             )
         assert_no_child_left()
 
@@ -927,7 +967,7 @@ def test_failed_matrix_csv_keeps_the_earlier_file_and_reaps_the_worker(
     # the first error is raised: this process's own, named by its file, wins
     # over the exit of the worker it stops
     reason = {
-        "worker": "the worker formatting .*synthetic.csv exited with 255",
+        "worker": "the worker formatting .*synthetic.csv failed: RuntimeError: worker failed",
         "tmp on /dev/full": "No space left on device: .*synthetic.csv.tmp",
         "parent": "parent failed",
     }[failure]
@@ -1033,7 +1073,7 @@ def test_dataset_matrix_validates_range():
 
 def test_row_count_conservation():
     text = "a,b,label\n1,2,x\nNaN,2,x\n3,4,y\n5,6,x\n"
-    table = parse_csv(io.StringIO(text))
+    table = parse_text(text)
     table.rows = list(table.rows)
     parsed = len(table.rows)
     values, labels, label_counts, dropped, stats = clean_numeric(table, TWO_COL, {"x"})

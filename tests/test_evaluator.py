@@ -312,7 +312,7 @@ def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth, n_columns):
     y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=n) > 0.5).astype(int)
     y[60:75] = 1 - y[:15]  # some duplicate rows carry both labels
     train = LabeledSet(x, y)
-    model = gbm_fit(train, n_trees=8, max_depth=max_depth)
+    model = gbm_fit(train, EvalConfig(n_trees=8, max_depth=max_depth))
     want = reference_trees(train, 8, max_depth)
     assert [node_bits(t) for t in model.trees] == [node_bits(t) for t in want]
 
@@ -328,7 +328,7 @@ def test_gbm_fit_memory_is_bounded_per_fit_cell():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model = gbm_fit(train, n_trees=2, max_depth=3)
+        model = gbm_fit(train, EvalConfig(n_trees=2, max_depth=3))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -340,13 +340,13 @@ def test_gbm_fit_memory_is_bounded_per_fit_cell():
 
 def test_gbm_rejects_single_class():
     with pytest.raises(ValueError, match="both classes"):
-        gbm_fit(LabeledSet(np.zeros((4, 1)), np.zeros(4)))
+        gbm_fit(LabeledSet(np.zeros((4, 1)), np.zeros(4)), EvalConfig())
 
 
 def test_gbm_separable_1d_holdout_accuracy():
     train_x = np.array([[-3.0], [-2.5], [-2.0], [-1.0], [1.0], [2.0], [2.5], [3.0]])
     train_y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    model = gbm_fit(LabeledSet(train_x, train_y), n_trees=1, max_depth=2)
+    model = gbm_fit(LabeledSet(train_x, train_y), EvalConfig(n_trees=1, max_depth=2))
     hold_x = np.array([[-1.7], [-0.4], [0.6], [1.8]])
     hold_y = np.array([0, 0, 1, 1])
     pred = (gbm_predict(model, hold_x) > 0.5).astype(int)
@@ -355,7 +355,7 @@ def test_gbm_separable_1d_holdout_accuracy():
 
 def test_gbm_constant_features_predict_prior():
     y = np.array([0, 0, 0, 1])
-    model = gbm_fit(LabeledSet(np.full((4, 2), 0.5), y), n_trees=20)
+    model = gbm_fit(LabeledSet(np.full((4, 2), 0.5), y), EvalConfig(n_trees=20))
     probs = gbm_predict(model, np.array([[0.5, 0.5], [9.0, -9.0]]))
     assert np.allclose(probs, 0.25, atol=1e-12)
 
@@ -364,7 +364,7 @@ def test_gbm_xor_training_accuracy():
     rng = np.random.default_rng(42)
     x = rng.uniform(0.0, 1.0, size=(200, 2))
     y = ((x[:, 0] > 0.5) ^ (x[:, 1] > 0.5)).astype(int)
-    model = gbm_fit(LabeledSet(x, y), n_trees=50, max_depth=2, shrinkage=0.1)
+    model = gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=50, max_depth=2))
     acc = ((gbm_predict(model, x) > 0.5).astype(int) == y).mean()
     assert acc >= 0.95
 
@@ -373,7 +373,7 @@ def test_gbm_training_logloss_non_increasing():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(60, 3))
     y = (x[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(int)
-    model = gbm_fit(LabeledSet(x, y), n_trees=40, max_depth=3, shrinkage=0.1)
+    model = gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=40))
     scores = np.full(60, model.base_score)
 
     def logloss(s):
@@ -398,7 +398,7 @@ def test_gbm_predict_zero_trees_gives_prior():
 def test_gbm_zero_leaf_tree_is_additive_identity():
     x = np.random.default_rng(0).normal(size=(10, 2))
     y = (x[:, 0] > 0).astype(int)
-    model = gbm_fit(LabeledSet(x, y), n_trees=3)
+    model = gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=3))
     before = gbm_predict(model, x)
     model.trees.append(RegressionTree(TreeNode(value=0.0)))
     assert np.array_equal(gbm_predict(model, x), before)
@@ -430,14 +430,14 @@ def test_importance_single_decisive_feature():
     rng = np.random.default_rng(5)
     y = rng.integers(0, 2, size=40)
     x = np.column_stack([y.astype(float), np.full(40, 0.5), np.full(40, 0.5)])
-    model = gbm_fit(LabeledSet(x, y), n_trees=5, max_depth=2)
+    model = gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=5, max_depth=2))
     imp = feature_importance(model)
     assert imp.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_importance_no_split_model_is_all_zero():
     model = gbm_fit(
-        LabeledSet(np.full((4, 2), 1.0), np.array([0, 0, 1, 1])), n_trees=3
+        LabeledSet(np.full((4, 2), 1.0), np.array([0, 0, 1, 1])), EvalConfig(n_trees=3)
     )
     assert feature_importance(model).tolist() == [0.0, 0.0]
 
@@ -446,7 +446,7 @@ def test_importance_normalized_and_nonnegative():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(80, 4))
     y = (x[:, 1] - x[:, 3] > 0).astype(int)
-    imp = feature_importance(gbm_fit(LabeledSet(x, y), n_trees=10))
+    imp = feature_importance(gbm_fit(LabeledSet(x, y), EvalConfig(n_trees=10)))
     assert (imp >= 0.0).all()
     assert abs(imp.sum() - 1.0) < 1e-12
 
@@ -694,10 +694,7 @@ def stacked_evaluate(real, synth, config, rng):
         hold.append(shuffled[:k])
         fit.append(shuffled[k:])
     fit, hold = np.concatenate(fit), np.concatenate(hold)
-    model = gbm_fit(
-        LabeledSet(features[fit], labels[fit]),
-        n_trees=config.n_trees, max_depth=config.max_depth, shrinkage=config.shrinkage,
-    )
+    model = gbm_fit(LabeledSet(features[fit], labels[fit]), config)
     scores = gbm_predict(model, features[hold])
     auc, roc_points = roc_auc(scores[labels[hold] == 0], scores[labels[hold] == 1])
     return QualityReport(
@@ -768,15 +765,15 @@ def test_evaluate_adds_little_beyond_the_fit_matrix(monkeypatch):
 
     fits = []
 
-    def recording_fit(train, **kwargs):
+    def recording_fit(train, config):
         fits.append(train)
-        return gbm_fit(train, **kwargs)
+        return gbm_fit(train, config)
 
     with monkeypatch.context() as m:  # the fit evaluate makes, to replay alone
         m.setattr(evaluator, "gbm_fit", recording_fit)
         evaluate(real, synth, config, np.random.default_rng(1))
     (train,) = fits
-    fit_peak = traced_peak(gbm_fit, train, config.n_trees, config.max_depth, config.shrinkage)
+    fit_peak = traced_peak(gbm_fit, train, config)
     cells = train.features.size
     del fits, train
     extra = traced_peak(evaluate, real, synth, config, np.random.default_rng(1)) - fit_peak

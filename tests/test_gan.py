@@ -190,10 +190,11 @@ def test_generator_loss_gradient_matches_finite_differences():
 
 def test_generator_update_leaves_critic_untouched():
     rng = np.random.default_rng(3)
-    model = build_model(GanConfig.small(noise_dim=2), 2, rng)
+    config = GanConfig.small(noise_dim=2)
+    model = build_model(config, 2, rng)
     before = model.critic.vector.copy()
     _, grad = generator_loss(model, rng.uniform(-1, 1, (4, 2)))
-    state = nets.rmsprop_state(model.generator.vector)
+    state = nets.rmsprop_state(model.generator.vector, config.lr, config.rho, config.epsilon)
     nets.rmsprop_step(model.generator.vector, grad, state)
     assert np.array_equal(model.critic.vector, before)
 

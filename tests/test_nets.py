@@ -162,7 +162,7 @@ def test_penalty_grad_matches_finite_differences():
 
 def test_rmsprop_zero_gradient_keeps_param_and_decays_cache():
     params = np.array([2.0])
-    state = rmsprop_state(params)
+    state = rmsprop_state(params, lr=0.001, rho=0.9, epsilon=1e-6)
     state.cache[:] = 0.5
     rmsprop_step(params, np.array([0.0]), state)
     assert params[0] == 2.0
@@ -191,14 +191,14 @@ def test_rmsprop_second_identical_step():
 
 def test_rmsprop_nonfinite_gradient_names_parameter():
     params = np.array([1.0, 2.0])
-    state = rmsprop_state(params)
+    state = rmsprop_state(params, lr=0.001, rho=0.9, epsilon=1e-6)
     with pytest.raises(NonFiniteError, match="parameter 1"):
         rmsprop_step(params, np.array([0.0, np.inf]), state)
 
 
 def test_rmsprop_failed_step_changes_nothing():
     params = np.array([1.0, 2.0])
-    state = rmsprop_state(params)
+    state = rmsprop_state(params, lr=0.001, rho=0.9, epsilon=1e-6)
     with pytest.raises(NonFiniteError, match="parameter 1"):
         rmsprop_step(params, np.array([1.0, np.inf]), state)
     assert params.tolist() == [1.0, 2.0]
@@ -212,7 +212,7 @@ def test_rmsprop_failed_step_changes_nothing():
 )
 def test_rmsprop_cache_stays_nonnegative(grads, rho):
     params = np.zeros(len(grads))
-    state = rmsprop_state(params, rho=rho)
+    state = rmsprop_state(params, lr=0.001, rho=rho, epsilon=1e-6)
     for _ in range(3):
         rmsprop_step(params, np.array(grads), state)
         assert (state.cache >= 0.0).all()
@@ -222,7 +222,7 @@ def test_training_steps_are_seed_deterministic():
     def run():
         rng = np.random.default_rng(1234)
         net = build_mlp([2, 4, 1], rng)
-        state = rmsprop_state(net.vector)
+        state = rmsprop_state(net.vector, lr=0.001, rho=0.9, epsilon=1e-6)
         for _ in range(10):
             x = rng.normal(size=(5, 2))
             _, cache = mlp_forward(net, x)
