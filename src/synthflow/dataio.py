@@ -11,7 +11,7 @@ Ingest streams: :func:`parse_csv` reads only the input files' headers and
 hands back the data records of every file as one lazy iterator of raw
 text, and :func:`clean_numeric` parses them a block of :data:`BLOCK_ROWS`
 at a time (numpy's C reader, or cell by cell where a block needs it).
-From the second block on, two processes parse: :func:`_two_process_map`
+From the second block on, two processes parse: :func:`.worker.two_process_map`
 gives a forked worker 3 of each round of 5 blocks, and this process reads
 every record, parses the other blocks and folds every block's result in
 file order. The fold keeps the rows of the selected labels in one growing
@@ -40,16 +40,17 @@ import json
 import math
 import operator
 import os
-import pickle
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextlib import closing, contextmanager, suppress
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields
 from itertools import chain, compress, islice
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .worker import two_process_map
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -156,130 +157,20 @@ def _float_rows(block: np.ndarray) -> str:
     return "".join([",".join(map(repr, row)) + "\n" for row in block.tolist()])
 
 
-@contextmanager
-def _forked(work, what: str):
-    """Run ``work()`` in a worker made with ``os.fork`` while the block runs,
-    and reap the worker when the block ends, on every path.
-
-    The worker leaves by ``os._exit`` alone, so it flushes no inherited
-    buffer and never unwinds into the caller: with 0 once ``work`` returns,
-    else 255. A worker that failed, or was killed by a signal, raises
-    ``OSError("the worker <what> exited with <code>")`` after the block. So
-    does an ``EOFError``, a truncated pickle or a broken pipe from the
-    block: that is how a worker that stopped early shows to a process
-    reading or writing its pipes. Any other error of the block wins over
-    the worker's, such as the reason a worker sent up its pipe. The block
-    must leave the worker nothing to wait for, or the reap waits too.
-    """
-    pid = os.fork()
-    if pid == 0:
-        code = 255
-        try:
-            work()
-            code = 0
-        finally:
-            os._exit(code)
-    ended_early = False
-    try:
-        yield
-    except (EOFError, pickle.UnpicklingError, BrokenPipeError):  # its exit code says why
-        ended_early = True
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status or ended_early:
-        raise OSError(f"the worker {what} exited with {status}")
-
-
-def _send(fh, obj) -> None:
-    pickle.dump(obj, fh, pickle.HIGHEST_PROTOCOL)
-    fh.flush()
-
-
-def _pipe():
-    """A pipe's read and write ends as binary file objects."""
-    read_fd, write_fd = os.pipe()
-    return open(read_fd, "rb"), open(write_fd, "wb")
-
-
-def _two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator:
-    """``work(item)`` for each of ``items``, in order, from two processes.
-
-    ``items`` are taken in rounds of ``r`` for a ``share`` of ``(w, r)``. A
-    worker made with ``os.fork`` (:func:`_forked`, which names it by
-    ``what``) computes the first ``len(round) * w // r`` items of each
-    round, ``w`` of a full one: they go to it pickled over one pipe, and
-    their results come back over another. This process computes the
-    round's other items, then takes the next round while the worker is
-    busy. When the first round gives the worker nothing, or without
-    ``os.fork``, this process computes every item. When ``work`` raises in
-    the worker, its type and text come back in place of the round's
-    results, and the iterator raises ``OSError("the worker <what> failed:
-    <type>: <text>")``. Close the iterator when done with it: that reaps
-    the worker.
-    """
-    w, r = share
-    items = iter(items)
-    batch = list(islice(items, r))
-    k = len(batch) * w // r
-    if not k or not hasattr(os, "fork"):
-        for item in chain(batch, items):
-            yield work(item)
-        return
-    (inbox, to_worker), (from_worker, outbox) = _pipe(), _pipe()
-    with inbox, to_worker, from_worker, outbox:
-
-        def serve():
-            # the worker drops its copies of this process's ends: its input then
-            # ends when this process closes to_worker, and its writes fail once
-            # this process closes from_worker
-            to_worker.close()
-            from_worker.close()
-            while True:
-                try:
-                    theirs = pickle.load(inbox)
-                except EOFError:
-                    return
-                try:
-                    results = [work(item) for item in theirs]
-                except Exception as exc:  # the reason goes up in place of the results
-                    _send(outbox, f"{type(exc).__name__}: {exc}")
-                    raise
-                _send(outbox, results)
-
-        with _forked(serve, what):
-            inbox.close()
-            outbox.close()
-            with to_worker, from_worker:  # closed first, so the worker ends
-                _send(to_worker, batch[:k])
-                while batch:
-                    mine = [work(item) for item in batch[k:]]
-                    batch.clear()  # sent or computed: freed before the next round is taken
-                    batch += islice(items, r)
-                    k = len(batch) * w // r
-                    theirs = pickle.load(from_worker)
-                    if isinstance(theirs, str):
-                        raise OSError(f"the worker {what} failed: {theirs}")
-                    if batch:
-                        _send(to_worker, batch[:k])
-                    yield from theirs
-                    yield from mine
-                    del theirs, mine  # consumed: freed before the next round is computed
-
-
 def write_matrix_csv(path, header, matrix: np.ndarray) -> None:
     """Write a float64 matrix as a CSV artifact: the bytes :func:`write_csv`
     writes for its rows' ``tolist()``.
 
     Float ``repr`` is the cost, so the blocks of :data:`BLOCK_ROWS` rows
-    are formatted by :func:`_two_process_map`: the worker inherits the
+    are formatted by :func:`two_process_map`: the worker inherits the
     matrix, so only each block's row offset goes to it and only text comes
     back, and this process writes every block's text in order. A matrix of
     one block is written by this process alone. A worker that fails raises
-    ``OSError`` (see :func:`_forked`) and leaves ``path`` as it was.
+    ``OSError`` (see :func:`.worker.forked`) and leaves ``path`` as it was.
     """
     with atomic_write(path) as fh:
         fh.write(_csv_line(header))
-        with closing(_two_process_map(
+        with closing(two_process_map(
             lambda start: _float_rows(matrix[start:start + BLOCK_ROWS]),
             range(0, len(matrix), BLOCK_ROWS), _CSV_SHARE, f"formatting {path}",
         )) as texts:
@@ -406,7 +297,8 @@ class RawTable:
     """Header names plus an iterable of data records, each the raw text of a
     CSV record of ``len(header)`` cells (lines, if a quoted cell holds one).
 
-    :func:`parse_csv` returns the records as a one-shot lazy iterator.
+    :func:`parse_csv` returns the records as a one-shot lazy iterator that
+    holds its files open; :func:`clean_numeric` closes it when it ends.
     """
 
     header: list[str]
@@ -481,13 +373,25 @@ def parse_csv(paths, names: list[str] | None = None) -> RawTable:
     open until its records are exhausted. Blank lines are skipped; a ragged
     row, or a headerless file without data rows, raises :class:`DataError`
     when the iterator reaches it, naming the file and the 1-based data row.
+    Closing the iterator closes every file.
     """
     files = [_records(p, names) for p in paths]
     header = next(files[0])
     for p, records in zip(paths[1:], files[1:]):
         if next(records) != header:
             raise DataError(f"CSV header of {p} differs from {paths[0]}")
-    return RawTable(header, chain.from_iterable(files))
+    return RawTable(header, _chained(files))
+
+
+def _chained(files) -> Iterator[str]:
+    """The records of each of ``files`` in turn; every file is closed when
+    this ends, is closed or is discarded."""
+    try:
+        for records in files:
+            yield from records
+    finally:
+        for records in files:
+            records.close()
 
 
 # Records per block in clean_numeric, and rows per block in
@@ -592,7 +496,7 @@ def clean_numeric(
 
     Each block of :data:`BLOCK_ROWS` records is parsed by
     :func:`_parse_block`, from the second block on by two processes
-    (:func:`_two_process_map`: the worker takes 3 blocks of every 5, and
+    (:func:`two_process_map`: the worker takes 3 blocks of every 5, and
     ``n * 3 // 5`` of a last round of ``n``). numpy's C reader parses a block
     (:func:`_loadtxt`): the numeric columns as float64, the categorical
     and label columns as text. A block it cannot take goes through the csv
@@ -636,10 +540,11 @@ def clean_numeric(
     col_min, col_max = np.full(d, np.inf), np.full(d, -np.inf)
     rows = iter(table.rows)
     blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
-    parsed_blocks = _two_process_map(
+    parsed_blocks = two_process_map(
         lambda block: _parse_block(block, plan), blocks, _INGEST_SHARE, "parsing ingest blocks"
     )
-    with closing(parsed_blocks):
+    # closed on every path: the worker is reaped, and parse_csv's files closed
+    with closing(parsed_blocks), closing(rows) if hasattr(rows, "close") else nullcontext():
         for kept, kept_labels, m in parsed_blocks:
             finite = np.isfinite(kept)
             np.minimum(col_min, kept.min(axis=0, initial=np.inf, where=finite), out=col_min)

@@ -26,12 +26,21 @@ sum per feature. Those sums run in the order a fresh stable sort of the
 node's rows would give, so the trees are bit for bit those of a per-node
 sort.
 
-A fit's numpy allocations peak at about 35 bytes per fit cell beyond the
-fit matrix: 8 for the root block, 12 for the search's scratch (three
-float64 rows of half the root block each), and the rest for the blocks of
-nodes still to grow. On the goldeneye benchmark's 3,392 x 78 fit that is
-9.2 MB; float64 value blocks with int64 row ids took 22.2 MB (84 bytes per
-cell).
+A fit of at least :data:`_FIT_WORKER_CELLS` cells runs on two cores, split
+by feature as XGBoost's column blocks allow: a forked worker presorts and
+searches half of the features at every node (:func:`_tree_builder`), and a
+tie across the halves still goes to the smaller feature index, so the trees
+are the same bit for bit. The goldeneye benchmark's fit, 3,392 x 78 with 10
+trees, took 160 ms instead of 248 ms in one process (in-process, median of
+9).
+
+In each process a fit's numpy allocations peak at about 35 bytes per cell
+of its own features beyond the fit matrix: 8 for the root block, 12 for
+the search's scratch (three float64 rows of half the root block each), and
+the rest for the blocks of nodes still to grow. With two processes each
+holds about half of that. On goldeneye's fit that is 9.2 MB in one
+process; float64 value blocks with int64 row ids took 22.2 MB (84 bytes
+per cell).
 
 ``evaluate`` leaves each class in the matrix it arrived in: the fit matrix is
 the only copy it makes before the fit, and each class's holdout is scored
@@ -40,11 +49,14 @@ on its own after it.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import DataError, DatasetMatrix, check_count, check_finite, config_from_dict
+from .worker import forked
 
 HISTOGRAM_BINS = 32
 
@@ -199,22 +211,39 @@ class RegressionTree:
                 stack.append(node.right)
 
 
-def _tree_builder(features, max_depth):
-    """Tree grower for one fit: ``build(residuals, hessians, fitted) ->
-    TreeNode``. ``build`` also writes each row's leaf value into ``fitted``,
-    which is then the tree's prediction on the fit matrix.
+# Fit cells (rows x features) from which gbm_fit splits its features
+# between two processes. A fork and the reap of an idle worker take about
+# 3 ms, and each searched node waits for the slower half and a pipe round
+# trip. Timed in-process on tie-heavy random fits of depth 3, one process
+# against two (median of 9, on a shared 2-core Xeon VM): 3392 x 78
+# with 10 trees (goldeneye's size) 302 -> 184 ms, 2030 x 78 with 5 trees
+# 110 -> 76 ms, 800 x 78 48 -> 41 ms, 640 x 78 41 -> 42 ms, 400 x 78
+# 28 -> 32 ms, and 120 x 5 with 8 trees 11 -> 19 ms. Every tree matched.
+_FIT_WORKER_CELLS = 64_000
 
-    Every feature column is stable-sorted once, here, into the root block:
-    one row per feature of (row id, dense rank) entries in sorted order. A
-    node holds its row ids in ascending order (``idx``, for the leaf value)
-    and its block. A split hands each child a stable partition of the
+
+def _half_builder(features, start, stop, max_depth, choose):
+    """Tree grower for features ``start:stop`` of one fit: ``build(residuals,
+    hessians, fitted) -> TreeNode``. ``build`` also writes each row's leaf
+    value into ``fitted``, which is then the tree's prediction on the fit
+    matrix.
+
+    Every feature column of ``start:stop`` is stable-sorted once, here,
+    into the root block: one row per feature of (row id, dense rank)
+    entries in sorted order. A node holds its row ids in ascending order
+    (``idx``, for the leaf value) and its block. At each node that may
+    split, ``choose`` gets the best split of these features, its feature
+    indexed in the fit matrix, and returns the node's split, the best of
+    every feature. A split hands each child a stable partition of the
     block, so every node sums in the order a fresh stable sort of its rows
     would give. A node's block is dropped once its children's are made, and
     nodes at ``max_depth - 1`` make none, since their children are leaves.
     """
-    n_rows, n_features = features.shape
+    n_rows = features.shape[0]
+    view = features[:, start:stop]
+    n_features = stop - start
     root = np.empty((n_features, n_rows), dtype=BLOCK_ENTRY)
-    for j, column in enumerate(features.T):
+    for j, column in enumerate(view.T):
         order = np.argsort(column, kind="stable")
         root["row"][j] = order
         ranks = root["rank"][j]
@@ -258,7 +287,10 @@ def _tree_builder(features, max_depth):
             node.value = float(residuals[idx].sum() / hessians[idx].sum())
             found = None
             if depth < max_depth and idx.size >= 2:
-                found = split_search(features, block, residuals, hessians, work)
+                found = split_search(view, block, residuals, hessians, work)
+                if found is not None:
+                    found = (found[0] + start, *found[1:])
+                found = choose(found)
             if found is None or found[2] <= 0.0:  # a split needs gain > 0
                 fitted[idx] = node.value
                 continue
@@ -273,6 +305,57 @@ def _tree_builder(features, max_depth):
         return tree
 
     return build
+
+
+@contextmanager
+def _tree_builder(features, max_depth):
+    """The tree grower of one fit (see :func:`_half_builder`), for the
+    block's duration.
+
+    A fit of at least two features and :data:`_FIT_WORKER_CELLS` cells runs
+    in two processes: a worker made with ``os.fork`` (:func:`.worker.forked`)
+    owns features ``d//2:``, and this process the others. Each presorts its
+    own features and keeps their blocks and its own search scratch. Each
+    tree's residuals and hessians go down to the worker once. At each node
+    both search their own features; the worker's best wins only if its gain
+    is strictly greater, so a tie keeps the smaller feature index, as one
+    ``split_search`` over every feature would. The chosen split goes down,
+    and each process partitions its own blocks by it. Every gain and
+    threshold is computed as in one process, so the trees are bit for bit
+    the same. Smaller fits, and any fit without ``os.fork``, run here alone.
+    """
+    n_rows, d = features.shape
+    if d < 2 or features.size < _FIT_WORKER_CELLS or not hasattr(os, "fork"):
+        yield _half_builder(features, 0, d, max_depth, lambda found: found)
+        return
+    half = d // 2
+
+    def serve(channel):
+        def choose(found):
+            channel.send(found)
+            return channel.receive()
+
+        build = _half_builder(features, half, d, max_depth, choose)
+        fitted = np.empty(n_rows)
+        while True:
+            build(*channel.receive(), fitted)
+
+    with forked(serve, "searching split features") as worker:
+
+        def choose(found):
+            theirs = worker.receive()
+            if theirs is not None and (found is None or theirs[2] > found[2]):
+                found = theirs
+            worker.send(found)
+            return found
+
+        build = _half_builder(features, 0, half, max_depth, choose)
+
+        def build_both(residuals, hessians, fitted):
+            worker.send((residuals, hessians))
+            return build(residuals, hessians, fitted)
+
+        yield build_both
 
 
 @dataclass
@@ -291,7 +374,9 @@ def gbm_fit(train: LabeledSet, config: EvalConfig) -> GbmModel:
 
     Each round fits a tree to the residual (label - predicted probability)
     with hessian weights p*(1-p), and adds it scaled by ``config.shrinkage``.
-    Fitting is fully deterministic.
+    Fitting is fully deterministic, in one process or two
+    (:func:`_tree_builder`). A worker that fails raises ``OSError("the
+    worker searching split features ...")``, and is reaped on every path.
     """
     y = train.labels.astype(np.float64)
     if y.min() == y.max():
@@ -299,16 +384,16 @@ def gbm_fit(train: LabeledSet, config: EvalConfig) -> GbmModel:
     prior = float(y.mean())
     base_score = float(np.log(prior / (1.0 - prior)))
     scores = np.full(y.shape, base_score)
-    # the features never change between rounds: one presort serves all trees
-    build = _tree_builder(train.features, config.max_depth)
     fitted = np.empty_like(scores)  # each round's tree prediction on train
     trees: list[RegressionTree] = []
-    for _ in range(config.n_trees):
-        p = sigmoid(scores)
-        residuals = y - p
-        hessians = p * (1.0 - p)
-        trees.append(RegressionTree(build(residuals, hessians, fitted)))
-        scores += config.shrinkage * fitted
+    # the features never change between rounds: one presort serves all trees
+    with _tree_builder(train.features, config.max_depth) as build:
+        for _ in range(config.n_trees):
+            p = sigmoid(scores)
+            residuals = y - p
+            hessians = p * (1.0 - p)
+            trees.append(RegressionTree(build(residuals, hessians, fitted)))
+            scores += config.shrinkage * fitted
     return GbmModel(base_score, trees, config.shrinkage, train.features.shape[1])
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and toy data builders.
+"""Shared test utilities: finite-difference oracles, toy data builders and
+the leak checks for forked workers.
 
 The oracles only ever call ``mlp_forward`` (or a supplied scalar function)
 so they stay independent of the gradient code they check.
@@ -7,8 +8,12 @@ so they stay independent of the gradient code they check.
 from __future__ import annotations
 
 import json
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from synthflow import dataio, nets, toydata
 from synthflow.gan import GanConfig
@@ -145,3 +150,54 @@ def write_toy_run(tmp_path, gan_overrides=None, eval_overrides=None, seed=7):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return config_path
+
+
+def count_forks(monkeypatch):
+    """Count the os.fork calls of this process."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def leaves_nothing_open(seconds=20):
+    """The block leaves no child process and no open descriptor behind; a
+    block still running after ``seconds`` raises TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def act_in_the_worker(monkeypatch, owner, name, act):
+    """Patch the function ``owner.name`` so that a call made in a forked
+    worker runs ``act()`` first; calls made in this process run as before."""
+    parent, fn = os.getpid(), getattr(owner, name)
+
+    def patched(*args):
+        if os.getpid() != parent:
+            act()
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, patched)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthflow import cli, dataio
+from synthflow import cli, dataio, evaluator
 from synthflow.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -29,7 +30,7 @@ from synthflow.dataio import (
     save_dataset,
 )
 
-from helpers import write_toy_run
+from helpers import act_in_the_worker, leaves_nothing_open, write_toy_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +100,13 @@ def test_generate_manifest_times_the_write_beside_the_total(toy_pipeline):
     timings = json.loads((toy_pipeline / "generate_manifest.json").read_text())["timings_ms"]
     assert set(timings) == {"total", "write"}
     assert min(timings.values()) >= 0.0
+
+
+def test_evaluate_manifest_times_generate_and_write_beside_the_total(toy_pipeline):
+    timings = json.loads((toy_pipeline / "evaluate_manifest.json").read_text())["timings_ms"]
+    assert set(timings) == {"total", "generate", "write"}
+    assert min(timings.values()) >= 0.0
+    assert timings["generate"] <= timings["total"]
 
 
 def test_generate_count_over_the_cell_cap_is_config_error(tmp_path, capsys, monkeypatch):
@@ -1065,6 +1073,19 @@ def test_artifact_that_cannot_be_written_exits_3_and_keeps_the_earlier_file(
     assert "No space left on device" in err
     assert (out / cli.SYNTH_FILE).read_bytes() == earlier
     assert not (out / "synthetic.csv.tmp").exists()
+
+
+def test_killed_fit_worker_exits_3_and_names_it(evaluated_run, tmp_path, capsys, monkeypatch):
+    shutil.copytree(evaluated_run, tmp_path, dirs_exist_ok=True)
+    monkeypatch.setattr(evaluator, "_FIT_WORKER_CELLS", 0)  # the toy fit forks too
+    act_in_the_worker(
+        monkeypatch, evaluator, "split_search", lambda: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    capsys.readouterr()
+    with leaves_nothing_open():
+        assert run(tmp_path / "config.json", "evaluate") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: the worker searching split features exited with {-signal.SIGKILL}\n"
 
 
 def has_mallopt() -> bool:

@@ -7,7 +7,6 @@ import signal
 import tempfile
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from itertools import compress
 
 import numpy as np
@@ -39,6 +38,8 @@ from synthflow.dataio import (
     schema_to_json,
     write_csv,
 )
+
+from helpers import assert_no_child_left, count_forks, leaves_nothing_open
 
 TWO_COL = FeatureSchema(
     (Column("a", NUMERIC), Column("b", NUMERIC), Column("label", LABEL))
@@ -482,39 +483,6 @@ def two_col_text(n_rows):
     return "a,b,label\n" + "".join(f"{r},{r + 0.5},{'xy'[r % 2]}\n" for r in range(n_rows))
 
 
-def count_forks(monkeypatch):
-    """Count the os.fork calls of this process."""
-    forks, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-@contextmanager
-def leaves_nothing_open(seconds=20):
-    """The block leaves no child process and no open descriptor behind; a
-    block still running after ``seconds`` raises TimeoutError."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    fds = sorted(os.listdir("/proc/self/fd"))
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert_no_child_left()
-    assert sorted(os.listdir("/proc/self/fd")) == fds
-
-
 @pytest.mark.parametrize("n_rows, forks", [
     (1, 0), (dataio.BLOCK_ROWS, 0), (dataio.BLOCK_ROWS + 1, 1), (20 * dataio.BLOCK_ROWS, 1),
 ])
@@ -610,11 +578,10 @@ def test_interrupted_fold_reaps_the_worker(monkeypatch, interrupt):
         return select(labels, wanted)
 
     monkeypatch.setattr(dataio, "filter_by_label", interrupted_on_the_third_block)
-    # opened before the check: the held traceback keeps the input file open
-    table = parse_text(two_col_text(4000))
     with leaves_nothing_open():
+        table = parse_text(two_col_text(4000))
         # the error is held, and its traceback with it, while the check runs:
-        # the worker and its pipes must be gone all the same
+        # the worker, its pipes and the input file must be closed all the same
         with pytest.raises(interrupt) as caught:
             clean_numeric(table, TWO_COL, XYZ)
     assert caught.traceback
@@ -901,11 +868,6 @@ def float_matrix(n):
     matrix[0] = EDGE_FLOATS
     matrix[-1] = EDGE_FLOATS[::-1]
     return matrix
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "no fork"])

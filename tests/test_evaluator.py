@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import signal
 import tracemalloc
 from dataclasses import asdict
 
@@ -32,7 +34,7 @@ from synthflow.evaluator import (
     _unit_bin_counts,
 )
 
-from helpers import toy_attack_dataset
+from helpers import act_in_the_worker, count_forks, leaves_nothing_open, toy_attack_dataset
 
 
 # ------------------------------------------------------------- split search
@@ -290,11 +292,15 @@ BITWISE_CASES = [
 ] + [
     # deep, and wide enough that the root is searched in two passes
     pytest.param(3, 5, 64, id="3-5-wide"),
+] + [
+    # one process alone; a worker of one feature; uneven halves
+    pytest.param(4, 3, n_columns, id=f"4-3-{n_columns}-columns")
+    for n_columns in (1, 2, 3, 7)
 ]
 
 
 @pytest.mark.parametrize("seed,max_depth,n_columns", BITWISE_CASES)
-def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth, n_columns):
+def test_gbm_trees_match_reference_builder_bitwise(monkeypatch, seed, max_depth, n_columns):
     rng = np.random.default_rng(seed)
     n = 120
     x = np.column_stack([
@@ -311,20 +317,22 @@ def test_gbm_trees_match_reference_builder_bitwise(seed, max_depth, n_columns):
     x[60:90] = x[:30]  # duplicate rows
     y = (x[:, 0] + x[:, 1] + 0.5 * rng.normal(size=n) > 0.5).astype(int)
     y[60:75] = 1 - y[:15]  # some duplicate rows carry both labels
-    train = LabeledSet(x, y)
-    model = gbm_fit(train, EvalConfig(n_trees=8, max_depth=max_depth))
-    want = reference_trees(train, 8, max_depth)
-    assert [node_bits(t) for t in model.trees] == [node_bits(t) for t in want]
+    train = LabeledSet(x[:, :n_columns], y)
+    want = [node_bits(t) for t in reference_trees(train, 8, max_depth)]
+    counted = count_forks(monkeypatch)
+    monkeypatch.setattr(evaluator, "_FIT_WORKER_CELLS", 0)  # a worker at any size
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        model = gbm_fit(train, EvalConfig(n_trees=8, max_depth=max_depth))
+        assert [node_bits(t) for t in model.trees] == want
+    assert len(counted) == (n_columns >= 2)
 
 
 def test_gbm_fit_memory_is_bounded_per_fit_cell():
-    # tie-heavy: column j takes 2 + j % 6 levels
-    rng = np.random.default_rng(0)
-    n, d = 2000, 78
-    levels = 2 + np.arange(d) % 6
-    x = rng.integers(0, levels, size=(n, d)) / levels
-    y = (x[:, :3].sum(axis=1) + 0.3 * rng.normal(size=n) > 1.5).astype(int)
-    train = LabeledSet(x, y)
+    # tracemalloc sees this process only, not the fit's worker
+    train = tie_heavy_fit(2000, 78)
+    x = train.features
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -334,6 +342,117 @@ def test_gbm_fit_memory_is_bounded_per_fit_cell():
         tracemalloc.stop()
     assert all(not t.root.is_leaf for t in model.trees)
     assert peak <= 40 * x.size + 128 * 1024, f"{peak / x.size:.1f} bytes per fit cell"
+
+
+# ------------------------------------------------------- the fit's worker
+
+def tie_heavy_fit(n, d, seed=0):
+    """n rows of d tie-heavy features, column j of 2 + j % 6 levels; the
+    label follows the first three columns."""
+    rng = np.random.default_rng(seed)
+    levels = 2 + np.arange(d) % 6
+    x = rng.integers(0, levels, size=(n, d)) / levels
+    y = (x[:, :3].sum(axis=1) + 0.3 * rng.normal(size=n) > 1.5).astype(int)
+    return LabeledSet(x, y)
+
+
+@pytest.mark.parametrize("n_rows, n_columns, forks", [
+    (evaluator._FIT_WORKER_CELLS, 1, 0),  # no feature for a worker
+    (evaluator._FIT_WORKER_CELLS // 2 - 1, 2, 0),  # just short
+    (evaluator._FIT_WORKER_CELLS // 2, 2, 1),
+])
+def test_small_fits_run_in_one_process(monkeypatch, n_rows, n_columns, forks):
+    counted = count_forks(monkeypatch)
+    gbm_fit(tie_heavy_fit(n_rows, n_columns), EvalConfig(n_trees=1, max_depth=1))
+    assert len(counted) == forks
+
+
+def test_gbm_fit_without_fork_grows_the_same_trees(monkeypatch):
+    train = tie_heavy_fit(1000, 78)  # above the size that forks
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        forked = gbm_fit(train, EvalConfig(n_trees=3))
+    assert len(counted) == 1
+    monkeypatch.delattr(os, "fork")
+    alone = gbm_fit(train, EvalConfig(n_trees=3))
+    assert [node_bits(t) for t in forked.trees] == [node_bits(t) for t in alone.trees]
+
+
+def test_cross_half_tie_keeps_the_smaller_feature_index(monkeypatch):
+    train = tie_heavy_fit(400, 6)
+    train.features[:, 3] = train.features[:, 0]  # d // 2 copies 0: equal gains
+    counted = count_forks(monkeypatch)
+    monkeypatch.setattr(evaluator, "_FIT_WORKER_CELLS", 0)
+    model = gbm_fit(train, EvalConfig(n_trees=4, max_depth=3))
+    used = {node.feature for t in model.trees for node in t.iter_nodes() if not node.is_leaf}
+    assert 0 in used and 3 not in used
+    want = reference_trees(train, 4, 3)
+    assert [node_bits(t) for t in model.trees] == [node_bits(t) for t in want]
+    assert len(counted) == 1
+
+
+def test_nan_gain_in_the_worker_half_only_is_skipped(monkeypatch):
+    # zero hessians on rows 0 and 1. Features 2 and 3, the worker's, sort
+    # them first, so their first cut is 0/0; features 0 and 1 sort them in
+    # the middle, where every side holds a positive hessian
+    features = np.array([
+        [2.0, 2.0, 1.0, 1.0],
+        [3.0, 3.0, 2.0, 1.0],
+        [1.0, 4.0, 3.0, 2.0],
+        [4.0, 1.0, 4.0, 3.0],
+        [5.0, 5.0, 5.0, 4.0],
+    ])
+    residuals = np.array([0.0, 0.0, 1.0, -1.0, 0.5])
+    hessians = np.array([0.0, 0.0, 0.25, 0.25, 0.25])
+    for j in (2, 3):
+        assert math.isnan(reference_split_search(features[:, j], residuals, hessians)[1])
+    for j in (0, 1):
+        _, gain = reference_split_search(features[:, j], residuals, hessians)
+        assert not math.isnan(gain)
+    want = node_bits(RegressionTree(reference_build_tree(features, residuals, hessians, 2)))
+    counted = count_forks(monkeypatch)
+    monkeypatch.setattr(evaluator, "_FIT_WORKER_CELLS", 0)
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        with evaluator._tree_builder(features, 2) as build:
+            tree = RegressionTree(build(residuals, hessians, np.empty(5)))
+        assert node_bits(tree) == want
+    assert len(counted) == 1
+
+
+def raise_runtime_error():
+    raise RuntimeError("search failed")
+
+
+@pytest.mark.parametrize("act, reason", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"exited with {-signal.SIGKILL}"),
+    (raise_runtime_error, "failed: RuntimeError: search failed"),
+], ids=["killed", "raises"])
+def test_failed_fit_worker_raises_an_oserror_naming_it(monkeypatch, act, reason):
+    act_in_the_worker(monkeypatch, evaluator, "split_search", act)
+    with leaves_nothing_open():
+        with pytest.raises(OSError, match=f"the worker searching split features {reason}"):
+            gbm_fit(tie_heavy_fit(1000, 78), EvalConfig(n_trees=2))
+
+
+def test_interrupted_fit_reaps_the_worker(monkeypatch):
+    parent, search, calls = os.getpid(), evaluator.split_search, []
+
+    def interrupted_on_the_third_node(*args):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+        return search(*args)
+
+    monkeypatch.setattr(evaluator, "split_search", interrupted_on_the_third_node)
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        # the traceback is held while the check runs
+        with pytest.raises(KeyboardInterrupt) as caught:
+            gbm_fit(tie_heavy_fit(1000, 78), EvalConfig(n_trees=2))
+    assert caught.traceback and len(counted) == 1
 
 
 # ---------------------------------------------------------------------- gbm
