@@ -74,6 +74,7 @@ from .gan import (
     train,
     write_train_log,
 )
+from .worker import set_blas_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -415,7 +416,10 @@ def cmd_train(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
 
-    _keep_freed_heap()  # here, not in gan.train: library callers keep their allocator
+    # here, not in gan.train: library callers keep their allocator and their
+    # BLAS threads; one BLAS thread lets training use a second core
+    _keep_freed_heap()
+    set_blas_threads(1)
     t0 = time.perf_counter()
     failure = None
     try:

@@ -9,12 +9,16 @@ The generator minimizes -mean f(G(z)) with the critic frozen. Both networks
 are ReLU MLPs whose layers follow from the config and the data width alone
 (:func:`_layer_sizes`), trained with RMSProp, alternating several critic
 updates per generator update. Everything is driven by one seeded generator
-so runs are bit reproducible.
+so runs are bit reproducible. A large critic computes each update's
+x_hat branch in a forked worker while this process computes the score
+terms (:func:`_penalty_worker`), with the same bits.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -34,6 +38,7 @@ from .dataio import (
 )
 from . import nets
 from .nets import MlpNetwork, NonFiniteError
+from .worker import blas_threads, forked
 
 CHECKPOINT_FORMAT = "sgmodel"
 CHECKPOINT_VERSION = 3
@@ -41,6 +46,26 @@ CHECKPOINT_VERSION = 3
 # Rows per generator forward in :func:`generate`: the activations held at
 # once are bounded by the block, not by the number of rows asked for.
 GENERATE_BLOCK_ROWS = 1024
+
+# Critic parameters from which training computes each critic update's x_hat
+# branch in a forked worker, beside the score branch here. Each update then
+# pays a pipe round trip, and the worker's branch is the longer one. Median
+# step time of 60-step trains on 2500 x 78 rows, one process against two
+# (9 alternating runs each, BLAS on one thread, on a shared 2-core Xeon VM),
+# critic hidden sizes at batch 32 / batch 64:
+#   32 x 32 (3,617 parameters)  4.21 -> 4.02 ms / 5.47 -> 5.55 ms
+#   48 x 48 (6,193)             4.94 -> 5.22 / 6.97 -> 6.86
+#   64 x 64 (9,281)             5.46 -> 5.41 / 8.28 -> 7.19
+#   80 x 80 (12,881)            6.81 -> 6.59 / 10.68 -> 8.96
+#   96 x 96 (16,993)            8.21 -> 7.83 / 11.08 -> 9.72
+#   128 x 128 (26,753)          10.63 -> 10.02 / 16.92 -> 14.12
+#   reference (86,273)          34.0 -> 27.6 / 39.0 -> 36.9
+# Passes vary by up to a third on that VM: an earlier one (7 runs of 40
+# steps) read 32 x 32 4.02 -> 4.31 and 48 x 48 3.87 -> 5.39 at batch 32, and
+# 64 x 64 7.44 -> 7.75 at batch 64, but 96 x 96 and 128 x 128 gained in both
+# passes at both batch sizes. Reference nets at batch 32 read 24.75 -> 28.00
+# there, and 32.06 -> 27.46 over 12 alternating pairs of 60-step trains.
+_PENALTY_WORKER_PARAMETERS = 12_000
 
 
 class TrainingDiverged(RuntimeError):
@@ -173,37 +198,51 @@ class CriticLoss:
     grad_norm_mean: float
 
 
-def critic_loss(model: GanModel, real_batch, fake_batch, x_hat) -> CriticLoss:
+def _penalty_branch(critic: MlpNetwork, x_hat, weight: float) -> tuple[float, np.ndarray, float]:
+    """The x_hat branch of a critic update: the gradient penalty, its
+    parameter gradient and the mean norm of the critic's input gradient."""
+    penalty_term, penalty_grad = nets.penalty_param_grad(critic, x_hat, weight)
+    norms = np.linalg.norm(nets.mlp_input_grad(critic, x_hat), axis=1)
+    return penalty_term, penalty_grad, float(norms.mean())
+
+
+def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) -> CriticLoss:
     """Loss and critic-parameter gradient for one batch.
 
     The value decomposes exactly as fake_term - real_term + penalty_term;
     the gradient adds the reverse pass on the score terms and the penalty
     double backprop, (fake + real) + penalty.
+
+    The x_hat branch (:func:`_penalty_branch`) needs nothing from the score
+    branch. It runs here, after the score branch, unless ``penalty`` runs it
+    elsewhere: ``penalty(x_hat)`` starts it before the score branch and
+    returns a function that waits for its result.
     """
     cfg = model.config
+    if penalty is None:
+        def penalty_result():
+            return _penalty_branch(model.critic, x_hat, cfg.gp_lambda)
+    else:
+        penalty_result = penalty(x_hat)
 
     fake_scores, fake_cache = nets.mlp_forward(model.critic, fake_batch)
     real_scores, real_cache = nets.mlp_forward(model.critic, real_batch)
     fake_term = float(fake_scores.mean())
     real_term = float(real_scores.mean())
-    penalty_term, penalty_grad = nets.penalty_param_grad(
-        model.critic, x_hat, cfg.gp_lambda
-    )
+    up_fake = np.full_like(fake_scores, 1.0 / fake_scores.shape[0])
+    up_real = np.full_like(real_scores, -1.0 / real_scores.shape[0])
+    grad = nets.mlp_param_grad(model.critic, fake_cache, up_fake)
+    grad += nets.mlp_param_grad(model.critic, real_cache, up_real)
+
+    penalty_term, penalty_grad, grad_norm_mean = penalty_result()
     loss = fake_term - real_term + penalty_term
     if not np.isfinite(loss):
         raise NonFiniteError(
             f"non-finite critic loss: fake_term={fake_term}, "
             f"real_term={real_term}, penalty_term={penalty_term}"
         )
-
-    up_fake = np.full_like(fake_scores, 1.0 / fake_scores.shape[0])
-    up_real = np.full_like(real_scores, -1.0 / real_scores.shape[0])
-    grad = nets.mlp_param_grad(model.critic, fake_cache, up_fake)
-    grad += nets.mlp_param_grad(model.critic, real_cache, up_real)
     grad += penalty_grad
-
-    norms = np.linalg.norm(nets.mlp_input_grad(model.critic, x_hat), axis=1)
-    return CriticLoss(loss, fake_term, real_term, penalty_term, grad, float(norms.mean()))
+    return CriticLoss(loss, fake_term, real_term, penalty_term, grad, grad_norm_mean)
 
 
 def generator_loss(model: GanModel, noise_batch) -> tuple[float, np.ndarray]:
@@ -245,6 +284,69 @@ def write_train_log(records: list[TrainRecord], path) -> None:
     write_csv(path, TRAIN_LOG_COLUMNS, map(astuple, records))
 
 
+@contextmanager
+def _penalty_worker(model: GanModel, config: GanConfig):
+    """The ``penalty`` argument of :func:`critic_loss` for a training run,
+    for the block's duration: None, so each x_hat branch runs in this
+    process, or one that runs it in a worker made with ``os.fork``
+    (:func:`.worker.forked`).
+
+    The worker runs when ``os.fork`` exists, the critic has at least
+    :data:`_PENALTY_WORKER_PARAMETERS` parameters and this process's BLAS
+    runs one thread. The critic's parameter vector then moves into an
+    anonymous shared mapping, beside the x_hat and penalty-gradient
+    buffers, so the worker reads every update of it. For each critic update
+    this process writes x_hat and sends an empty request; the worker runs
+    :func:`_penalty_branch`, writes the gradient, and replies with the
+    penalty and the mean norm, or with the ``NonFiniteError`` it raised,
+    which :func:`critic_loss` raises here. The same numbers in the same
+    order make the same bits as one process. The model stays valid after
+    the worker is reaped: the mapping lives as long as the critic's vector.
+    """
+    critic = model.critic
+    size = critic.vector.size
+    if not hasattr(os, "fork") or size < _PENALTY_WORKER_PARAMETERS or blas_threads() != 1:
+        yield None
+        return
+    import mmap  # imported here: at module level it adds about 0.1 MB to every verb's peak RSS
+
+    shared = mmap.mmap(-1, 8 * (2 * size + config.batch_size * model.feature_count))  # float64s
+    vector, penalty_grad, x_hat = np.split(np.frombuffer(shared), [size, 2 * size])
+    x_hat = x_hat.reshape(config.batch_size, model.feature_count)
+    vector[:] = critic.vector
+    (model.critic,) = nets.networks([critic.shapes], vector)
+
+    def serve(channel):
+        while True:
+            channel.receive()
+            try:
+                penalty_term, grad, grad_norm_mean = _penalty_branch(
+                    model.critic, x_hat, config.gp_lambda
+                )
+            except NonFiniteError as exc:  # a reply: training diverged, the worker did not fail
+                channel.send(exc)
+                continue
+            penalty_grad[:] = grad
+            channel.send((penalty_term, grad_norm_mean))
+
+    with forked(serve, "computing the gradient penalty") as worker:
+
+        def start(batch):
+            x_hat[:] = batch
+            worker.send(None)
+
+            def result():
+                reply = worker.receive()
+                if isinstance(reply, NonFiniteError):
+                    raise reply
+                penalty_term, grad_norm_mean = reply
+                return penalty_term, penalty_grad, grad_norm_mean
+
+            return result
+
+        yield start
+
+
 def train(
     data: DatasetMatrix, config: GanConfig, progress=None
 ) -> tuple[GanModel, list[TrainRecord]]:
@@ -254,6 +356,11 @@ def train(
     ``critic_steps`` critic updates followed by one generator update, and
     appends one TrainRecord (also passed to ``progress`` when given). A
     non-finite loss or gradient aborts with :class:`TrainingDiverged`.
+
+    A large enough critic computes each critic update's x_hat branch in a
+    worker process (:func:`_penalty_worker`), bit for bit as here. A worker
+    that fails raises ``OSError("the worker computing the gradient penalty
+    ...")``, and is reaped on every path.
     """
     n = data.n_rows
     if n < config.batch_size:
@@ -271,38 +378,39 @@ def train(
 
     records: list[TrainRecord] = []
     features = data.features
-    for step in range(1, config.gen_steps + 1):
-        t0 = time.perf_counter()
-        try:
-            closs_sum = penalty_sum = norm_sum = 0.0
-            for _ in range(config.critic_steps):
-                idx = rng.integers(0, n, size=config.batch_size)
-                real = features[idx]
+    with _penalty_worker(model, config) as penalty:
+        for step in range(1, config.gen_steps + 1):
+            t0 = time.perf_counter()
+            try:
+                closs_sum = penalty_sum = norm_sum = 0.0
+                for _ in range(config.critic_steps):
+                    idx = rng.integers(0, n, size=config.batch_size)
+                    real = features[idx]
+                    noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
+                    fake, _ = nets.mlp_forward(model.generator, noise)
+                    eps = rng.uniform(0.0, 1.0, size=config.batch_size)
+                    cl = critic_loss(model, real, fake, interpolate(real, fake, eps), penalty)
+                    nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
+                    closs_sum += cl.loss
+                    penalty_sum += cl.penalty_term
+                    norm_sum += cl.grad_norm_mean
                 noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-                fake, _ = nets.mlp_forward(model.generator, noise)
-                eps = rng.uniform(0.0, 1.0, size=config.batch_size)
-                cl = critic_loss(model, real, fake, interpolate(real, fake, eps))
-                nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
-                closs_sum += cl.loss
-                penalty_sum += cl.penalty_term
-                norm_sum += cl.grad_norm_mean
-            noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-            gloss, ggrad = generator_loss(model, noise)
-            nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
-        except NonFiniteError as exc:
-            raise TrainingDiverged(step, model, records, exc) from exc
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        record = TrainRecord(
-            step=step,
-            critic_loss=closs_sum / config.critic_steps,
-            generator_loss=gloss,
-            penalty_mean=penalty_sum / config.critic_steps,
-            grad_norm_mean=norm_sum / config.critic_steps,
-            wall_ms=wall_ms,
-        )
-        records.append(record)
-        if progress is not None:
-            progress(record)
+                gloss, ggrad = generator_loss(model, noise)
+                nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
+            except NonFiniteError as exc:
+                raise TrainingDiverged(step, model, records, exc) from exc
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            record = TrainRecord(
+                step=step,
+                critic_loss=closs_sum / config.critic_steps,
+                generator_loss=gloss,
+                penalty_mean=penalty_sum / config.critic_steps,
+                grad_norm_mean=norm_sum / config.critic_steps,
+                wall_ms=wall_ms,
+            )
+            records.append(record)
+            if progress is not None:
+                progress(record)
     return model, records
 
 

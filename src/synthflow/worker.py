@@ -3,19 +3,27 @@
 :func:`forked` starts the worker and hands this process a :class:`Channel`
 to it: requests go down one pipe and replies come up another, pickled. The
 worker inherits this process's memory, so a request names its work and the
-data the worker already holds need not travel. Two callers use it:
+data the worker already holds need not travel. Three callers use it:
 :func:`two_process_map`, which parses ingest blocks and formats the rows of
-``synthetic.csv``, and the evaluator's tree fit, whose worker searches half
-of the features at every node.
+``synthetic.csv``; the evaluator's tree fit, whose worker searches half of
+the features at every node; and training, whose worker computes each critic
+update's gradient penalty.
 
 The worker leaves by ``os._exit`` alone: it flushes no inherited buffer,
 runs no ``atexit`` hook and never unwinds into the caller's frames. A fork
 copies only the calling thread, so a worker's work must need no other
-thread of this process: neither caller's worker runs a BLAS product.
+thread of this process. The map's and the fit's workers run no BLAS
+product. The penalty worker runs little else, so training forks it only
+while this process's OpenBLAS runs one thread (:func:`blas_threads`), which
+computes every product in the calling thread. Two processes that each ran a
+pool of BLAS threads would also oversubscribe the cores: on 2 cores, a
+reference-net training step took 150-171 ms that way, against 28-32 ms in
+one process.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 from collections.abc import Iterator
@@ -152,3 +160,37 @@ def two_process_map(work, items, share: tuple[int, int], what: str) -> Iterator:
             yield from theirs
             yield from mine
             del theirs, mine  # consumed: freed before the next round is computed
+
+
+def _openblas():
+    """The get and set thread-count functions of the OpenBLAS this process
+    has loaded, or None: none is mapped, ``/proc/self/maps`` cannot be read,
+    or the library exports neither the plain nor numpy's prefixed names."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            path = next(line.split(maxsplit=5)[5].rstrip() for line in maps if "openblas" in line)
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # the loaded library, never a new one
+    except (OSError, StopIteration, TypeError):  # TypeError: a loader that takes no mode
+        return None
+    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if get is not None:
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """The threads this process's OpenBLAS runs, or None when that cannot be read."""
+    functions = _openblas()
+    return None if functions is None else functions[0]()
+
+
+def set_blas_threads(count: int) -> None:
+    """Have this process's OpenBLAS run ``count`` threads; nothing when it
+    cannot be found. No result changes."""
+    functions = _openblas()
+    if functions is not None:
+        functions[1](count)

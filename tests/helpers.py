@@ -17,6 +17,12 @@ import pytest
 
 from synthflow import dataio, nets, toydata
 from synthflow.gan import GanConfig
+from synthflow.worker import blas_threads
+
+# training forks its penalty worker only where the BLAS thread count can be read
+needs_openblas = pytest.mark.skipif(
+    blas_threads() is None, reason="numpy's BLAS here is not a loaded OpenBLAS"
+)
 
 FD_STEP = 1e-4
 # Pre-activations must clear this margin so FD perturbation cannot flip a
@@ -150,6 +156,20 @@ def write_toy_run(tmp_path, gan_overrides=None, eval_overrides=None, seed=7):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return config_path
+
+
+def nan_penalty_input(monkeypatch, call):
+    """Make the ``call``-th gradient penalty's x_hat NaN, so its forward pass
+    is non-finite, in whichever process computes the penalty."""
+    calls, penalty = [], nets.penalty_param_grad
+
+    def patched(net, x_hat, weight):
+        calls.append(1)
+        if len(calls) == call:
+            x_hat = np.full_like(x_hat, np.nan)
+        return penalty(net, x_hat, weight)
+
+    monkeypatch.setattr(nets, "penalty_param_grad", patched)
 
 
 def count_forks(monkeypatch):

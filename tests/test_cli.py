@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthflow import cli, dataio, evaluator
+from synthflow import cli, dataio, evaluator, gan, nets
 from synthflow.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -30,7 +30,14 @@ from synthflow.dataio import (
     save_dataset,
 )
 
-from helpers import act_in_the_worker, leaves_nothing_open, write_toy_run
+from helpers import (
+    act_in_the_worker,
+    count_forks,
+    leaves_nothing_open,
+    nan_penalty_input,
+    needs_openblas,
+    write_toy_run,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1138,3 +1145,72 @@ def test_train_without_mallopt_writes_the_same_model(tmp_path, monkeypatch):
         models.append((tmp_path / name / "run" / cli.MODEL_MATRIX_FILE).read_bytes())
     assert asked == [None]
     assert models[1] == models[0]
+
+
+@needs_openblas
+def test_penalty_worker_divergence_exits_4_with_the_one_process_model(tmp_path, monkeypatch):
+    kept = []
+    for name, gate, forks in (("alone", 2**62, 0), ("both", 0, 1)):
+        (tmp_path / name).mkdir()
+        config = write_toy_run(tmp_path / name, gan_overrides={"gen_steps": 5})
+        assert run(config, "ingest") == EXIT_OK
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+            nan_penalty_input(patch, call=13)  # the third update of step 3
+            counted = count_forks(patch)
+            with leaves_nothing_open():
+                assert run(config, "train") == EXIT_DIVERGED
+        assert len(counted) == forks
+        out = tmp_path / name / "run"
+        assert not (out / cli.MODEL_FILE).exists()
+        manifest = json.loads((out / "train_manifest.json").read_text())
+        lastgood = (out / cli.LASTGOOD_MODEL_MATRIX_FILE).read_bytes()
+        kept.append((manifest["failure_step"], lastgood))
+    assert kept[1] == kept[0]
+    assert kept[0][0] == 3
+
+
+@needs_openblas
+def test_killed_penalty_worker_exits_3_and_leaves_no_model(tmp_path, capsys, monkeypatch):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    monkeypatch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", 0)  # the toy critic forks too
+    act_in_the_worker(
+        monkeypatch, nets, "penalty_param_grad", lambda: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    capsys.readouterr()
+    with leaves_nothing_open():
+        assert run(config, "train") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: the worker computing the gradient penalty exited with {-signal.SIGKILL}\n"
+    )
+    out = tmp_path / "run"
+    assert not any((out / name).exists() for name in (
+        cli.MODEL_FILE, cli.MODEL_MATRIX_FILE,
+        cli.LASTGOOD_MODEL_FILE, cli.LASTGOOD_MODEL_MATRIX_FILE,
+    ))
+
+
+def test_train_output_does_not_depend_on_how_blas_threads_are_set(tmp_path):
+    # reference nets: the critic trains in two processes once BLAS runs one thread
+    reference = {"noise_dim": 64, "generator_hidden": [256, 128, 128, 128],
+                 "critic_hidden": [256, 128, 128, 128], "batch_size": 32, "gen_steps": 3}
+    outputs = []
+    for name, threads in (("unset", None), ("one", "1")):
+        (tmp_path / name).mkdir()
+        config = write_toy_run(tmp_path / name, gan_overrides=reference)
+        assert run(config, "ingest") == EXIT_OK
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-m", "synthflow.cli", "train", "--config", str(config)],
+            env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        out = tmp_path / name / "run"
+        lines = (out / cli.TRAIN_LOG_FILE).read_text().splitlines()
+        log = [line.rsplit(",", 1)[0] for line in lines]  # wall_ms, the last column, goes
+        outputs.append(((out / cli.MODEL_MATRIX_FILE).read_bytes(), log))
+    assert outputs[1] == outputs[0]

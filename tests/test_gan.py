@@ -1,14 +1,26 @@
+import ctypes
 import json
+import os
+import signal
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthflow import nets
-from synthflow.dataio import DataError, NormalizationStats, denormalize
+from synthflow import gan, nets
+from synthflow.dataio import (
+    LABEL,
+    NUMERIC,
+    Column,
+    DataError,
+    DatasetMatrix,
+    FeatureSchema,
+    NormalizationStats,
+    denormalize,
+)
 from synthflow.gan import (
     CHECKPOINT_VERSION,
     GENERATE_BLOCK_ROWS,
@@ -24,12 +36,18 @@ from synthflow.gan import (
     save_checkpoint,
     train,
 )
+from synthflow.worker import blas_threads, set_blas_threads
 
 from helpers import (
+    act_in_the_worker,
     config_for,
     constant_dataset,
+    count_forks,
     fd_param_grad,
+    leaves_nothing_open,
     mlp,
+    nan_penalty_input,
+    needs_openblas,
     rel_err,
     toy_attack_dataset,
 )
@@ -255,6 +273,174 @@ def test_train_progress_sink_sees_every_record():
     _, records = train(data, GanConfig.small(gen_steps=5, seed=1), seen.append)
     assert [r.step for r in seen] == [1, 2, 3, 4, 5]
     assert seen == records
+
+
+# ------------------------------------------------------ training on two cores
+
+def uniform_dataset(n_rows, n_features, seed=0):
+    schema = FeatureSchema(
+        tuple(Column(f"f{j}", NUMERIC) for j in range(n_features)) + (Column("label", LABEL),)
+    )
+    stats = NormalizationStats(np.zeros(n_features), np.ones(n_features))
+    features = np.random.default_rng(seed).uniform(size=(n_rows, n_features))
+    return DatasetMatrix(features, ["x"] * n_rows, stats, schema)
+
+
+def trained(model, records):
+    """What a run produces but its wall-clock field: both parameter vectors'
+    bytes and every record's values."""
+    vectors = model.generator.vector.tobytes(), model.critic.vector.tobytes()
+    return vectors, [astuple(r)[:-1] for r in records]
+
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """Any critic trains in two processes: no size gate, one BLAS thread (the
+    count the test started with comes back afterwards)."""
+    if blas_threads() is None:
+        pytest.skip("numpy's BLAS here is not a loaded OpenBLAS")
+    monkeypatch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", 0)
+    set_blas_threads(1)
+
+
+def train_alone(monkeypatch, data, config):
+    """``train`` with the size gate above every critic: one process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", 2**62)
+        return train(data, config)
+
+
+@pytest.mark.parametrize("n_features, overrides", [
+    (1, {"batch_size": 2}),
+    (3, {"critic_steps": 1}),
+    (3, {"critic_steps": 5, "gp_lambda": 0.0}),
+    (2, {"gen_steps": 0}),
+    (78, {"batch_size": 32, "noise_dim": 16, "critic_hidden": (64, 64)}),
+], ids=["1-feature-batch-2", "critic-steps-1", "gp-lambda-0", "gen-steps-0", "78-features"])
+def test_two_process_training_matches_one_process(
+    monkeypatch, two_processes, n_features, overrides
+):
+    data = uniform_dataset(120, n_features)
+    config = GanConfig.small(**{"gen_steps": 6, "seed": 4, **overrides})
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        both = trained(*train(data, config))
+    assert len(counted) == 1
+    assert both == trained(*train_alone(monkeypatch, data, config))
+    assert len(counted) == 1
+
+
+def test_critics_below_the_size_gate_train_in_one_process(monkeypatch, two_processes):
+    data = uniform_dataset(80, 2)
+    config = GanConfig.small(gen_steps=2)
+    size = nets.parameter_count(nets.layer_shapes([2, *config.critic_hidden, 1]))
+    counted = count_forks(monkeypatch)
+    for gate, forks in ((size + 1, 0), (size, 1)):
+        monkeypatch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+        train(data, config)
+        assert len(counted) == forks
+
+
+def no_cdll(name, *args, **kwargs):  # no library can be loaded
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("unpinned", [
+    lambda patch: patch.setattr(gan, "blas_threads", lambda: 2),
+    lambda patch: patch.setattr(gan, "blas_threads", lambda: None),
+    lambda patch: patch.setattr(ctypes, "CDLL", lambda lib: object()),
+    lambda patch: patch.setattr(ctypes, "CDLL", no_cdll),
+    lambda patch: patch.delattr(os, "fork"),
+], ids=["two-blas-threads", "count-unread", "no-mallopt-cdll", "no-cdll", "no-fork"])
+def test_training_stays_in_one_process_unless_blas_runs_one_thread(
+    monkeypatch, two_processes, unpinned
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=3)
+    want = trained(*train_alone(monkeypatch, data, config))
+    counted = count_forks(monkeypatch)
+    unpinned(monkeypatch)
+    assert trained(*train(data, config)) == want
+    assert counted == []
+
+
+@needs_openblas
+def test_blas_threads_reads_the_count_set():
+    for count in (1, 2, 1):
+        set_blas_threads(count)
+        assert blas_threads() == count
+
+
+def test_blas_threads_unreadable_without_a_loadable_library(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    assert blas_threads() is None
+    set_blas_threads(1)  # nothing to set, and no error
+
+
+def test_non_finite_penalty_in_the_worker_diverges_as_one_process(
+    monkeypatch, two_processes, tmp_path
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    counted = count_forks(monkeypatch)
+    runs = []
+    for gate in (2**62, 0):  # one process, then two
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+            nan_penalty_input(patch, call=13)  # the third update of step 3
+            with leaves_nothing_open():
+                with pytest.raises(TrainingDiverged) as caught:
+                    train(data, config)
+        runs.append(caught.value)
+    assert len(counted) == 1
+    alone, both = runs
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert "forward pass produced non-finite values" in str(both)
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+    # the worker is gone; the model it shared the critic with still works
+    save_checkpoint(both.model, tmp_path / "model.sgmodel")
+    assert load_checkpoint(tmp_path / "model.sgmodel").critic.vector.tobytes() == (
+        alone.model.critic.vector.tobytes()
+    )
+    rng = np.random.default_rng(0)
+    assert generate(both.model, 5, rng).shape == (5, 3)
+
+
+def raise_runtime_error():
+    raise RuntimeError("penalty failed")
+
+
+@pytest.mark.parametrize("act, reason", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"exited with {-signal.SIGKILL}"),
+    (raise_runtime_error, "failed: RuntimeError: penalty failed"),
+], ids=["killed", "raises"])
+def test_failed_penalty_worker_raises_an_oserror_naming_it(
+    monkeypatch, two_processes, act, reason
+):
+    act_in_the_worker(monkeypatch, nets, "penalty_param_grad", act)
+    with leaves_nothing_open():
+        with pytest.raises(OSError, match=f"the worker computing the gradient penalty {reason}"):
+            train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))
+
+
+def test_interrupted_training_reaps_the_penalty_worker(monkeypatch, two_processes):
+    parent, param_grad, calls = os.getpid(), nets.mlp_param_grad, []
+
+    def interrupted_on_the_third_call(*args):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+        return param_grad(*args)
+
+    monkeypatch.setattr(nets, "mlp_param_grad", interrupted_on_the_third_call)
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        # the traceback is held while the check runs
+        with pytest.raises(KeyboardInterrupt) as caught:
+            train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))
+    assert caught.traceback and len(counted) == 1
 
 
 # ----------------------------------------------------------------- generate
