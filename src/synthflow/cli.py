@@ -39,6 +39,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -50,7 +51,9 @@ from .dataio import (
     DatasetMatrix,
     FeatureSchema,
     atomic_write,
+    check_count,
     clean_numeric,
+    config_from_dict,
     filter_by_label,  # for perfbench/tracer.py WRAPS; goes when ROADMAP item 1 allows it absent
     load_dataset,
     matrix_path,
@@ -131,11 +134,32 @@ class RunConfig:
     csv: tuple[str, ...]
     labels: tuple[str, ...]
     out: str
-    seed: int
+    seed: int = 0
     schema: str | None = None
     has_header: bool | None = None
     gan: GanConfig = GanConfig()
     eval: EvalConfig = EvalConfig()
+
+    def __post_init__(self) -> None:
+        if self.dataset not in DATASET_KINDS:
+            raise ValueError(f"dataset must be one of {DATASET_KINDS}, got {self.dataset!r}")
+        if not isinstance(self.csv, tuple) or not self.csv or not all(
+            isinstance(p, str) for p in self.csv
+        ):
+            raise ValueError("'csv' must be a nonempty list of paths")
+        if not isinstance(self.labels, tuple) or not self.labels or not all(
+            isinstance(lbl, str) and lbl.strip() for lbl in self.labels
+        ):
+            raise ValueError("'labels' must be a nonempty list of label texts")
+        if not isinstance(self.out, str) or not self.out:
+            raise ValueError("'out' must be a nonempty directory path")
+        check_count("seed", self.seed, 0)
+        if self.schema is None and self.dataset == "custom":
+            raise ValueError("dataset kind 'custom' needs a schema path")
+        if self.schema is not None and not isinstance(self.schema, str):
+            raise ValueError("'schema' must be a path string")
+        if self.has_header is not None and not isinstance(self.has_header, bool):
+            raise ValueError("'has_header' must be a boolean")
 
     @property
     def out_dir(self) -> Path:
@@ -146,99 +170,61 @@ class RunConfig:
             return self.has_header
         return self.dataset != "nsl-kdd"  # NSL-KDD files ship headerless
 
-    def resolve_schema(self) -> FeatureSchema:
+    @cached_property
+    def feature_schema(self) -> FeatureSchema:
+        """The schema file's, decoded on first use, or the bundled one."""
         if self.schema is not None:
             return schema_from_json(self.schema)
-        if self.dataset == "custom":
-            raise ConfigError("dataset kind 'custom' needs a schema path")
         return schemas.BUNDLED_SCHEMAS[self.dataset]()
 
 
 def load_run_config(
     path, seed_override: int | None = None, out_override: str | None = None
 ) -> RunConfig:
-    """Parse and validate the JSON run config; flags win over file values."""
+    """Decode and validate the JSON run config; flags win over file values.
+    Each dataclass checks its own fields; the checks that need the schema
+    follow here."""
     try:
         doc = read_json(path)
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-
-    base = Path(path).resolve().parent
-
-    def resolve(p: str) -> str:
-        q = Path(p)
-        return str(q if q.is_absolute() else base / q)
-
-    known = {
-        "dataset", "csv", "labels", "out", "seed", "schema", "has_header",
-        "gan", "eval",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    dataset = doc.get("dataset")
-    if dataset not in DATASET_KINDS:
-        raise ConfigError(f"dataset must be one of {DATASET_KINDS}, got {dataset!r}")
-    csv_paths = doc.get("csv")
-    if not isinstance(csv_paths, list) or not csv_paths or not all(
-        isinstance(p, str) for p in csv_paths
-    ):
-        raise ConfigError("'csv' must be a nonempty list of paths")
-    labels = doc.get("labels")
-    if not isinstance(labels, list) or not labels or not all(
-        isinstance(lbl, str) and lbl.strip() for lbl in labels
-    ):
-        raise ConfigError("'labels' must be a nonempty list of label texts")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    out = out_override if out_override is not None else doc.get("out")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("'out' must be a nonempty directory path")
-    schema = doc.get("schema")
-    if schema is not None and not isinstance(schema, str):
-        raise ConfigError("'schema' must be a path string")
-    has_header = doc.get("has_header")
-    if has_header is not None and not isinstance(has_header, bool):
-        raise ConfigError("'has_header' must be a boolean")
-
     if isinstance(doc.get("gan"), dict) and "seed" in doc["gan"]:
         raise ConfigError("'gan.seed' is not a setting; set 'seed' or pass --seed")
-    sections = {}
     for key, section in (("gan", GanConfig), ("eval", EvalConfig)):
         try:
-            sections[key] = section.from_dict(doc.get(key, {}))
+            doc[key] = section.from_dict(doc.get(key, {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad '{key}' config: {exc}") from exc
-    # the run seed is the single source of randomness
-    gan_cfg = replace(sections["gan"], seed=seed)
-    eval_cfg = sections["eval"]
+    overrides = {"seed": seed_override, "out": out_override}
+    doc.update((key, value) for key, value in overrides.items() if value is not None)
+    try:
+        cfg = config_from_dict(RunConfig, doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
-    cfg = RunConfig(
-        dataset=dataset,
-        csv=tuple(resolve(p) for p in csv_paths),
-        labels=tuple(labels),
-        out=out_override if out_override is not None else resolve(out),
-        seed=seed,
-        schema=resolve(schema) if schema is not None else None,
-        has_header=has_header,
-        gan=gan_cfg,
-        eval=eval_cfg,
+    # relative paths resolve against the config's directory (an absolute one
+    # stays as it is), and the run seed is the single source of randomness
+    base = Path(path).resolve().parent
+    cfg = replace(
+        cfg,
+        csv=tuple(str(base / p) for p in cfg.csv),
+        out=cfg.out if out_override is not None else str(base / cfg.out),
+        schema=None if cfg.schema is None else str(base / cfg.schema),
+        gan=replace(cfg.gan, seed=cfg.seed),
     )
     try:
-        names = cfg.resolve_schema().feature_names()
+        names = cfg.feature_schema.feature_names()
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    shapes = map(nets.layer_shapes, _layer_sizes(gan_cfg, len(names)))
+    shapes = map(nets.layer_shapes, _layer_sizes(cfg.gan, len(names)))
     if (count := sum(map(nets.parameter_count, shapes))) > MAX_PARAMETERS:
         raise ConfigError(
             f"bad 'gan' config: noise_dim, generator_hidden and critic_hidden give "
             f"{count} parameters on {len(names)} features, over {MAX_PARAMETERS}"
         )
-    unknown = [f for f in eval_cfg.histogram_features or () if f not in names]
+    unknown = [f for f in cfg.eval.histogram_features or () if f not in names]
     if unknown:
         raise ConfigError(
             f"eval.histogram_features {unknown} are not schema features; "
@@ -324,7 +310,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     for p in cfg.csv:
         if not Path(p).is_file():
             raise ConfigError(f"input CSV not found or not a file: {p}")
-    schema = cfg.resolve_schema()
+    schema = cfg.feature_schema
     stamps = [time.perf_counter()]
 
     # every header is checked before any data row is read; the rows of all
@@ -464,7 +450,7 @@ def _load_model_and_data(cfg: RunConfig):
 def cmd_generate(cfg: RunConfig, count: int) -> int:
     if count < 1:
         raise ConfigError(f"--count must be >= 1, got {count}")
-    if count * (width := len(cfg.resolve_schema().feature_names())) > MAX_SYNTHETIC_CELLS:
+    if count * (width := len(cfg.feature_schema.feature_names())) > MAX_SYNTHETIC_CELLS:
         raise ConfigError(
             f"--count {count} on {width} features is over {MAX_SYNTHETIC_CELLS} cells"
         )

@@ -686,8 +686,9 @@ def save_cache(path, doc: dict, matrix: np.ndarray) -> None:
 
 def load_cache_matrix(path, shape: tuple) -> np.ndarray:
     """The matrix that :func:`save_cache` wrote beside the document at
-    ``path``, checked to be finite little-endian float64 of ``shape``; every
-    defect is a :class:`DataError` that names the ``.npy`` file."""
+    ``path``, checked to be little-endian float64 of ``shape``; every
+    defect is a :class:`DataError` that names the ``.npy`` file. Its values
+    are the caller's to check."""
     path = matrix_path(path)
     try:
         with open(path, "rb") as fh:
@@ -702,8 +703,6 @@ def load_cache_matrix(path, shape: tuple) -> np.ndarray:
         raise DataError(
             f"{path} has shape {matrix.shape}, its document records {shape}"
         )
-    if not np.isfinite(matrix).all():
-        raise DataError(f"{path} holds non-finite values")
     return matrix
 
 

@@ -451,8 +451,8 @@ def rmse_quality(real, synth) -> tuple[float, float]:
 
     rmse_means compares per-feature means; rmse_hist compares per-feature
     32-bin frequency vectors (bins span [0, 1], frequencies normalized by
-    each matrix's row count). Both are float64 matrices of one width; a
-    value outside [0, 1] is a ValueError.
+    each matrix's row count). Both are float64 matrices of one width, every
+    value in [0, 1], as :func:`evaluate` checks.
     """
     mean_gap = real.mean(axis=0) - synth.mean(axis=0)
     rmse_means = float(np.sqrt(np.mean(mean_gap**2)))
@@ -470,8 +470,6 @@ def _unit_bin_counts(matrix: np.ndarray) -> np.ndarray:
     floating point (HISTOGRAM_BINS is a power of two), so flooring puts
     every value in the same bin as ``np.histogram`` does.
     """
-    if not ((matrix >= 0.0) & (matrix <= 1.0)).all():
-        raise ValueError("histogram values must lie in [0, 1]")
     bins = np.minimum(np.floor(matrix * HISTOGRAM_BINS), HISTOGRAM_BINS - 1).astype(np.intp)
     bins += HISTOGRAM_BINS * np.arange(matrix.shape[1])
     counts = np.bincount(bins.ravel(), minlength=bins.shape[1] * HISTOGRAM_BINS)
@@ -636,6 +634,9 @@ def evaluate(
             f"synthetic matrix {synth.shape} does not match real width "
             f"{real.features.shape[1]}"
         )
+    # a NaN fails too; DatasetMatrix has checked the real rows the same way
+    if not ((synth >= 0.0) & (synth <= 1.0)).all():
+        raise ValueError("synthetic values must lie in [0, 1]")
     if real.n_rows == 0 or synth.shape[0] == 0:
         raise ValueError("real and synthetic sets must be nonempty")
 

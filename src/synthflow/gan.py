@@ -32,6 +32,7 @@ from .dataio import (
     config_from_dict,
     denormalize,
     load_cache_matrix,
+    matrix_path,
     read_json,
     save_cache,
     write_csv,
@@ -472,6 +473,8 @@ def load_checkpoint(path) -> GanModel:
         check_count("feature_count", doc["feature_count"], 1)
         shapes = list(map(nets.layer_shapes, _layer_sizes(config, doc["feature_count"])))
         vector = load_cache_matrix(path, (sum(map(nets.parameter_count, shapes)),))
+        if not np.isfinite(vector).all():
+            raise DataError(f"{matrix_path(path)} holds non-finite values")
         return GanModel(*nets.networks(shapes, vector), config)
 
     return read_json(path, decode)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -322,6 +323,11 @@ def _damage_cache(out, damage):
         np.save(npy_path, matrix.astype(">f8"))
     elif damage == "rows":
         np.save(npy_path, matrix[:-1])  # the document still records every row
+    elif damage in ("non-finite", "out of range"):
+        # a well-formed .npy; DatasetMatrix's range check names the document
+        matrix[3:5, 0] = (np.nan, np.inf) if damage == "non-finite" else 2.0
+        np.save(npy_path, matrix)
+        return cli.DATASET_FILE
     elif damage == "width":
         # matrix and recorded shape agree, the schema does not
         np.save(npy_path, np.hstack([matrix, matrix[:, :1]]))
@@ -343,7 +349,7 @@ def _damage_cache(out, damage):
 @pytest.mark.parametrize("damage", [
     "list", "schema", "stats", "labels", "features",
     "missing", "truncated", "header", "dtype", "big-endian", "rows", "width",
-    "label count", "version 1",
+    "label count", "version 1", "non-finite", "out of range",
 ])
 def test_malformed_dataset_cache_is_data_error(tmp_path, capsys, damage):
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
@@ -976,6 +982,43 @@ def test_gan_seed_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gan.seed" in err and "--seed" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_custom_schema_file_is_decoded_once_per_verb(tmp_path, monkeypatch):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return dataio.schema_from_json(path)
+
+    monkeypatch.setattr(cli, "schema_from_json", counted)
+    for args in (["ingest"], ["train"], ["generate", "--count", "10"], ["evaluate"],
+                 ["report"]):
+        calls.clear()
+        assert run(config, *args) == EXIT_OK
+        assert len(calls) == 1, args
+
+
+def readme_run_config():
+    """The run-config example of README.md, its ``//`` comments stripped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"\s+//.*", "", block))
+
+
+def test_readme_run_config_is_every_key_with_the_defaults(tmp_path):
+    doc = readme_run_config()
+    assert set(doc) == {f.name for f in fields(cli.RunConfig)}
+    assert set(doc["gan"]) == {f.name for f in fields(cli.GanConfig)} - {"seed"}
+    assert set(doc["eval"]) == {f.name for f in fields(cli.EvalConfig)}
+    assert cli.GanConfig.from_dict(doc["gan"]) == cli.GanConfig()
+    assert cli.EvalConfig.from_dict(doc["eval"]) == cli.EvalConfig()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    cfg = cli.load_run_config(path)  # the one decoder takes it as documented
+    assert (cfg.dataset, cfg.seed, cfg.gan.seed) == (doc["dataset"], doc["seed"], doc["seed"])
 
 
 # every key a run config can set, and values of every JSON type

@@ -679,12 +679,6 @@ def test_rmse_histogram_matches_numpy_at_every_bin_edge():
     assert rmse_quality(real, synth)[1] == float(np.sqrt(np.mean(gaps**2)))
 
 
-@pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, np.nan])
-def test_rmse_rejects_values_outside_the_unit_interval(bad):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        rmse_quality(np.array([[0.5], [bad]]), np.array([[0.5]]))
-
-
 # -------------------------------------------------------------- histograms
 
 def unit_stats(width):
@@ -775,6 +769,15 @@ def test_evaluate_width_mismatch():
     data = toy_attack_dataset()
     with pytest.raises(ValueError, match="width|match"):
         evaluate(data, np.zeros((5, 3)), EvalConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, np.nan])
+def test_evaluate_rejects_synthetic_values_outside_the_unit_interval(bad):
+    data = toy_attack_dataset()
+    synth = data.features.copy()
+    synth[7, 1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        evaluate(data, synth, EvalConfig(n_trees=1), np.random.default_rng(0))
 
 
 def stacked_evaluate(real, synth, config, rng):

@@ -234,6 +234,9 @@ def test_train_is_seed_deterministic(tmp_path):
     assert checkpoint_bytes(model_a, tmp_path / "a") == checkpoint_bytes(
         model_b, tmp_path / "b"
     )
+    # the header above holds no parameter; the vectors are in the .npy files
+    assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+    assert len(records_a) == len(records_b) == cfg.gen_steps
     for ra, rb in zip(records_a, records_b):
         assert (ra.step, ra.critic_loss, ra.generator_loss) == (
             rb.step, rb.critic_loss, rb.generator_loss,
