@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, nets, schemas
+from . import __version__, schemas
 from .dataio import (
     DataError,
     DatasetMatrix,
@@ -66,13 +66,13 @@ from .dataio import (
     write_json,
     write_matrix_csv,
 )
-from .evaluator import EvalConfig, QualityReport, evaluate
+from .evaluator import EvalConfig, QualityReport, default_histogram_features, evaluate
 from .gan import (
     GanConfig,
     TrainingDiverged,
-    _layer_sizes,
     generate,
     load_checkpoint,
+    parameter_count,
     save_checkpoint,
     train,
     write_train_log,
@@ -194,7 +194,7 @@ def load_run_config(
         raise ConfigError("'gan.seed' is not a setting; set 'seed' or pass --seed")
     for key, section in (("gan", GanConfig), ("eval", EvalConfig)):
         try:
-            doc[key] = section.from_dict(doc.get(key, {}))
+            doc[key] = config_from_dict(section, doc.get(key, {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad '{key}' config: {exc}") from exc
     overrides = {"seed": seed_override, "out": out_override}
@@ -218,18 +218,26 @@ def load_run_config(
         names = cfg.feature_schema.feature_names()
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    shapes = map(nets.layer_shapes, _layer_sizes(cfg.gan, len(names)))
-    if (count := sum(map(nets.parameter_count, shapes))) > MAX_PARAMETERS:
+    if (count := parameter_count(cfg.gan, len(names))) > MAX_PARAMETERS:
         raise ConfigError(
             f"bad 'gan' config: noise_dim, generator_hidden and critic_hidden give "
             f"{count} parameters on {len(names)} features, over {MAX_PARAMETERS}"
         )
-    unknown = [f for f in cfg.eval.histogram_features or () if f not in names]
+    selected = cfg.eval.histogram_features
+    unknown = [f for f in selected or () if f not in names]
     if unknown:
         raise ConfigError(
             f"eval.histogram_features {unknown} are not schema features; "
             f"candidates: {names}"
         )
+    files: dict[str, str] = {}
+    for feature in default_histogram_features(names) if selected is None else selected:
+        name = histogram_file_name(feature)
+        if name in files:  # two features, or one feature listed twice
+            raise ConfigError(
+                f"histogram features {files[name]!r} and {feature!r} would share the file {name}"
+            )
+        files[name] = feature
     return cfg
 
 
@@ -388,8 +396,22 @@ def _keep_freed_heap() -> None:
         mallopt(param, HEAP_KEEP_BYTES)
 
 
+def _load_ingested(cfg: RunConfig) -> DatasetMatrix:
+    """The dataset cache, which must hold the run config's schema: the
+    config was checked against that schema, and later verbs compute on the
+    cache's."""
+    path = _require(cfg.out_dir / DATASET_FILE, "ingest")
+    data = load_dataset(path)
+    if data.schema != cfg.feature_schema:
+        raise DataError(
+            f"{path} was ingested under another schema than the run config's; "
+            "run the 'ingest' command again"
+        )
+    return data
+
+
 def cmd_train(cfg: RunConfig) -> int:
-    data = load_dataset(_require(cfg.out_dir / DATASET_FILE, "ingest"))
+    data = _load_ingested(cfg)
     fingerprint = {"rows": data.n_rows, "features": data.features.shape[1]}
     every = max(1, cfg.gan.gen_steps // 10)
 
@@ -436,7 +458,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _load_model_and_data(cfg: RunConfig):
-    data = load_dataset(_require(cfg.out_dir / DATASET_FILE, "ingest"))
+    data = _load_ingested(cfg)
     model = load_checkpoint(_require(cfg.out_dir / MODEL_FILE, "train"))
     width = data.features.shape[1]
     if model.feature_count != width:

@@ -320,12 +320,20 @@ def _mangle_duplicates(names: list[str]) -> list[str]:
     return out
 
 
+def _past_end():
+    """A line source that raises: a reader asks it for a line after the
+    file's last only when a quoted cell is still open there."""
+    raise csv.Error("a quoted cell is still open at the end of the file")
+    yield
+
+
 def _record(line: str, lines) -> tuple[list[str], str]:
     """The cells of the CSV record that starts with ``line`` and its raw
-    text, which a quoted cell may carry on over further ``lines``."""
+    text, which a quoted cell may carry on over further ``lines``; a quoted
+    cell open at the end of ``lines`` raises ``csv.Error``."""
     taken = [line]
     more = (taken.append(text) or text for text in lines)
-    return next(csv.reader(chain([line], more)), []), "".join(taken)
+    return next(csv.reader(chain([line], more, _past_end())), []), "".join(taken)
 
 
 def _records(path, names: list[str] | None) -> Iterator:
@@ -347,7 +355,7 @@ def _records(path, names: list[str] | None) -> Iterator:
             if line.count(",") != width - 1 or '"' in line:
                 try:
                     cells, line = _record(line, fh)
-                except csv.Error as exc:  # an unbalanced quote overruns the field limit
+                except csv.Error as exc:  # an unbalanced quote
                     raise DataError(f"{path}: unreadable row {n + 1}: {exc}") from exc
                 if not cells:
                     continue

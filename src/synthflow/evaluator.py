@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataError, DatasetMatrix, check_count, check_finite, config_from_dict
+from .dataio import DataError, DatasetMatrix, check_count, check_finite
 from .worker import forked
 
 HISTOGRAM_BINS = 32
@@ -493,6 +493,22 @@ def default_histogram_features(feature_names) -> list[str]:
     return list(feature_names)[:4]
 
 
+def _histogram_range(lo: float, hi: float) -> tuple[float, float]:
+    """The range to bin ``[lo, hi]`` on: the range itself (widened by 0.5
+    each way when empty) wherever ``np.histogram`` can cut it into
+    HISTOGRAM_BINS finite-sized bins, as it tests that. A range too narrow
+    for float64 bins (a constant of 2**48 or more, or [1e17, 1e17 + 64])
+    is widened about its midpoint to 128 float spacings each way."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
+    if (edges[:-1] < edges[1:]).all():
+        return lo, hi
+    mid = lo / 2 + hi / 2
+    half = 4 * HISTOGRAM_BINS * float(np.spacing(max(abs(lo), abs(hi))))
+    return mid - half, mid + half
+
+
 def histogram_compare(
     real, synth, stats, feature_names, selected=None
 ) -> list[FeatureHistogram]:
@@ -519,10 +535,9 @@ def histogram_compare(
         real_j, synth_j = (m[:, j] * scale + shift for m in (real, synth))
         lo = float(min(real_j.min(), synth_j.min()))
         hi = float(max(real_j.max(), synth_j.max()))
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-        count_real, edges = np.histogram(real_j, HISTOGRAM_BINS, range=(lo, hi))
-        count_synth, _ = np.histogram(synth_j, HISTOGRAM_BINS, range=(lo, hi))
+        span = _histogram_range(lo, hi)
+        count_real, edges = np.histogram(real_j, HISTOGRAM_BINS, range=span)
+        count_synth, _ = np.histogram(synth_j, HISTOGRAM_BINS, range=span)
         out.append(
             FeatureHistogram(
                 name, edges.tolist(), count_real.tolist(), count_synth.tolist()
@@ -557,10 +572,6 @@ class EvalConfig:
             isinstance(names, (list, tuple)) and all(isinstance(f, str) for f in names)
         ):
             raise ValueError(f"histogram_features must be null or a list of names: {names!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalConfig":
-        return config_from_dict(cls, data)
 
 
 @dataclass

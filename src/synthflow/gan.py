@@ -7,11 +7,11 @@ The critic loss is
 with x_hat drawn uniformly on segments between paired real and fake rows.
 The generator minimizes -mean f(G(z)) with the critic frozen. Both networks
 are ReLU MLPs whose layers follow from the config and the data width alone
-(:func:`_layer_sizes`), trained with RMSProp, alternating several critic
-updates per generator update. Everything is driven by one seeded generator
-so runs are bit reproducible. A large critic computes each update's
-x_hat branch in a forked worker while this process computes the score
-terms (:func:`_penalty_worker`), with the same bits.
+(:func:`_layer_sizes`, counted by :func:`parameter_count`), trained with
+RMSProp, alternating several critic updates per generator update. Everything
+is driven by one seeded generator so runs are bit reproducible. A large
+critic computes each update's x_hat branch in a forked worker while this
+process computes the score terms (:func:`_penalty_worker`), with the same bits.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class GanConfig:
         base.update(overrides)
         return cls(**base)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GanConfig":
-        return config_from_dict(cls, data)
-
 
 @dataclass
 class GanModel:
@@ -168,6 +164,12 @@ def _layer_sizes(config: GanConfig, feature_count: int) -> list[list[int]]:
         [config.noise_dim, *config.generator_hidden, feature_count],
         [feature_count, *config.critic_hidden, 1],
     ]
+
+
+def parameter_count(config: GanConfig, feature_count: int) -> int:
+    """Parameters of the generator and the critic together."""
+    shapes = map(nets.layer_shapes, _layer_sizes(config, feature_count))
+    return sum(map(nets.parameter_count, shapes))
 
 
 def build_model(config: GanConfig, feature_count: int, rng: np.random.Generator) -> GanModel:
@@ -469,7 +471,7 @@ def load_checkpoint(path) -> GanModel:
                 f"(expected {CHECKPOINT_VERSION}); run the 'train' command again"
             )
         # a KeyError, TypeError or ValueError reads as malformed
-        config = GanConfig.from_dict(doc["config"])
+        config = config_from_dict(GanConfig, doc["config"])
         check_count("feature_count", doc["feature_count"], 1)
         shapes = list(map(nets.layer_shapes, _layer_sizes(config, doc["feature_count"])))
         vector = load_cache_matrix(path, (sum(map(nets.parameter_count, shapes)),))

@@ -16,7 +16,8 @@ Callers (``gan``) lay out networks by :func:`layer_shapes`, so layer sizes
 chain, and pass finite float64 batches of the network's width and, for
 input gradients and the penalty, a scalar-output network; nothing here
 re-checks that. The only checks are the two ``TrainingDiverged`` rests on:
-a non-finite network output and a non-finite gradient.
+a non-finite network output and a non-finite gradient. RMSProp keeps one
+accumulator per parameter vector (:class:`RmsPropState`) and updates both in place.
 """
 
 from __future__ import annotations
@@ -262,19 +263,18 @@ def penalty_param_grad(
 
 @dataclass
 class RmsPropState:
-    """One parameter vector's accumulator, the hyperparameters (checked by
-    whoever builds the state) and two scratch vectors for the update."""
+    """One parameter vector's accumulator and the hyperparameters, checked by
+    whoever builds the state."""
 
     lr: float
     rho: float
     epsilon: float
     cache: np.ndarray
-    scratch: np.ndarray
 
 
 def rmsprop_state(params: np.ndarray, lr: float, rho: float, epsilon: float) -> RmsPropState:
     """Fresh optimizer state with a zeroed accumulator matching ``params``."""
-    return RmsPropState(lr, rho, epsilon, np.zeros_like(params), np.empty((2, params.size)))
+    return RmsPropState(lr, rho, epsilon, np.zeros_like(params))
 
 
 def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> None:
@@ -287,13 +287,6 @@ def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> N
     if not np.isfinite(grad).all():
         i = np.flatnonzero(~np.isfinite(grad))[0]
         raise NonFiniteError(f"non-finite gradient for parameter {i}")
-    square, step = state.scratch
-    np.multiply(1.0 - state.rho, grad, out=square)
-    square *= grad
     state.cache *= state.rho
-    state.cache += square
-    np.sqrt(state.cache, out=square)
-    square += state.epsilon
-    np.multiply(state.lr, grad, out=step)
-    step /= square
-    params -= step
+    state.cache += ((1.0 - state.rho) * grad) * grad
+    params -= (state.lr * grad) / (np.sqrt(state.cache) + state.epsilon)

@@ -282,6 +282,18 @@ def test_checkpoint_schema_mismatch_is_data_error(tmp_path):
     assert run(config, "generate") == EXIT_DATA
 
 
+def test_checkpoint_of_another_width_is_data_error(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    model = gan.build_model(gan.GanConfig.small(), 1, np.random.default_rng(0))
+    gan.save_checkpoint(model, tmp_path / "run" / cli.MODEL_FILE)
+    capsys.readouterr()
+    for verb in ("generate", "evaluate"):
+        assert run(config, verb) == EXIT_DATA
+        assert "checkpoint generates 1 features" in capsys.readouterr().err
+
+
 def test_checkpoint_noise_dim_mismatch_is_data_error(tmp_path, capsys):
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
     assert run(config, "ingest") == EXIT_OK
@@ -471,6 +483,15 @@ def test_unbalanced_quote_names_its_file_and_row(tmp_path, capsys):
     assert "toy.csv: unreadable row 10: field larger than field limit" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
+    # a short file: the open quote reaches the end of the file, within the limit
+    (tmp_path / "toy.csv").write_text(
+        'f1,f2,label\n0.1,0.2,attack\n0.3,0.4,"attack\n0.5,0.6,attack\n0.7,0.8,normal\n'
+    )
+    assert run(config, "ingest") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "toy.csv: unreadable row 2: a quoted cell is still open at the end of the file" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / cli.DATASET_FILE).exists()
 
 
 @pytest.mark.parametrize(
@@ -493,6 +514,66 @@ def test_bad_eval_config_rejected_at_load(tmp_path, capsys, bad):
     assert run(config, "ingest") == EXIT_CONFIG
     assert next(iter(bad)) in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "names, selected, first",
+    [
+        # the default selection: no preferred flow feature, so the first four
+        (["Flow-Bytes-s", "x", "flow bytes s"], None, "Flow-Bytes-s"),
+        (["Flow Duration", "Flow Bytes-s", "flow bytes s"], ["Flow Bytes-s", "flow bytes s"],
+         "Flow Bytes-s"),
+        (["Flow Duration", "x", "flow bytes s"], ["flow bytes s", "x", "flow bytes s"],
+         "flow bytes s"),
+    ],
+)
+def test_histogram_features_sharing_a_file_name_exit_2(tmp_path, capsys, names, selected, first):
+    config = write_toy_run(tmp_path, eval_overrides={"histogram_features": selected})
+    columns = [{"name": name, "role": "numeric"} for name in names]
+    schema = {"columns": [*columns, {"name": "label", "role": "label"}]}
+    (tmp_path / "toy_schema.json").write_text(json.dumps(schema))
+    capsys.readouterr()
+    assert run(config, "ingest") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{first!r} and 'flow bytes s' would share the file hist_flow_bytes_s.csv" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "generate", "evaluate"])
+def test_dataset_of_another_schema_exits_3_before_writing(tmp_path, capsys, verb):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    out = tmp_path / "run"
+    for step in ("ingest", "train"):
+        assert run(config, step) == EXIT_OK
+    schema = json.loads((tmp_path / "toy_schema.json").read_text())
+    schema["columns"][1]["name"] = "f3"  # f2, renamed
+    (tmp_path / "other_schema.json").write_text(json.dumps(schema))
+    doc = json.loads(config.read_text())
+    doc["schema"] = "other_schema.json"
+    doc["eval"]["histogram_features"] = ["f3"]
+    config.write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run(config, verb) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert cli.DATASET_FILE in err and "'ingest'" in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_constant_feature_too_large_for_float_bins_evaluates(tmp_path, capsys):
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3},
+                           eval_overrides={"n_trees": 2})
+    lines = (tmp_path / "toy.csv").read_text().splitlines(keepends=True)
+    rows = [line.split(",") for line in lines[1:]]
+    text = lines[0] + "".join(f"{f1},1e17,{label}" for f1, _, label in rows)
+    (tmp_path / "toy.csv").write_text(text)
+    for verb in ("ingest", "train", "evaluate", "report"):
+        assert run(config, verb) == EXIT_OK
+    rows = (tmp_path / "run" / "hist_f2.csv").read_text().splitlines()[1:]
+    assert len(rows) == 32
+    assert sum(int(row.split(",")[3]) for row in rows) == 1000
 
 
 @pytest.mark.parametrize("bad", [{"lr": -1}, {"rho": 1.0}, {"epsilon": 0.0}])
@@ -1013,8 +1094,8 @@ def test_readme_run_config_is_every_key_with_the_defaults(tmp_path):
     assert set(doc) == {f.name for f in fields(cli.RunConfig)}
     assert set(doc["gan"]) == {f.name for f in fields(cli.GanConfig)} - {"seed"}
     assert set(doc["eval"]) == {f.name for f in fields(cli.EvalConfig)}
-    assert cli.GanConfig.from_dict(doc["gan"]) == cli.GanConfig()
-    assert cli.EvalConfig.from_dict(doc["eval"]) == cli.EvalConfig()
+    assert cli.config_from_dict(cli.GanConfig, doc["gan"]) == cli.GanConfig()
+    assert cli.config_from_dict(cli.EvalConfig, doc["eval"]) == cli.EvalConfig()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     cfg = cli.load_run_config(path)  # the one decoder takes it as documented

@@ -710,6 +710,30 @@ def test_histogram_single_value_feature_single_bin():
     assert sum(1 for c in hist.count_real if c > 0) == 1
 
 
+@pytest.mark.parametrize("real, synth", [
+    (np.full((10, 1), 2.0**48), np.full((7, 1), 2.0**48)),
+    (np.full((10, 1), 1e17), np.full((7, 1), 1e17 + 64)),
+])
+def test_histogram_range_too_narrow_for_float_bins_is_widened(real, synth):
+    hist = histogram_compare(real, synth, unit_stats(1), ["a"], selected=["a"])[0]
+    edges = np.array(hist.edges)
+    assert len(edges) == HISTOGRAM_BINS + 1 and np.isfinite(edges).all()
+    assert (edges[:-1] < edges[1:]).all()
+    assert (sum(hist.count_real), sum(hist.count_synth)) == (10, 7)
+
+
+@pytest.mark.parametrize("value", [3.0, 2.0**47, -(2.0**47)])
+def test_histogram_keeps_every_range_numpy_accepts(value):
+    m = np.full((4, 1), value)
+    hist = histogram_compare(m, m, unit_stats(1), ["a"], selected=["a"])[0]
+    edges = np.histogram(m, HISTOGRAM_BINS, range=(value - 0.5, value + 0.5))[1]
+    assert hist.edges == edges.tolist()
+    real = np.random.default_rng(3).normal(size=(30, 1))
+    hist = histogram_compare(real, m, unit_stats(1), ["a"], selected=["a"])[0]
+    union = np.concatenate([real, m])
+    assert hist.edges == np.histogram(union, HISTOGRAM_BINS)[1].tolist()
+
+
 def test_histogram_unknown_feature_lists_candidates():
     m = np.zeros((2, 2))
     with pytest.raises(ValueError, match="candidates"):
