@@ -420,7 +420,8 @@ def cmd_train(cfg: RunConfig) -> int:
             print(
                 f"step {record.step}/{cfg.gan.gen_steps} "
                 f"critic_loss={record.critic_loss:.4f} "
-                f"generator_loss={record.generator_loss:.4f}",
+                f"generator_loss={record.generator_loss:.4f} "
+                f"w_estimate={record.penalty_mean - record.critic_loss:.4f}",
                 file=sys.stderr,
             )
 

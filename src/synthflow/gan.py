@@ -10,8 +10,10 @@ are ReLU MLPs whose layers follow from the config and the data width alone
 (:func:`_layer_sizes`, counted by :func:`parameter_count`), trained with
 RMSProp, alternating several critic updates per generator update. Everything
 is driven by one seeded generator so runs are bit reproducible. A large
-critic computes each update's x_hat branch in a forked worker while this
-process computes the score terms (:func:`_penalty_worker`), with the same bits.
+critic shares each of its updates with a forked worker, with the same bits
+(:func:`_penalty_worker`): the worker computes the x_hat branch while this
+process computes the score terms and draws the next batch, and each process
+then applies half of the RMSProp update.
 """
 
 from __future__ import annotations
@@ -48,24 +50,23 @@ CHECKPOINT_VERSION = 3
 # once are bounded by the block, not by the number of rows asked for.
 GENERATE_BLOCK_ROWS = 1024
 
-# Critic parameters from which training computes each critic update's x_hat
-# branch in a forked worker, beside the score branch here. Each update then
-# pays a pipe round trip, and the worker's branch is the longer one. Median
-# step time of 60-step trains on 2500 x 78 rows, one process against two
-# (9 alternating runs each, BLAS on one thread, on a shared 2-core Xeon VM),
-# critic hidden sizes at batch 32 / batch 64:
-#   32 x 32 (3,617 parameters)  4.21 -> 4.02 ms / 5.47 -> 5.55 ms
-#   48 x 48 (6,193)             4.94 -> 5.22 / 6.97 -> 6.86
-#   64 x 64 (9,281)             5.46 -> 5.41 / 8.28 -> 7.19
-#   80 x 80 (12,881)            6.81 -> 6.59 / 10.68 -> 8.96
-#   96 x 96 (16,993)            8.21 -> 7.83 / 11.08 -> 9.72
-#   128 x 128 (26,753)          10.63 -> 10.02 / 16.92 -> 14.12
-#   reference (86,273)          34.0 -> 27.6 / 39.0 -> 36.9
-# Passes vary by up to a third on that VM: an earlier one (7 runs of 40
-# steps) read 32 x 32 4.02 -> 4.31 and 48 x 48 3.87 -> 5.39 at batch 32, and
-# 64 x 64 7.44 -> 7.75 at batch 64, but 96 x 96 and 128 x 128 gained in both
-# passes at both batch sizes. Reference nets at batch 32 read 24.75 -> 28.00
-# there, and 32.06 -> 27.46 over 12 alternating pairs of 60-step trains.
+# Critic parameters from which training shares each critic update with a
+# forked worker (:func:`_penalty_worker`). Each update then pays two pipe
+# round trips. Median step time of 60-step trains on 2500 x 78 rows, one
+# process against two (9 alternating runs each, each run a fresh process
+# with `train`'s heap setting and BLAS on one thread, on a shared 2-core
+# Xeon VM), critic hidden sizes with GanConfig.small's 32 x 32 generator,
+# or the reference nets, at batch 32 / batch 64, with the pairs of runs
+# that two processes won:
+#   32 x 32 (3,617 parameters)  2.19 -> 2.30 ms (4/9) / 3.05 -> 2.85 ms (5/9)
+#   48 x 48 (6,193)             2.75 -> 2.40 (5/9) / 3.75 -> 4.16 (7/9)
+#   64 x 64 (9,281)             3.19 -> 3.25 (4/9) / 4.59 -> 5.11 (7/9)
+#   80 x 80 (12,881)            3.80 -> 2.97 (7/9) / 8.87 -> 6.48 (6/9)
+#   96 x 96 (16,993)            4.40 -> 3.35 (7/9) / 8.33 -> 7.16 (6/9)
+#   128 x 128 (26,753)          6.17 -> 5.48 (7/9) / 13.57 -> 9.78 (9/9)
+#   reference (86,273)          20.51 -> 15.24 (9/9) / 37.42 -> 29.15 (9/9)
+# Below the gate the medians go both ways; from 80 x 80 up both batch sizes
+# gain.
 _PENALTY_WORKER_PARAMETERS = 12_000
 
 
@@ -214,7 +215,8 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) ->
 
     The value decomposes exactly as fake_term - real_term + penalty_term;
     the gradient adds the reverse pass on the score terms and the penalty
-    double backprop, (fake + real) + penalty.
+    double backprop, (fake + real) + penalty. The sum is made in place in
+    the penalty's gradient vector, which is the one returned.
 
     The x_hat branch (:func:`_penalty_branch`) needs nothing from the score
     branch. It runs here, after the score branch, unless ``penalty`` runs it
@@ -244,8 +246,8 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) ->
             f"non-finite critic loss: fake_term={fake_term}, "
             f"real_term={real_term}, penalty_term={penalty_term}"
         )
-    grad += penalty_grad
-    return CriticLoss(loss, fake_term, real_term, penalty_term, grad, grad_norm_mean)
+    penalty_grad += grad  # addition commutes: the bits of (fake + real) + penalty
+    return CriticLoss(loss, fake_term, real_term, penalty_term, penalty_grad, grad_norm_mean)
 
 
 def generator_loss(model: GanModel, noise_batch) -> tuple[float, np.ndarray]:
@@ -289,65 +291,115 @@ def write_train_log(records: list[TrainRecord], path) -> None:
 
 @contextmanager
 def _penalty_worker(model: GanModel, config: GanConfig):
-    """The ``penalty`` argument of :func:`critic_loss` for a training run,
-    for the block's duration: None, so each x_hat branch runs in this
-    process, or one that runs it in a worker made with ``os.fork``
-    (:func:`.worker.forked`).
+    """The critic's updates of a training run, for the block's duration: a
+    function that takes an iterator over one generator step's batches, each
+    the ``(real, fake, x_hat)`` of :func:`critic_loss`, applies one RMSProp
+    update of the critic per batch, and yields each update's
+    :class:`CriticLoss` once the update is applied.
 
-    The worker runs when ``os.fork`` exists, the critic has at least
+    In one process an update is :func:`critic_loss` then
+    :func:`nets.rmsprop_step`, and the next batch is drawn after both. A
+    worker made with ``os.fork`` (:func:`.worker.forked`) shares the work
+    when ``os.fork`` exists, the critic has at least
     :data:`_PENALTY_WORKER_PARAMETERS` parameters and this process's BLAS
-    runs one thread. The critic's parameter vector then moves into an
-    anonymous shared mapping, beside the x_hat and penalty-gradient
-    buffers, so the worker reads every update of it. For each critic update
-    this process writes x_hat and sends an empty request; the worker runs
-    :func:`_penalty_branch`, writes the gradient, and replies with the
-    penalty and the mean norm, or with the ``NonFiniteError`` it raised,
-    which :func:`critic_loss` raises here. The same numbers in the same
-    order make the same bits as one process. The model stays valid after
-    the worker is reaped: the mapping lives as long as the critic's vector.
+    runs one thread. The critic's parameter vector and its RMSProp
+    accumulator then move into an anonymous shared mapping, beside the
+    x_hat and gradient buffers, and each update takes two round trips:
+
+    1. This process writes x_hat and sends ``False``. The worker runs
+       :func:`_penalty_branch`, writes the penalty's gradient, and replies
+       with the penalty and the mean norm, or with the ``NonFiniteError`` it
+       raised, which :func:`critic_loss` raises here. Meanwhile this process
+       draws the next batch, generator forward included (the generator is
+       fixed through a step's critic updates), and computes the score
+       branch, whose gradient :func:`critic_loss` adds into the shared one.
+    2. This process checks the whole gradient as :func:`nets.rmsprop_step`
+       does and sends ``True``. The worker applies the upper half of the
+       RMSProp update while this process applies the lower half, and this
+       process waits for the worker's reply before the next score branch
+       reads the vector.
+
+    The same numbers go through the same elementwise operations in the same
+    order, so the bits are those of one process. A failed check changes
+    neither half, and a failure drawing the next batch is raised once this
+    update is applied, where one process raises it. The model stays valid
+    after the worker is reaped: the mapping lives as long as the critic's
+    vector.
     """
     critic = model.critic
     size = critic.vector.size
     if not hasattr(os, "fork") or size < _PENALTY_WORKER_PARAMETERS or blas_threads() != 1:
-        yield None
+        state = nets.rmsprop_state(critic.vector, config.lr, config.rho, config.epsilon)
+
+        def updates(batches):
+            for batch in batches:
+                cl = critic_loss(model, *batch)
+                nets.rmsprop_step(model.critic.vector, cl.grad, state)
+                yield cl
+
+        yield updates
         return
     import mmap  # imported here: at module level it adds about 0.1 MB to every verb's peak RSS
 
-    shared = mmap.mmap(-1, 8 * (2 * size + config.batch_size * model.feature_count))  # float64s
-    vector, penalty_grad, x_hat = np.split(np.frombuffer(shared), [size, 2 * size])
+    shared = mmap.mmap(-1, 8 * (3 * size + config.batch_size * model.feature_count))  # float64s
+    vector, grad, cache, x_hat = np.split(np.frombuffer(shared), [size, 2 * size, 3 * size])
     x_hat = x_hat.reshape(config.batch_size, model.feature_count)
     vector[:] = critic.vector
     (model.critic,) = nets.networks([critic.shapes], vector)
+    half = size // 2
+    lower, upper = (
+        nets.RmsPropState(config.lr, config.rho, config.epsilon, part)
+        for part in (cache[:half], cache[half:])  # the mapping starts zeroed
+    )
 
     def serve(channel):
         while True:
-            channel.receive()
+            if channel.receive():  # the gradient is checked: apply the upper half
+                nets.rmsprop_step(vector[half:], grad[half:], upper)
+                channel.send(None)
+                continue
             try:
-                penalty_term, grad, grad_norm_mean = _penalty_branch(
+                penalty_term, penalty_grad, grad_norm_mean = _penalty_branch(
                     model.critic, x_hat, config.gp_lambda
                 )
             except NonFiniteError as exc:  # a reply: training diverged, the worker did not fail
                 channel.send(exc)
                 continue
-            penalty_grad[:] = grad
+            grad[:] = penalty_grad
             channel.send((penalty_term, grad_norm_mean))
 
     with forked(serve, "computing the gradient penalty") as worker:
 
-        def start(batch):
-            x_hat[:] = batch
-            worker.send(None)
+        def penalty_result():
+            reply = worker.receive()
+            if isinstance(reply, NonFiniteError):
+                raise reply
+            penalty_term, grad_norm_mean = reply
+            return penalty_term, grad, grad_norm_mean
 
-            def result():
-                reply = worker.receive()
-                if isinstance(reply, NonFiniteError):
-                    raise reply
-                penalty_term, grad_norm_mean = reply
-                return penalty_term, penalty_grad, grad_norm_mean
+        def updates(batches):
+            def penalty(batch_x_hat):
+                nonlocal following
+                x_hat[:] = batch_x_hat
+                worker.send(False)
+                try:  # the next batch, drawn while the worker computes
+                    following = next(batches, None)
+                except NonFiniteError as exc:  # raised once this update is applied
+                    following = exc
+                return penalty_result
 
-            return result
+            following = next(batches, None)
+            while following is not None:
+                if isinstance(following, NonFiniteError):
+                    raise following
+                cl = critic_loss(model, *following, penalty)
+                nets.check_gradient(cl.grad)
+                worker.send(True)
+                nets.rmsprop_step(vector[:half], cl.grad[:half], lower)
+                worker.receive()
+                yield cl
 
-        yield start
+        yield updates
 
 
 def train(
@@ -360,8 +412,10 @@ def train(
     appends one TrainRecord (also passed to ``progress`` when given). A
     non-finite loss or gradient aborts with :class:`TrainingDiverged`.
 
-    A large enough critic computes each critic update's x_hat branch in a
-    worker process (:func:`_penalty_worker`), bit for bit as here. A worker
+    A large enough critic shares each critic update with a worker process
+    (:func:`_penalty_worker`): the worker computes the x_hat branch and half
+    of the RMSProp update while this process computes the score branch, the
+    other half and the next batch, bit for bit as one process. A worker
     that fails raises ``OSError("the worker computing the gradient penalty
     ...")``, and is reaped on every path.
     """
@@ -372,28 +426,27 @@ def train(
         )
     rng = np.random.default_rng(config.seed)
     model = build_model(config, data.features.shape[1], rng)
-    critic_state = nets.rmsprop_state(
-        model.critic.vector, config.lr, config.rho, config.epsilon
-    )
     gen_state = nets.rmsprop_state(
         model.generator.vector, config.lr, config.rho, config.epsilon
     )
+    features = data.features
+
+    def draw():
+        """One critic update's real, fake and interpolated batches."""
+        idx = rng.integers(0, n, size=config.batch_size)
+        real = features[idx]
+        noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
+        fake, _ = nets.mlp_forward(model.generator, noise)
+        eps = rng.uniform(0.0, 1.0, size=config.batch_size)
+        return real, fake, interpolate(real, fake, eps)
 
     records: list[TrainRecord] = []
-    features = data.features
-    with _penalty_worker(model, config) as penalty:
+    with _penalty_worker(model, config) as critic_updates:
         for step in range(1, config.gen_steps + 1):
             t0 = time.perf_counter()
             try:
                 closs_sum = penalty_sum = norm_sum = 0.0
-                for _ in range(config.critic_steps):
-                    idx = rng.integers(0, n, size=config.batch_size)
-                    real = features[idx]
-                    noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-                    fake, _ = nets.mlp_forward(model.generator, noise)
-                    eps = rng.uniform(0.0, 1.0, size=config.batch_size)
-                    cl = critic_loss(model, real, fake, interpolate(real, fake, eps), penalty)
-                    nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
+                for cl in critic_updates(draw() for _ in range(config.critic_steps)):
                     closs_sum += cl.loss
                     penalty_sum += cl.penalty_term
                     norm_sum += cl.grad_norm_mean

@@ -277,16 +277,23 @@ def rmsprop_state(params: np.ndarray, lr: float, rho: float, epsilon: float) -> 
     return RmsPropState(lr, rho, epsilon, np.zeros_like(params))
 
 
+def check_gradient(grad: np.ndarray) -> None:
+    """Raise NonFiniteError naming the first non-finite entry of ``grad``."""
+    if not np.isfinite(grad).all():
+        i = np.flatnonzero(~np.isfinite(grad))[0]
+        raise NonFiniteError(f"non-finite gradient for parameter {i}")
+
+
 def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> None:
     """One in-place update: cache <- rho*cache + (1-rho)*g^2, then
     params <- params - lr*g/(sqrt(cache) + epsilon).
 
-    The gradient is checked before anything is mutated, so a failed update
-    leaves the parameters and the accumulator as they were.
+    The gradient is checked (:func:`check_gradient`) before anything is
+    mutated, so a failed update leaves the parameters and the accumulator as
+    they were. Every operation is elementwise: updating the two halves of a
+    vector in two calls gives the bits of one call.
     """
-    if not np.isfinite(grad).all():
-        i = np.flatnonzero(~np.isfinite(grad))[0]
-        raise NonFiniteError(f"non-finite gradient for parameter {i}")
+    check_gradient(grad)
     state.cache *= state.rho
     state.cache += ((1.0 - state.rho) * grad) * grad
     params -= (state.lr * grad) / (np.sqrt(state.cache) + state.epsilon)

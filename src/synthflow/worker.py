@@ -7,7 +7,7 @@ data the worker already holds need not travel. Three callers use it:
 :func:`two_process_map`, which parses ingest blocks and formats the rows of
 ``synthetic.csv``; the evaluator's tree fit, whose worker searches half of
 the features at every node; and training, whose worker computes each critic
-update's gradient penalty.
+update's gradient penalty and applies half of its RMSProp update.
 
 The worker leaves by ``os._exit`` alone: it flushes no inherited buffer,
 runs no ``atexit`` hook and never unwinds into the caller's frames. A fork

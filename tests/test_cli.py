@@ -148,6 +148,22 @@ def test_train_log_columns(toy_pipeline):
     assert len(lines) == 61  # 60 generator steps
 
 
+def test_train_progress_line_shows_the_wasserstein_estimate(tmp_path, capsys):
+    config = write_toy_run(tmp_path)
+    assert run(config, "ingest") == EXIT_OK
+    capsys.readouterr()
+    assert run(config, "train") == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 10  # every sixth of 60 steps
+    last = (tmp_path / "run" / cli.TRAIN_LOG_FILE).read_text().splitlines()[-1]
+    closs, gloss, penalty = map(float, last.split(",")[1:4])
+    # the critic's estimate of the Wasserstein distance: mean f(real) - mean f(fake)
+    assert lines[-1] == (
+        f"step 60/60 critic_loss={closs:.4f} generator_loss={gloss:.4f} "
+        f"w_estimate={penalty - closs:.4f}"
+    )
+
+
 def test_report_markdown_renders(toy_pipeline):
     text = (toy_pipeline / cli.REPORT_MD_FILE).read_text()
     assert "0.10" in text and "0.75" in text  # reference points
@@ -1294,26 +1310,52 @@ def test_penalty_worker_divergence_exits_4_with_the_one_process_model(tmp_path, 
     assert kept[0][0] == 3
 
 
-@needs_openblas
-def test_killed_penalty_worker_exits_3_and_leaves_no_model(tmp_path, capsys, monkeypatch):
+def train_with_a_failing_penalty_worker(tmp_path, capsys, monkeypatch, name, act) -> str:
+    """The stderr of a toy ``train`` whose penalty worker runs ``act()`` as it
+    calls ``nets.<name>``; the verb exits 3 and leaves no model."""
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
     assert run(config, "ingest") == EXIT_OK
     monkeypatch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", 0)  # the toy critic forks too
-    act_in_the_worker(
-        monkeypatch, nets, "penalty_param_grad", lambda: os.kill(os.getpid(), signal.SIGKILL)
-    )
+    act_in_the_worker(monkeypatch, nets, name, act)
     capsys.readouterr()
     with leaves_nothing_open():
         assert run(config, "train") == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err == (
-        f"error: the worker computing the gradient penalty exited with {-signal.SIGKILL}\n"
-    )
     out = tmp_path / "run"
-    assert not any((out / name).exists() for name in (
+    assert not any((out / file).exists() for file in (
         cli.MODEL_FILE, cli.MODEL_MATRIX_FILE,
         cli.LASTGOOD_MODEL_FILE, cli.LASTGOOD_MODEL_MATRIX_FILE,
     ))
+    return capsys.readouterr().err
+
+
+def kill_this_process():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_openblas
+def test_killed_penalty_worker_exits_3_and_leaves_no_model(tmp_path, capsys, monkeypatch):
+    err = train_with_a_failing_penalty_worker(
+        tmp_path, capsys, monkeypatch, "penalty_param_grad", kill_this_process
+    )
+    assert err == (
+        f"error: the worker computing the gradient penalty exited with {-signal.SIGKILL}\n"
+    )
+
+
+def raise_runtime_error():
+    raise RuntimeError("rmsprop failed")
+
+
+@needs_openblas
+@pytest.mark.parametrize("act, reason", [
+    (kill_this_process, f"exited with {-signal.SIGKILL}"),
+    (raise_runtime_error, "failed: RuntimeError: rmsprop failed"),
+], ids=["killed", "raises"])
+def test_penalty_worker_failing_in_its_half_of_rmsprop_exits_3_and_leaves_no_model(
+    tmp_path, capsys, monkeypatch, act, reason
+):
+    err = train_with_a_failing_penalty_worker(tmp_path, capsys, monkeypatch, "rmsprop_step", act)
+    assert err == f"error: the worker computing the gradient penalty {reason}\n"
 
 
 def test_train_output_does_not_depend_on_how_blas_threads_are_set(tmp_path):

@@ -320,7 +320,11 @@ def train_alone(monkeypatch, data, config):
     (3, {"critic_steps": 5, "gp_lambda": 0.0}),
     (2, {"gen_steps": 0}),
     (78, {"batch_size": 32, "noise_dim": 16, "critic_hidden": (64, 64)}),
-], ids=["1-feature-batch-2", "critic-steps-1", "gp-lambda-0", "gen-steps-0", "78-features"])
+    # 86,273 critic parameters, an odd count: the two halves of RMSProp differ in length
+    (78, {"batch_size": 32, "gen_steps": 2, "noise_dim": 64,
+          "generator_hidden": (256, 128, 128, 128), "critic_hidden": (256, 128, 128, 128)}),
+], ids=["1-feature-batch-2", "critic-steps-1", "gp-lambda-0", "gen-steps-0", "78-features",
+        "reference-nets"])
 def test_two_process_training_matches_one_process(
     monkeypatch, two_processes, n_features, overrides
 ):
@@ -411,18 +415,117 @@ def test_non_finite_penalty_in_the_worker_diverges_as_one_process(
     assert generate(both.model, 5, rng).shape == (5, 3)
 
 
+def set_critic_gradient_entry(monkeypatch, name, call, index, value):
+    """Set entry ``index`` of the gradient vector returned by the ``call``-th
+    call of ``nets.<name>`` on a critic, in whichever process makes it."""
+    calls, fn = [], getattr(nets, name)
+
+    def patched(net, *args):
+        out = fn(net, *args)
+        if net.out_dim == 1:
+            calls.append(1)
+            if len(calls) == call:
+                (out[1] if isinstance(out, tuple) else out)[index] = value
+        return out
+
+    monkeypatch.setattr(nets, name, patched)
+
+
+BIG = 0.75 * np.finfo(float).max
+
+
+@pytest.mark.parametrize("entry, penalty_value, score_value", [
+    (lambda size: 0, np.inf, None),
+    (lambda size: size - 1, np.inf, None),
+    (lambda size: size // 2, BIG, BIG),  # each finite, their sum not
+], ids=["inf-first-entry", "inf-last-entry", "sum-overflows"])
+def test_non_finite_critic_gradient_in_either_half_diverges_as_one_process(
+    monkeypatch, two_processes, entry, penalty_value, score_value
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    size = nets.parameter_count(nets.layer_shapes([3, *config.critic_hidden, 1]))
+    assert size % 2  # the halves differ in length
+    index = entry(size)
+    counted = count_forks(monkeypatch)
+    runs = []
+    for gate in (2**62, 0):  # one process, then two
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+            # the third update of step 3; its fake batch's score gradient is
+            # the first of its two critic parameter gradients
+            set_critic_gradient_entry(patch, "penalty_param_grad", 13, index, penalty_value)
+            if score_value is not None:
+                set_critic_gradient_entry(patch, "mlp_param_grad", 25, index, score_value)
+            with leaves_nothing_open(), np.errstate(over="ignore"):
+                with pytest.raises(TrainingDiverged) as caught:
+                    train(data, config)
+        runs.append(caught.value)
+    assert len(counted) == 1
+    alone, both = runs
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert str(both).endswith(f"non-finite gradient for parameter {index}")
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+
+
+def test_non_finite_batch_drawn_ahead_diverges_after_the_update_as_one_process(
+    monkeypatch, two_processes
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    calls, forward = [], nets.mlp_forward
+
+    def nan_generator_forward(net, x):
+        if net.out_dim != 1:  # the generator's
+            calls.append(1)
+            if len(calls) == 14:  # the batch of step 3's second critic update
+                x = np.full_like(x, np.nan)
+        return forward(net, x)
+
+    runs = []
+    for gate in (2**62, 0):  # one process, then two
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+            patch.setattr(nets, "mlp_forward", nan_generator_forward)
+            with leaves_nothing_open():
+                with pytest.raises(TrainingDiverged) as caught:
+                    train(data, config)
+        runs.append(caught.value)
+    alone, both = runs
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert "forward pass produced non-finite values" in str(both)
+    # step 3's first critic update was applied before the failed draw
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+
+
 def raise_runtime_error():
     raise RuntimeError("penalty failed")
 
 
-@pytest.mark.parametrize("act, reason", [
+worker_failures = pytest.mark.parametrize("act, reason", [
     (lambda: os.kill(os.getpid(), signal.SIGKILL), f"exited with {-signal.SIGKILL}"),
     (raise_runtime_error, "failed: RuntimeError: penalty failed"),
 ], ids=["killed", "raises"])
+
+
+@worker_failures
 def test_failed_penalty_worker_raises_an_oserror_naming_it(
     monkeypatch, two_processes, act, reason
 ):
     act_in_the_worker(monkeypatch, nets, "penalty_param_grad", act)
+    with leaves_nothing_open():
+        with pytest.raises(OSError, match=f"the worker computing the gradient penalty {reason}"):
+            train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))
+
+
+@worker_failures
+def test_worker_failing_in_its_half_of_rmsprop_raises_an_oserror_naming_it(
+    monkeypatch, two_processes, act, reason
+):
+    act_in_the_worker(monkeypatch, nets, "rmsprop_step", act)
     with leaves_nothing_open():
         with pytest.raises(OSError, match=f"the worker computing the gradient penalty {reason}"):
             train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))

@@ -218,6 +218,22 @@ def test_rmsprop_cache_stays_nonnegative(grads, rho):
         assert (state.cache >= 0.0).all()
 
 
+@pytest.mark.parametrize("size", [1, 2, 1217, 86_273])
+def test_rmsprop_in_two_halves_matches_one_call(size):
+    rng = np.random.default_rng(size)
+    whole, grads = rng.normal(size=size), rng.normal(size=(4, size))
+    halves = whole.copy()
+    parts = slice(None, size // 2), slice(size // 2, None)
+    state = rmsprop_state(whole, lr=0.001, rho=0.9, epsilon=1e-6)
+    part_states = [rmsprop_state(halves[p], lr=0.001, rho=0.9, epsilon=1e-6) for p in parts]
+    for grad in grads:
+        rmsprop_step(whole, grad, state)
+        for part, part_state in zip(parts, part_states):
+            rmsprop_step(halves[part], grad[part], part_state)
+    assert halves.tobytes() == whole.tobytes()
+    assert np.concatenate([s.cache for s in part_states]).tobytes() == state.cache.tobytes()
+
+
 def test_training_steps_are_seed_deterministic():
     def run():
         rng = np.random.default_rng(1234)
