@@ -27,12 +27,12 @@ node's rows would give, so the trees are bit for bit those of a per-node
 sort.
 
 A fit of at least :data:`_FIT_WORKER_CELLS` cells runs on two cores, split
-by feature as XGBoost's column blocks allow: a forked worker presorts and
-searches half of the features at every node (:func:`_tree_builder`), and a
-tie across the halves still goes to the smaller feature index, so the trees
-are the same bit for bit. The goldeneye benchmark's fit, 3,392 x 78 with 10
-trees, took 160 ms instead of 248 ms in one process (in-process, median of
-9).
+by feature as XGBoost's column blocks allow (:func:`_grow_trees`): a forked
+worker runs the same boosting rounds, presorting and searching half of the
+features, so only splits cross, and a tie across the halves still goes to
+the smaller feature index: the trees are the same bit for bit. The
+goldeneye benchmark's fit, 3,392 x 78 with 10 trees, took 160 ms instead
+of 248 ms in one process (in-process, median of 9).
 
 In each process a fit's numpy allocations peak at about 35 bytes per cell
 of its own features beyond the fit matrix: 8 for the root block, 12 for
@@ -50,7 +50,6 @@ on its own after it.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,10 +222,10 @@ _FIT_WORKER_CELLS = 64_000
 
 
 def _half_builder(features, start, stop, max_depth, choose):
-    """Tree grower for features ``start:stop`` of one fit: ``build(residuals,
-    hessians, fitted) -> TreeNode``. ``build`` also writes each row's leaf
-    value into ``fitted``, which is then the tree's prediction on the fit
-    matrix.
+    """Tree grower for features ``start:stop`` of one fit, in one process of
+    :func:`_grow_trees`: ``build(residuals, hessians, fitted) -> TreeNode``
+    grows one round's tree. ``build`` also writes each row's leaf value into
+    ``fitted``, which is then the tree's prediction on the fit matrix.
 
     Every feature column of ``start:stop`` is stable-sorted once, here,
     into the root block: one row per feature of (row id, dense rank)
@@ -307,27 +306,33 @@ def _half_builder(features, start, stop, max_depth, choose):
     return build
 
 
-@contextmanager
-def _tree_builder(features, max_depth):
-    """The tree grower of one fit (see :func:`_half_builder`), for the
-    block's duration.
+def _grow_trees(features, max_depth, rounds) -> list[RegressionTree]:
+    """One tree per boosting round of ``rounds(fitted)``, a generator of
+    each round's ``(residuals, hessians)``; before it resumes, the round's
+    tree has written its prediction on the fit matrix into ``fitted``.
 
     A fit of at least two features and :data:`_FIT_WORKER_CELLS` cells runs
     in two processes: a worker made with ``os.fork`` (:func:`.worker.forked`)
     owns features ``d//2:``, and this process the others. Each presorts its
-    own features and keeps their blocks and its own search scratch. Each
-    tree's residuals and hessians go down to the worker once. At each node
-    both search their own features; the worker's best wins only if its gain
-    is strictly greater, so a tie keeps the smaller feature index, as one
+    own features, keeps their blocks and its own search scratch, and runs
+    the same rounds on its own ``fitted``. At each node both search their
+    own features; the worker's best wins only if its gain is strictly
+    greater, so a tie keeps the smaller feature index, as one
     ``split_search`` over every feature would. The chosen split goes down,
-    and each process partitions its own blocks by it. Every gain and
-    threshold is computed as in one process, so the trees are bit for bit
-    the same. Smaller fits, and any fit without ``os.fork``, run here alone.
+    the only message of a node, and each process partitions its own blocks
+    by it. Every gain, threshold, leaf value and round is computed as in one
+    process, so the trees are bit for bit the same. Smaller fits, and any
+    fit without ``os.fork``, run here alone.
     """
     n_rows, d = features.shape
+
+    def grow(start, stop, choose):
+        build = _half_builder(features, start, stop, max_depth, choose)
+        fitted = np.empty(n_rows)
+        return [RegressionTree(build(*round_, fitted)) for round_ in rounds(fitted)]
+
     if d < 2 or features.size < _FIT_WORKER_CELLS or not hasattr(os, "fork"):
-        yield _half_builder(features, 0, d, max_depth, lambda found: found)
-        return
+        return grow(0, d, lambda found: found)
     half = d // 2
 
     def serve(channel):
@@ -335,10 +340,7 @@ def _tree_builder(features, max_depth):
             channel.send(found)
             return channel.receive()
 
-        build = _half_builder(features, half, d, max_depth, choose)
-        fitted = np.empty(n_rows)
-        while True:
-            build(*channel.receive(), fitted)
+        grow(half, d, choose)
 
     with forked(serve, "searching split features") as worker:
 
@@ -349,13 +351,7 @@ def _tree_builder(features, max_depth):
             worker.send(found)
             return found
 
-        build = _half_builder(features, 0, half, max_depth, choose)
-
-        def build_both(residuals, hessians, fitted):
-            worker.send((residuals, hessians))
-            return build(residuals, hessians, fitted)
-
-        yield build_both
+        return grow(0, half, choose)
 
 
 @dataclass
@@ -374,26 +370,27 @@ def gbm_fit(train: LabeledSet, config: EvalConfig) -> GbmModel:
 
     Each round fits a tree to the residual (label - predicted probability)
     with hessian weights p*(1-p), and adds it scaled by ``config.shrinkage``.
-    Fitting is fully deterministic, in one process or two
-    (:func:`_tree_builder`). A worker that fails raises ``OSError("the
-    worker searching split features ...")``, and is reaped on every path.
+    The rounds are one generator, which :func:`_grow_trees` runs in each
+    process of the fit, so both hold the same scores. Fitting is fully
+    deterministic, in one process or two. A worker that fails raises
+    ``OSError("the worker searching split features ...")``, and is reaped
+    on every path.
     """
     y = train.labels.astype(np.float64)
     if y.min() == y.max():
         raise ValueError("training set must contain both classes")
     prior = float(y.mean())
     base_score = float(np.log(prior / (1.0 - prior)))
-    scores = np.full(y.shape, base_score)
-    fitted = np.empty_like(scores)  # each round's tree prediction on train
-    trees: list[RegressionTree] = []
-    # the features never change between rounds: one presort serves all trees
-    with _tree_builder(train.features, config.max_depth) as build:
+
+    def rounds(fitted):
+        scores = np.full(y.shape, base_score)
         for _ in range(config.n_trees):
             p = sigmoid(scores)
-            residuals = y - p
-            hessians = p * (1.0 - p)
-            trees.append(RegressionTree(build(residuals, hessians, fitted)))
-            scores += config.shrinkage * fitted
+            yield y - p, p * (1.0 - p)
+            scores += config.shrinkage * fitted  # the round's tree on the fit matrix
+
+    # the features never change between rounds: one presort serves all trees
+    trees = _grow_trees(train.features, config.max_depth, rounds)
     return GbmModel(base_score, trees, config.shrinkage, train.features.shape[1])
 
 
@@ -589,17 +586,19 @@ class QualityReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityReport":
-        """``read_json`` decoder; coerces or checks every field a report
-        formats, so a wrongly typed one fails here rather than mid-report."""
+        """``read_json`` decoder; checks every field a report formats against
+        what :func:`evaluate` writes (finite numbers, counts of at least one),
+        so a wrong one fails here rather than printing into the report."""
         for key in ("rmse_means", "rmse_hist", "auc"):
-            data[key] = float(data[key])
-        data["importances"] = {k: float(v) for k, v in data["importances"].items()}
+            check_finite(key, data[key])
+        for name, weight in data["importances"].items():
+            check_finite(f"importance of {name!r}", weight)
         data["roc_points"] = [tuple(p) for p in data["roc_points"]]
         data["histograms"] = [FeatureHistogram(**h) for h in data["histograms"]]
         if not all(isinstance(h.feature, str) for h in data["histograms"]):
             raise DataError("a histogram 'feature' is not a string")
-        if not all(isinstance(data[k], int) for k in ("n_real", "n_synth")):
-            raise DataError("'n_real' and 'n_synth' must be integers")
+        for key in ("n_real", "n_synth"):
+            check_count(key, data[key], 1)
         return cls(**data)
 
 

@@ -9,10 +9,11 @@ The generator minimizes -mean f(G(z)) with the critic frozen. Both networks
 are ReLU MLPs whose layers follow from the config and the data width alone
 (:func:`_layer_sizes`, counted by :func:`parameter_count`), trained with
 RMSProp, alternating several critic updates per generator update. Everything
-is driven by one seeded generator so runs are bit reproducible. A large
-critic shares each of its updates with a forked worker, with the same bits
-(:func:`_penalty_worker`): the worker computes the x_hat branch while this
-process computes the score terms and draws the next batch, and each process
+is driven by one seeded generator so runs are bit reproducible. One loop in
+:func:`train` runs every critic update, in one process or two: a large
+critic shares each update with a forked worker, with the same bits
+(:func:`_penalty_worker`). The worker computes the x_hat branch while this
+process draws the next batch and computes the score terms, and each process
 then applies half of the RMSProp update.
 """
 
@@ -219,17 +220,9 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) ->
     the penalty's gradient vector, which is the one returned.
 
     The x_hat branch (:func:`_penalty_branch`) needs nothing from the score
-    branch. It runs here, after the score branch, unless ``penalty`` runs it
-    elsewhere: ``penalty(x_hat)`` starts it before the score branch and
-    returns a function that waits for its result.
+    branch. It runs here, after the score branch, unless it already runs
+    elsewhere: then ``penalty()`` waits for its result.
     """
-    cfg = model.config
-    if penalty is None:
-        def penalty_result():
-            return _penalty_branch(model.critic, x_hat, cfg.gp_lambda)
-    else:
-        penalty_result = penalty(x_hat)
-
     fake_scores, fake_cache = nets.mlp_forward(model.critic, fake_batch)
     real_scores, real_cache = nets.mlp_forward(model.critic, real_batch)
     fake_term = float(fake_scores.mean())
@@ -239,7 +232,10 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) ->
     grad = nets.mlp_param_grad(model.critic, fake_cache, up_fake)
     grad += nets.mlp_param_grad(model.critic, real_cache, up_real)
 
-    penalty_term, penalty_grad, grad_norm_mean = penalty_result()
+    penalty_term, penalty_grad, grad_norm_mean = (
+        _penalty_branch(model.critic, x_hat, model.config.gp_lambda) if penalty is None
+        else penalty()
+    )
     loss = fake_term - real_term + penalty_term
     if not np.isfinite(loss):
         raise NonFiniteError(
@@ -291,53 +287,42 @@ def write_train_log(records: list[TrainRecord], path) -> None:
 
 @contextmanager
 def _penalty_worker(model: GanModel, config: GanConfig):
-    """The critic's updates of a training run, for the block's duration: a
-    function that takes an iterator over one generator step's batches, each
-    the ``(real, fake, x_hat)`` of :func:`critic_loss`, applies one RMSProp
-    update of the critic per batch, and yields each update's
-    :class:`CriticLoss` once the update is applied.
+    """``(start, apply)`` for the block's duration: ``start(x_hat)`` starts
+    a critic update's x_hat branch and returns :func:`critic_loss`'s
+    ``penalty``, and ``apply(grad)`` applies RMSProp with its gradient.
 
-    In one process an update is :func:`critic_loss` then
-    :func:`nets.rmsprop_step`, and the next batch is drawn after both. A
-    worker made with ``os.fork`` (:func:`.worker.forked`) shares the work
-    when ``os.fork`` exists, the critic has at least
-    :data:`_PENALTY_WORKER_PARAMETERS` parameters and this process's BLAS
-    runs one thread. The critic's parameter vector and its RMSProp
-    accumulator then move into an anonymous shared mapping, beside the
-    x_hat and gradient buffers, and each update takes two round trips:
+    In one process ``start`` returns None, so :func:`critic_loss` computes
+    the x_hat branch after the score branch, and ``apply`` is one
+    :func:`nets.rmsprop_step`. A worker made with ``os.fork``
+    (:func:`.worker.forked`) shares the work when ``os.fork`` exists, the
+    critic has at least :data:`_PENALTY_WORKER_PARAMETERS` parameters and
+    this process's BLAS runs one thread. The critic's parameter vector and
+    its RMSProp accumulator then move into an anonymous shared mapping,
+    beside the x_hat and gradient buffers, and each update takes two round
+    trips:
 
-    1. This process writes x_hat and sends ``False``. The worker runs
+    1. ``start`` writes x_hat and sends ``False``. The worker runs
        :func:`_penalty_branch`, writes the penalty's gradient, and replies
        with the penalty and the mean norm, or with the ``NonFiniteError`` it
-       raised, which :func:`critic_loss` raises here. Meanwhile this process
-       draws the next batch, generator forward included (the generator is
-       fixed through a step's critic updates), and computes the score
-       branch, whose gradient :func:`critic_loss` adds into the shared one.
-    2. This process checks the whole gradient as :func:`nets.rmsprop_step`
+       raised, which the returned waiter raises here. Meanwhile
+       :func:`train` draws the next batch and :func:`critic_loss` adds the
+       score branch's gradient into the shared one.
+    2. ``apply`` checks the whole gradient as :func:`nets.rmsprop_step`
        does and sends ``True``. The worker applies the upper half of the
        RMSProp update while this process applies the lower half, and this
        process waits for the worker's reply before the next score branch
        reads the vector.
 
     The same numbers go through the same elementwise operations in the same
-    order, so the bits are those of one process. A failed check changes
-    neither half, and a failure drawing the next batch is raised once this
-    update is applied, where one process raises it. The model stays valid
-    after the worker is reaped: the mapping lives as long as the critic's
-    vector.
+    order, so the bits are those of one process, and a failed check changes
+    neither half. The model stays valid after the worker is reaped: the
+    mapping lives as long as the critic's vector.
     """
     critic = model.critic
     size = critic.vector.size
     if not hasattr(os, "fork") or size < _PENALTY_WORKER_PARAMETERS or blas_threads() != 1:
         state = nets.rmsprop_state(critic.vector, config.lr, config.rho, config.epsilon)
-
-        def updates(batches):
-            for batch in batches:
-                cl = critic_loss(model, *batch)
-                nets.rmsprop_step(model.critic.vector, cl.grad, state)
-                yield cl
-
-        yield updates
+        yield (lambda x_hat: None), (lambda grad: nets.rmsprop_step(critic.vector, grad, state))
         return
     import mmap  # imported here: at module level it adds about 0.1 MB to every verb's peak RSS
 
@@ -370,36 +355,25 @@ def _penalty_worker(model: GanModel, config: GanConfig):
 
     with forked(serve, "computing the gradient penalty") as worker:
 
-        def penalty_result():
+        def penalty():
             reply = worker.receive()
             if isinstance(reply, NonFiniteError):
                 raise reply
             penalty_term, grad_norm_mean = reply
             return penalty_term, grad, grad_norm_mean
 
-        def updates(batches):
-            def penalty(batch_x_hat):
-                nonlocal following
-                x_hat[:] = batch_x_hat
-                worker.send(False)
-                try:  # the next batch, drawn while the worker computes
-                    following = next(batches, None)
-                except NonFiniteError as exc:  # raised once this update is applied
-                    following = exc
-                return penalty_result
+        def start(batch_x_hat):
+            x_hat[:] = batch_x_hat
+            worker.send(False)
+            return penalty
 
-            following = next(batches, None)
-            while following is not None:
-                if isinstance(following, NonFiniteError):
-                    raise following
-                cl = critic_loss(model, *following, penalty)
-                nets.check_gradient(cl.grad)
-                worker.send(True)
-                nets.rmsprop_step(vector[:half], cl.grad[:half], lower)
-                worker.receive()
-                yield cl
+        def apply(summed):  # critic_loss's sum lies in the shared gradient buffer
+            nets.check_gradient(summed)
+            worker.send(True)
+            nets.rmsprop_step(vector[:half], summed[:half], lower)
+            worker.receive()
 
-        yield updates
+        yield start, apply
 
 
 def train(
@@ -412,11 +386,15 @@ def train(
     appends one TrainRecord (also passed to ``progress`` when given). A
     non-finite loss or gradient aborts with :class:`TrainingDiverged`.
 
-    A large enough critic shares each critic update with a worker process
+    Each critic update starts its x_hat branch, draws the next update's
+    batch (the generator is fixed through a step's critic updates, and the
+    updates draw nothing), computes :func:`critic_loss` and applies it; a
+    failure drawing the batch is raised once the update is applied. A large
+    enough critic shares each update with a worker process
     (:func:`_penalty_worker`): the worker computes the x_hat branch and half
-    of the RMSProp update while this process computes the score branch, the
-    other half and the next batch, bit for bit as one process. A worker
-    that fails raises ``OSError("the worker computing the gradient penalty
+    of the RMSProp update while this process draws, computes the score
+    branch and the other half, bit for bit as one process. A worker that
+    fails raises ``OSError("the worker computing the gradient penalty
     ...")``, and is reaped on every path.
     """
     n = data.n_rows
@@ -441,12 +419,23 @@ def train(
         return real, fake, interpolate(real, fake, eps)
 
     records: list[TrainRecord] = []
-    with _penalty_worker(model, config) as critic_updates:
+    with _penalty_worker(model, config) as (start, apply):
         for step in range(1, config.gen_steps + 1):
             t0 = time.perf_counter()
             try:
                 closs_sum = penalty_sum = norm_sum = 0.0
-                for cl in critic_updates(draw() for _ in range(config.critic_steps)):
+                batch = draw()
+                for update in range(1, config.critic_steps + 1):
+                    penalty = start(batch[2])
+                    try:  # drawn while a worker computes the x_hat branch
+                        following = draw() if update < config.critic_steps else None
+                    except NonFiniteError as exc:  # raised once this update is applied
+                        following = exc
+                    cl = critic_loss(model, *batch, penalty)
+                    apply(cl.grad)
+                    if isinstance(following, NonFiniteError):
+                        raise following
+                    batch = following
                     closs_sum += cl.loss
                     penalty_sum += cl.penalty_term
                     norm_sum += cl.grad_norm_mean

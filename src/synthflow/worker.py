@@ -5,9 +5,10 @@ to it: requests go down one pipe and replies come up another, pickled. The
 worker inherits this process's memory, so a request names its work and the
 data the worker already holds need not travel. Three callers use it:
 :func:`two_process_map`, which parses ingest blocks and formats the rows of
-``synthetic.csv``; the evaluator's tree fit, whose worker searches half of
-the features at every node; and training, whose worker computes each critic
-update's gradient penalty and applies half of its RMSProp update.
+``synthetic.csv``; the evaluator's tree fit, whose worker runs the same
+boosting rounds and searches half of the features at every node, so only
+splits travel; and training, whose worker computes each critic update's
+gradient penalty and applies half of its RMSProp update.
 
 The worker leaves by ``os._exit`` alone: it flushes no inherited buffer,
 runs no ``atexit`` hook and never unwinds into the caller's frames. A fork

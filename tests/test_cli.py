@@ -954,6 +954,13 @@ MALFORMED_INPUTS = {
     "report auc a string": ("run/quality_report.json", {"auc": "x"}, "report", EXIT_DATA),
     "report importances a list": (
         "run/quality_report.json", {"importances": []}, "report", EXIT_DATA),
+    # values evaluate never writes
+    "report n_real a bool": ("run/quality_report.json", {"n_real": True}, "report", EXIT_DATA),
+    "report auc NaN": ("run/quality_report.json", {"auc": float("nan")}, "report", EXIT_DATA),
+    "report importance a string": (
+        "run/quality_report.json", {"importances": {"f1": "inf"}}, "report", EXIT_DATA),
+    "report importance infinite": (
+        "run/quality_report.json", {"importances": {"f1": float("inf")}}, "report", EXIT_DATA),
     "input csv a directory": ("toy.csv", None, "ingest", EXIT_CONFIG),
 }
 

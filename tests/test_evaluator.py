@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthflow import dataio, evaluator
+from synthflow import dataio, evaluator, worker
 from synthflow.evaluator import (
     BLOCK_ENTRY,
     HISTOGRAM_BINS,
@@ -378,6 +378,31 @@ def test_gbm_fit_without_fork_grows_the_same_trees(monkeypatch):
     assert [node_bits(t) for t in forked.trees] == [node_bits(t) for t in alone.trees]
 
 
+def test_only_splits_go_down_to_the_fit_worker(monkeypatch):
+    # the worker computes each round's residuals and hessians itself: no
+    # message of this process holds a row-sized array
+    parent, send, sent = os.getpid(), worker.Channel.send, []
+
+    def recording(channel, obj):
+        if os.getpid() == parent:
+            sent.append(obj)
+        send(channel, obj)
+
+    monkeypatch.setattr(worker.Channel, "send", recording)
+    train = tie_heavy_fit(1000, 78)  # above the size that forks
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        model = gbm_fit(train, EvalConfig(n_trees=3))
+    assert len(counted) == 1
+    splits = [node for t in model.trees for node in t.iter_nodes() if not node.is_leaf]
+    assert sent and len(sent) >= len(splits)
+    for obj in sent:
+        assert obj is None or (
+            isinstance(obj, tuple) and len(obj) == 3
+            and type(obj[0]) is int and type(obj[1]) is float and type(obj[2]) is float
+        ), f"not a split: {type(obj).__name__}"
+
+
 def test_cross_half_tie_keeps_the_smaller_feature_index(monkeypatch):
     train = tie_heavy_fit(400, 6)
     train.features[:, 3] = train.features[:, 0]  # d // 2 copies 0: equal gains
@@ -415,8 +440,7 @@ def test_nan_gain_in_the_worker_half_only_is_skipped(monkeypatch):
     for fork in (True, False):
         if not fork:
             monkeypatch.delattr(os, "fork")
-        with evaluator._tree_builder(features, 2) as build:
-            tree = RegressionTree(build(residuals, hessians, np.empty(5)))
+        (tree,) = evaluator._grow_trees(features, 2, lambda fitted: [(residuals, hessians)])
         assert node_bits(tree) == want
     assert len(counted) == 1
 

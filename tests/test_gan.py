@@ -338,6 +338,54 @@ def test_two_process_training_matches_one_process(
     assert len(counted) == 1
 
 
+def reference_train(data, config):
+    """The plain training loop: each critic update draws its batch, then
+    computes and applies its update; then one generator update. Returns
+    what :func:`trained` does."""
+    rng = np.random.default_rng(config.seed)
+    model = build_model(config, data.features.shape[1], rng)
+    critic_state, gen_state = (
+        nets.rmsprop_state(net.vector, config.lr, config.rho, config.epsilon)
+        for net in (model.critic, model.generator)
+    )
+    records = []
+    for step in range(1, config.gen_steps + 1):
+        updates = []
+        for _ in range(config.critic_steps):
+            idx = rng.integers(0, data.n_rows, size=config.batch_size)
+            real = data.features[idx]
+            noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
+            fake, _ = nets.mlp_forward(model.generator, noise)
+            eps = rng.uniform(0.0, 1.0, size=config.batch_size)
+            cl = critic_loss(model, real, fake, interpolate(real, fake, eps))
+            nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
+            updates.append(cl)
+        noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
+        gloss, ggrad = generator_loss(model, noise)
+        nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
+        records.append((
+            step,
+            sum(cl.loss for cl in updates) / config.critic_steps,
+            gloss,
+            sum(cl.penalty_term for cl in updates) / config.critic_steps,
+            sum(cl.grad_norm_mean for cl in updates) / config.critic_steps,
+        ))
+    return (model.generator.vector.tobytes(), model.critic.vector.tobytes()), records
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_training_matches_the_plain_reference_loop(request, monkeypatch, processes):
+    if processes == 2:
+        request.getfixturevalue("two_processes")
+    data = uniform_dataset(100, 5)
+    config = GanConfig.small(gen_steps=3, seed=9)
+    counted = count_forks(monkeypatch)
+    with leaves_nothing_open():
+        got = trained(*train(data, config))
+    assert len(counted) == processes - 1
+    assert got == reference_train(data, config)
+
+
 def test_critics_below_the_size_gate_train_in_one_process(monkeypatch, two_processes):
     data = uniform_dataset(80, 2)
     config = GanConfig.small(gen_steps=2)

@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import synthflow
@@ -32,3 +35,38 @@ def test_no_module_imports_a_private_name_of_another():
         if (names := _private_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert offenders == {}
+
+
+REFERENCE = re.compile(r":(?:func|data|class):`([^`]+)`")
+
+
+def _resolves(module, target: str) -> bool:
+    """Whether the dotted ``target`` names an attribute of ``module``, or of
+    the synthflow module its first part names (``.worker.forked``,
+    ``nets.rmsprop_step``)."""
+    parts = target.lstrip(".").split(".")
+    owners = [(module, parts)]
+    if len(parts) > 1 and (SRC / f"{parts[0]}.py").is_file():
+        owners.append((importlib.import_module(f"synthflow.{parts[0]}"), parts[1:]))
+    for owner, path in owners:
+        try:
+            functools.reduce(getattr, path, owner)
+        except AttributeError:
+            continue
+        return True
+    return False
+
+
+def test_every_docstring_reference_names_a_synthflow_name():
+    modules = sorted(SRC.glob("*.py"))
+    unresolved, seen = {}, 0
+    for path in modules:
+        module = importlib.import_module(
+            "synthflow" if path.stem == "__init__" else f"synthflow.{path.stem}"
+        )
+        targets = REFERENCE.findall(path.read_text(encoding="utf-8"))
+        seen += len(targets)
+        if missing := [t for t in targets if not _resolves(module, t)]:
+            unresolved[path.name] = missing
+    assert seen > 0
+    assert unresolved == {}
