@@ -324,8 +324,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
     # every header is checked before any data row is read; the rows of all
     # files then stream through clean_numeric one block at a time
     names = None if cfg.headered() else [c.name for c in schema.columns]
-    table = parse_csv(cfg.csv, names)
-    values, labels, label_counts, dropped, stats = clean_numeric(table, schema, cfg.labels)
+    header, rows = parse_csv(cfg.csv, names)
+    values, labels, label_counts, dropped, stats = clean_numeric(header, rows, schema, cfg.labels)
     stamps.append(time.perf_counter())
     data = DatasetMatrix(minmax_normalize(values, stats), labels, stats, schema)
     stamps.append(time.perf_counter())

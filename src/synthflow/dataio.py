@@ -30,7 +30,9 @@ float64 ``.npy`` beside a small JSON document that describes it (for the
 dataset: schema, stats, labels and the matrix shape). The JSON document is
 the commit record: :func:`save_cache` removes the old one before it writes
 the matrix and writes the new one last, so an interrupted save leaves no
-document, never an old document paired with a new matrix.
+document, never an old document paired with a new matrix. Every document
+opens with its ``format`` and ``version``, and :func:`load_cache` checks
+both, and the matrix's dtype and shape, for either cache.
 """
 
 from __future__ import annotations
@@ -99,6 +101,18 @@ def write_json(path, doc, indent: int | None = None) -> None:
         fh.write("\n")
 
 
+def _read(path, load):
+    """``load(path)``, which may fail only as a :class:`DataError` naming
+    the file: an ``OSError`` is "cannot read", and a ``ValueError`` or
+    ``EOFError`` (not UTF-8, not JSON, a broken ``.npy``) "is corrupt"."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path} is corrupt: {exc}") from exc
+
+
 def read_json(path, decode=None):
     """Read the UTF-8 JSON document at ``path`` and return ``decode(doc)``,
     or the document itself when ``decode`` is None.
@@ -108,12 +122,7 @@ def read_json(path, decode=None):
     ``KeyError``, ``TypeError``, ``AttributeError`` or ``ValueError``
     ("malformed"; a ``DataError`` keeps its own message after the path).
     """
-    try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
-        raise DataError(f"{path} is corrupt: {exc}") from exc
+    doc = _read(path, lambda p: json.loads(Path(p).read_bytes().decode("utf-8")))
     if decode is None:
         return doc
     try:
@@ -292,19 +301,6 @@ def schema_to_json(schema: FeatureSchema, path) -> None:
     write_json(path, schema.to_dict(), indent=2)
 
 
-@dataclass
-class RawTable:
-    """Header names plus an iterable of data records, each the raw text of a
-    CSV record of ``len(header)`` cells (lines, if a quoted cell holds one).
-
-    :func:`parse_csv` returns the records as a one-shot lazy iterator that
-    holds its files open; :func:`clean_numeric` closes it when it ends.
-    """
-
-    header: list[str]
-    rows: Iterable[str]
-
-
 def _mangle_duplicates(names: list[str]) -> list[str]:
     """Disambiguate repeated header names with .1/.2 suffixes.
 
@@ -369,26 +365,28 @@ def _records(path, names: list[str] | None) -> Iterator:
         raise DataError(f"{path}: empty CSV: no data rows found")
 
 
-def parse_csv(paths, names: list[str] | None = None) -> RawTable:
+def parse_csv(paths, names: list[str] | None = None) -> tuple[list[str], Iterator[str]]:
     """Read the headers of comma-separated files; stream their data records.
 
     Each of ``paths`` is read as UTF-8 without its byte-order mark. Header
     cells are whitespace-trimmed and duplicates are suffix-mangled. Given
     ``names`` (for example a schema's), the files have no header: every
     line is data. Every file's header is read here, before any data row,
-    and must equal the first file's. The table's ``rows`` is a lazy
-    iterator of the raw record texts of each file in turn, and a file stays
-    open until its records are exhausted. Blank lines are skipped; a ragged
-    row, or a headerless file without data rows, raises :class:`DataError`
-    when the iterator reaches it, naming the file and the 1-based data row.
-    Closing the iterator closes every file.
+    and must equal the first file's. Returns ``(header, rows)``: ``rows``
+    is a one-shot lazy iterator of the raw text of each data record of
+    ``len(header)`` cells (lines, if a quoted cell holds one), file after
+    file, and it holds each file open until its records are exhausted.
+    Blank lines are skipped; a ragged row, or a headerless file without
+    data rows, raises :class:`DataError` when the iterator reaches it,
+    naming the file and the 1-based data row. Closing the iterator closes
+    every file; :func:`clean_numeric` closes it when it ends.
     """
     files = [_records(p, names) for p in paths]
     header = next(files[0])
     for p, records in zip(paths[1:], files[1:]):
         if next(records) != header:
             raise DataError(f"CSV header of {p} differs from {paths[0]}")
-    return RawTable(header, _chained(files))
+    return header, _chained(files)
 
 
 def _chained(files) -> Iterator[str]:
@@ -488,9 +486,10 @@ def _parse_block(block: list[str], plan: _BlockPlan) -> tuple[np.ndarray, list[s
 
 
 def clean_numeric(
-    table: RawTable, schema: FeatureSchema, wanted
+    header: list[str], rows: Iterable[str], schema: FeatureSchema, wanted
 ) -> tuple[np.ndarray, list[str], Counter, int, NormalizationStats]:
-    """Parse to a finite float64 matrix the rows :func:`filter_by_label` selects.
+    """Parse to a finite float64 matrix the rows :func:`filter_by_label`
+    selects from ``rows``, the record texts of the columns ``header`` names.
 
     Policy: NaN or unparseable cells (including unknown categorical values)
     drop the whole row. The stats are each column's finite min and max over
@@ -515,7 +514,7 @@ def clean_numeric(
     counts over every kept row, and the selected rows appended to one
     growing matrix. The output is the same with one process or two.
     """
-    index = {name: i for i, name in enumerate(table.header)}
+    index = {name: i for i, name in enumerate(header)}
     feature_cols = schema.feature_columns()
     required = [c.name for c in feature_cols] + [schema.label_column.name]
     missing = [name for name in required if name not in index]
@@ -546,7 +545,7 @@ def clean_numeric(
     label_counts: Counter = Counter()
     dropped = 0
     col_min, col_max = np.full(d, np.inf), np.full(d, -np.inf)
-    rows = iter(table.rows)
+    rows = iter(rows)
     blocks = iter(lambda: list(islice(rows, BLOCK_ROWS)), [])
     parsed_blocks = two_process_map(
         lambda block: _parse_block(block, plan), blocks, _INGEST_SHARE, "parsing ingest blocks"
@@ -673,13 +672,14 @@ def filter_by_label(labels, wanted) -> np.ndarray:
 
 
 def matrix_path(path) -> Path:
-    """The ``.npy`` file that holds the matrix of the dataset cache at ``path``."""
+    """The ``.npy`` file that holds the matrix of the two-file cache at ``path``."""
     return Path(path).with_suffix(".npy")
 
 
-def save_cache(path, doc: dict, matrix: np.ndarray) -> None:
+def save_cache(path, kind: str, version: int, doc: dict, matrix: np.ndarray) -> None:
     """Write a two-file cache: ``matrix`` as little-endian float64 ``.npy``
-    at :func:`matrix_path`, then the JSON document ``doc`` at ``path``.
+    at :func:`matrix_path`, then at ``path`` the JSON document ``doc``
+    behind its header, ``format`` ``kind`` and ``version``.
 
     The old document is removed before the matrix is written, so a save that
     stops part-way leaves no document rather than one that describes a
@@ -689,61 +689,59 @@ def save_cache(path, doc: dict, matrix: np.ndarray) -> None:
     path.unlink(missing_ok=True)
     with atomic_write(matrix_path(path)) as fh:
         np.save(fh.buffer, np.ascontiguousarray(matrix, dtype="<f8"), allow_pickle=False)
-    write_json(path, doc)
+    write_json(path, {"format": kind, "version": version, **doc})
 
 
-def load_cache_matrix(path, shape: tuple) -> np.ndarray:
-    """The matrix that :func:`save_cache` wrote beside the document at
-    ``path``, checked to be little-endian float64 of ``shape``; every
-    defect is a :class:`DataError` that names the ``.npy`` file. Its values
-    are the caller's to check."""
-    path = matrix_path(path)
-    try:
-        with open(path, "rb") as fh:
-            matrix = np.load(fh, allow_pickle=False)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except (ValueError, EOFError) as exc:
-        raise DataError(f"{path} is corrupt: {exc}") from exc
-    if not isinstance(matrix, np.ndarray) or matrix.dtype != np.dtype("<f8"):
-        raise DataError(f"{path} is not little-endian float64")
-    if matrix.shape != shape:
-        raise DataError(
-            f"{path} has shape {matrix.shape}, its document records {shape}"
-        )
-    return matrix
+def load_cache(path, kind: str, version: int, verb: str, decode):
+    """The value of the two-file cache :func:`save_cache` wrote at ``path``.
+
+    A document that is not an object of format ``kind`` and ``version``
+    asks for the command ``verb`` to be run again. ``decode(doc)`` reads
+    the other fields and returns the matrix's shape and a function that
+    makes the value from the little-endian float64 matrix of that shape.
+    Every defect is a :class:`DataError` naming the file (:func:`read_json`).
+    """
+
+    def check(doc):
+        again = f"run the '{verb}' command again"
+        if not isinstance(doc, dict) or doc.get("format") != kind:
+            raise DataError(f"not a '{kind}' cache; {again}")
+        if doc.get("version") != version:
+            raise DataError(
+                f"'{kind}' version {doc.get('version')} unsupported (expected {version}); {again}"
+            )
+        shape, build = decode(doc)
+        npy = matrix_path(path)
+        matrix = _read(npy, lambda p: np.load(p, allow_pickle=False))
+        if not isinstance(matrix, np.ndarray) or matrix.dtype != np.dtype("<f8"):
+            raise DataError(f"{npy} is not little-endian float64")
+        if matrix.shape != shape:
+            raise DataError(f"{npy} has shape {matrix.shape}, its document records {shape}")
+        return build(matrix)
+
+    return read_json(path, check)
 
 
 def save_dataset(data: DatasetMatrix, path) -> None:
     """Write the dataset cache with :func:`save_cache`: the matrix, then the
     document (schema, stats, labels and the matrix shape)."""
-    doc = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
+    save_cache(path, DATASET_FORMAT, DATASET_VERSION, {
         "schema": data.schema.to_dict(),
         "stats": data.stats.to_dict(),
         "labels": data.labels,
         "features": {"shape": list(data.features.shape)},
-    }
-    save_cache(path, doc, data.features)
+    }, data.features)
 
 
 def load_dataset(path) -> DatasetMatrix:
-    """Read the dataset cache written by :func:`save_dataset`; every defect
-    in either file is a :class:`DataError` that names the file."""
+    """Read the dataset cache written by :func:`save_dataset`
+    (:func:`load_cache`)."""
 
-    def decode(doc) -> DatasetMatrix:
-        if not isinstance(doc, dict) or doc.get("format") != DATASET_FORMAT:
-            raise DataError("not a dataset cache")
-        if doc.get("version") != DATASET_VERSION:
-            raise DataError(
-                f"version {doc.get('version')} unsupported "
-                f"(expected {DATASET_VERSION}); re-run 'ingest'"
-            )
+    def decode(doc):
         schema = FeatureSchema.from_dict(doc["schema"])
         stats = NormalizationStats.from_dict(doc["stats"])
         labels = list(doc["labels"])
-        features = load_cache_matrix(path, tuple(doc["features"]["shape"]))
-        return DatasetMatrix(features, labels, stats, schema)
+        shape = tuple(doc["features"]["shape"])
+        return shape, lambda features: DatasetMatrix(features, labels, stats, schema)
 
-    return read_json(path, decode)
+    return load_cache(path, DATASET_FORMAT, DATASET_VERSION, "ingest", decode)

@@ -637,6 +637,10 @@ def evaluate(
     synthetic = 1), reports ROC/AUC on the holdout, RMSE divergences on the
     full normalized matrices, and paired histograms in denormalized feature
     units. The fit matrix is the only copy it makes before the fit.
+
+    A column of zero span in ``real.stats`` is scored as ``synthetic.csv``
+    holds it, its one value, which normalized is 0: its synthetic cells are
+    set to 0, in ``synth`` itself, before anything is scored.
     """
     synth = np.asarray(synth, dtype=np.float64)
     if synth.ndim != 2 or synth.shape[1] != real.features.shape[1]:
@@ -649,6 +653,7 @@ def evaluate(
         raise ValueError("synthetic values must lie in [0, 1]")
     if real.n_rows == 0 or synth.shape[0] == 0:
         raise ValueError("real and synthetic sets must be nonempty")
+    synth[:, real.stats.col_max == real.stats.col_min] = 0.0
 
     rmse_means, rmse_hist = rmse_quality(real.features, synth)
 

@@ -34,9 +34,8 @@ from .dataio import (
     check_finite,
     config_from_dict,
     denormalize,
-    load_cache_matrix,
+    load_cache,
     matrix_path,
-    read_json,
     save_cache,
     write_csv,
 )
@@ -492,33 +491,28 @@ def save_checkpoint(model: GanModel, path) -> None:
     generator's parameter vector then the critic's, as one float64 vector in
     ``.npy``, and at ``path`` a versioned JSON header holding the config and
     the feature count, from which the layers follow."""
-    save_cache(path, {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    save_cache(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "config": asdict(model.config),
         "feature_count": model.feature_count,
     }, np.concatenate((model.generator.vector, model.critic.vector)))
 
 
 def load_checkpoint(path) -> GanModel:
-    """The model saved at ``path``; any defect in either file is a DataError
-    naming that file, the ``.npy`` one when the header's layers do not fit it."""
+    """The model saved at ``path`` (:func:`dataio.load_cache`); a parameter
+    vector that does not fit the header's layers, or holds a non-finite
+    value, is a DataError naming the ``.npy`` file."""
 
-    def decode(doc) -> GanModel:
-        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-            raise DataError("not a model checkpoint")
-        if doc.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"checkpoint version {doc.get('version')} is incompatible "
-                f"(expected {CHECKPOINT_VERSION}); run the 'train' command again"
-            )
+    def decode(doc):
         # a KeyError, TypeError or ValueError reads as malformed
         config = config_from_dict(GanConfig, doc["config"])
         check_count("feature_count", doc["feature_count"], 1)
         shapes = list(map(nets.layer_shapes, _layer_sizes(config, doc["feature_count"])))
-        vector = load_cache_matrix(path, (sum(map(nets.parameter_count, shapes)),))
-        if not np.isfinite(vector).all():
-            raise DataError(f"{matrix_path(path)} holds non-finite values")
-        return GanModel(*nets.networks(shapes, vector), config)
 
-    return read_json(path, decode)
+        def build(vector):
+            if not np.isfinite(vector).all():
+                raise DataError(f"{matrix_path(path)} holds non-finite values")
+            return GanModel(*nets.networks(shapes, vector), config)
+
+        return (sum(map(nets.parameter_count, shapes)),), build
+
+    return load_cache(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, "train", decode)

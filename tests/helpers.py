@@ -112,8 +112,9 @@ def toy_attack_dataset():
     """The toy dataset ingested the way the CLI ingests toy.csv, attack rows only."""
     schema = toydata.toy_schema()
     lines = (f"{x!r},{y!r},{label}\n" for x, y, label in toydata.toy_rows())
-    table = dataio.RawTable(["f1", "f2", "label"], lines)
-    values, labels, _, _, stats = dataio.clean_numeric(table, schema, {"attack"})
+    values, labels, _, _, stats = dataio.clean_numeric(
+        ["f1", "f2", "label"], lines, schema, {"attack"}
+    )
     return dataio.DatasetMatrix(dataio.minmax_normalize(values, stats), labels, stats, schema)
 
 

@@ -366,18 +366,13 @@ def _damage_cache(out, damage):
         doc["labels"] = doc["labels"][:-1]
         doc_path.write_text(json.dumps(doc))
         return cli.DATASET_FILE
-    elif damage == "version 1":
-        doc["version"] = 1
-        doc["features"] = matrix.tolist()
-        doc_path.write_text(json.dumps(doc))
-        return cli.DATASET_FILE
     return cli.DATASET_MATRIX_FILE
 
 
 @pytest.mark.parametrize("damage", [
     "list", "schema", "stats", "labels", "features",
     "missing", "truncated", "header", "dtype", "big-endian", "rows", "width",
-    "label count", "version 1", "non-finite", "out of range",
+    "label count", "non-finite", "out of range",
 ])
 def test_malformed_dataset_cache_is_data_error(tmp_path, capsys, damage):
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
@@ -387,9 +382,44 @@ def test_malformed_dataset_cache_is_data_error(tmp_path, capsys, damage):
     assert run(config, "train") == EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and named in err
-    if damage == "version 1":
-        assert "version 1 unsupported" in err
     assert not (tmp_path / "run" / cli.MODEL_FILE).exists()
+
+
+@pytest.mark.parametrize("damage", ["format", "version", "not an object"])
+@pytest.mark.parametrize("cache", ["dataset", "model"])
+def test_cache_header_names_the_file_and_the_command_to_run_again(
+    tmp_path, capsys, cache, damage
+):
+    # both caches' headers are checked by one protocol, dataio.load_cache
+    config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
+    assert run(config, "ingest") == EXIT_OK
+    assert run(config, "train") == EXIT_OK
+    name, load, verb, kind, version = {
+        "dataset": (cli.DATASET_FILE, load_dataset, "ingest",
+                    dataio.DATASET_FORMAT, dataio.DATASET_VERSION),
+        "model": (cli.MODEL_FILE, gan.load_checkpoint, "train",
+                  gan.CHECKPOINT_FORMAT, gan.CHECKPOINT_VERSION),
+    }[cache]
+    path = tmp_path / "run" / name
+    doc = json.loads(path.read_text())
+    assert list(doc.items())[:2] == [("format", kind), ("version", version)]
+    problem = f"not a '{kind}' cache"
+    if damage == "format":
+        doc["format"] = "other"
+    elif damage == "version":
+        doc["version"] = version - 1
+        problem = f"'{kind}' version {version - 1} unsupported (expected {version})"
+    else:
+        doc = [doc]
+    path.write_text(json.dumps(doc))
+    message = f"{path}: {problem}; run the '{verb}' command again"
+    with pytest.raises(dataio.DataError, match=f"^{re.escape(message)}$"):
+        load(path)
+    capsys.readouterr()
+    assert run(config, "generate", "--count", "10") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and name in err
+    assert f"{problem}; run the '{verb}' command again" in err
 
 
 def test_interrupted_ingest_leaves_no_dataset_json(tmp_path, capsys, monkeypatch):

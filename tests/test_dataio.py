@@ -25,7 +25,6 @@ from synthflow.dataio import (
     DatasetMatrix,
     FeatureSchema,
     NormalizationStats,
-    RawTable,
     atomic_write,
     clean_numeric,
     denormalize,
@@ -77,22 +76,22 @@ def parse_text(text, names=None):
 
 
 def test_parse_minimal_table():
-    t = parse_text("a,b\n1,2\n")
-    assert t.header == ["a", "b"]
-    assert list(t.rows) == ["1,2\n"]
+    header, rows = parse_text("a,b\n1,2\n")
+    assert header == ["a", "b"]
+    assert list(rows) == ["1,2\n"]
 
 
 def test_parse_ragged_row_reports_index():
     with pytest.raises(DataError, match="row 2"):
-        list(parse_text("a,b\n1,2\n1,2,3\n").rows)
+        list(parse_text("a,b\n1,2\n1,2,3\n")[1])
 
 
 def test_parse_quoted_field_is_one_cell():
-    t = parse_text('a,b\n"x,y",2\n')
-    assert list(t.rows) == ['"x,y",2\n']
+    _, rows = parse_text('a,b\n"x,y",2\n')
+    assert list(rows) == ['"x,y",2\n']
     t = parse_text('b,label\n2,"x,y"\n')
     schema = FeatureSchema((Column("b", NUMERIC), Column("label", LABEL)))
-    assert clean_numeric(t, schema, {"x,y"})[1] == ["x,y"]
+    assert clean_numeric(*t, schema, {"x,y"})[1] == ["x,y"]
 
 
 def test_parse_empty_file_errors():
@@ -101,66 +100,66 @@ def test_parse_empty_file_errors():
 
 
 def test_parse_trims_and_mangles_header():
-    t = parse_text(" a , b ,a\n1,2,3\n")
-    assert t.header == ["a", "b", "a.1"]
+    header, _ = parse_text(" a , b ,a\n1,2,3\n")
+    assert header == ["a", "b", "a.1"]
 
 
 def test_parse_headerless_requires_names():
-    t = parse_text("1,2\n", ["a", "b"])  # names: the first line is data
-    assert t.header == ["a", "b"]
-    assert list(t.rows) == ["1,2\n"]
+    header, rows = parse_text("1,2\n", ["a", "b"])  # names: the first line is data
+    assert header == ["a", "b"]
+    assert list(rows) == ["1,2\n"]
 
 
 # -------------------------------------------------------------- clean_numeric
 
 def test_clean_infinity_replaced_by_finite_extrema():
-    table = RawTable(["a", "b", "label"], [
+    table = (["a", "b", "label"], [
         "1,0,x",
         "Infinity,0,x",
         "7,0,x",
         "99,junk,x",  # dropped: its 99 must not become the max
         "-Infinity,0,x",
     ])
-    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
+    values, labels, _, dropped, _ = clean_numeric(*table, TWO_COL, XYZ)
     assert dropped == 1
     assert values[:, 0].tolist() == [1.0, 7.0, 7.0, 1.0]
 
 
 def test_clean_nan_row_dropped_and_counted():
-    table = RawTable(["a", "b", "label"], [
+    table = (["a", "b", "label"], [
         "1,2,x",
         "NaN,2,y",
         "3,junk,z",
     ])
-    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
+    values, labels, _, dropped, _ = clean_numeric(*table, TWO_COL, XYZ)
     assert dropped == 2
     assert values.tolist() == [[1.0, 2.0]]
     assert labels == ["x"]
 
 
 def test_clean_all_finite_passthrough():
-    table = RawTable(["a", "b", "label"], ["1,2,x", "3,4,y"])
-    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
+    table = (["a", "b", "label"], ["1,2,x", "3,4,y"])
+    values, labels, _, dropped, _ = clean_numeric(*table, TWO_COL, XYZ)
     assert dropped == 0
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_clean_column_without_finite_values_errors():
-    table = RawTable(["a", "b", "label"], ["Infinity,1,x"])
+    table = (["a", "b", "label"], ["Infinity,1,x"])
     with pytest.raises(DataError, match="'a'"):
-        clean_numeric(table, TWO_COL, XYZ)
+        clean_numeric(*table, TWO_COL, XYZ)
 
 
 def test_clean_column_spanning_more_than_float64_errors():
-    table = RawTable(["a", "b", "label"], ["1.7976931348623157e+308,1,x", "-1e300,2,y"])
+    table = (["a", "b", "label"], ["1.7976931348623157e+308,1,x", "-1e300,2,y"])
     with pytest.raises(DataError, match="column 'a' spans more than the float64 range"):
-        clean_numeric(table, TWO_COL, XYZ)
+        clean_numeric(*table, TWO_COL, XYZ)
 
 
 def test_clean_missing_schema_column_errors():
-    table = RawTable(["a", "label"], ["1,x"])
+    table = (["a", "label"], ["1,x"])
     with pytest.raises(DataError, match="missing"):
-        clean_numeric(table, TWO_COL, XYZ)
+        clean_numeric(*table, TWO_COL, XYZ)
 
 
 def test_clean_categorical_coding_and_unknown_drop():
@@ -171,12 +170,12 @@ def test_clean_categorical_coding_and_unknown_drop():
             Column("label", LABEL),
         )
     )
-    table = RawTable(["proto", "n", "label"], [
+    table = (["proto", "n", "label"], [
         "udp,1,x",
         "bogus,2,y",
         "icmp,3,z",
     ])
-    values, labels, _, dropped, _ = clean_numeric(table, schema, XYZ)
+    values, labels, _, dropped, _ = clean_numeric(*table, schema, XYZ)
     assert values.tolist() == [[2.0, 1.0], [0.0, 3.0]]
     assert labels == ["x", "z"]
     assert dropped == 1
@@ -186,8 +185,8 @@ def test_clean_ignores_missing_drop_columns():
     schema = FeatureSchema(
         (Column("gone", DROP), Column("a", NUMERIC), Column("label", LABEL))
     )
-    table = RawTable(["a", "label"], ["1,x"])
-    values, *_ = clean_numeric(table, schema, XYZ)
+    table = (["a", "label"], ["1,x"])
+    values, *_ = clean_numeric(*table, schema, XYZ)
     assert values.tolist() == [[1.0]]
 
 
@@ -262,7 +261,7 @@ def assert_streams_like_the_eager_reference(table, header, rows, schema, wanted)
         span = col_max - col_min
     if np.isinf(span).any():
         with pytest.raises(DataError, match="spans more than the float64 range"):
-            clean_numeric(table, schema, wanted)
+            clean_numeric(*table, schema, wanted)
         return None
     ref_normalized = (ref_values - col_min) / np.where(span > 0, span, 1.0)
     ref_normalized[:, span == 0] = 0.0
@@ -270,9 +269,9 @@ def assert_streams_like_the_eager_reference(table, header, rows, schema, wanted)
     mask = np.array([lbl.strip().lower() in keys for lbl in ref_labels], dtype=bool)
     if not mask.any():
         with pytest.raises(DataError, match="no rows match"):
-            clean_numeric(table, schema, wanted)
+            clean_numeric(*table, schema, wanted)
         return None
-    cleaned = clean_numeric(table, schema, wanted)
+    cleaned = clean_numeric(*table, schema, wanted)
     values, labels, label_counts, dropped, stats = cleaned
     assert values.tobytes() == ref_values[mask].tobytes()
     assert labels == list(compress(ref_labels, mask))
@@ -346,16 +345,16 @@ def test_streamed_ingest_matches_eager_reference_bitwise(monkeypatch, block_rows
 def test_parse_csv_reads_only_the_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n1,2,3\n")
-    table = parse_csv([path])  # the ragged row is not read yet
-    assert table.header == ["a", "b"]
-    assert next(iter(table.rows)) == "1,2\n"
+    header, rows = parse_csv([path])  # the ragged row is not read yet
+    assert header == ["a", "b"]
+    assert next(rows) == "1,2\n"
 
 
 def test_ragged_row_after_first_block_names_its_row(monkeypatch):
     monkeypatch.setattr(dataio, "BLOCK_ROWS", 3)
     text = "a,b,label\n" + "1,2,x\n\n" * 7 + "1,2\n" + "3,4,y\n"
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
-        clean_numeric(parse_text(text), TWO_COL, XYZ)
+        clean_numeric(*parse_text(text), TWO_COL, XYZ)
     with pytest.raises(DataError, match=r"ragged row 8: expected 3 cells, got 2"):
         reference_parse_csv(io.StringIO(text))
 
@@ -363,7 +362,7 @@ def test_ragged_row_after_first_block_names_its_row(monkeypatch):
 def test_headerless_csv_without_rows_errors_when_read():
     table = parse_text("\n\n", ["a", "b", "label"])
     with pytest.raises(DataError, match="no data rows"):
-        clean_numeric(table, TWO_COL, XYZ)
+        clean_numeric(*table, TWO_COL, XYZ)
 
 
 def test_two_files_stream_as_one_table(tmp_path, monkeypatch):
@@ -393,16 +392,16 @@ def test_second_header_that_differs_names_both_files(tmp_path, first):
 def test_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("a,b,label\n1,2,x\n", encoding="utf-8-sig")
-    table = parse_csv([path])
-    assert table.header == ["a", "b", "label"]
-    assert clean_numeric(table, TWO_COL, XYZ)[0].tolist() == [[1.0, 2.0]]
+    header, rows = parse_csv([path])
+    assert header == ["a", "b", "label"]
+    assert clean_numeric(header, rows, TWO_COL, XYZ)[0].tolist() == [[1.0, 2.0]]
 
 
 def test_byte_order_mark_keeps_the_first_headerless_row(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text("1,2,x\n3,4,y\n", encoding="utf-8-sig")
     table = parse_csv([path], ["a", "b", "label"])
-    values, labels, _, dropped, _ = clean_numeric(table, TWO_COL, XYZ)
+    values, labels, _, dropped, _ = clean_numeric(*table, TWO_COL, XYZ)
     assert (values.tolist(), labels, dropped) == ([[1.0, 2.0], [3.0, 4.0]], ["x", "y"], 0)
 
 
@@ -417,13 +416,13 @@ def test_row_with_too_many_cells_names_its_file_and_row(tmp_path, monkeypatch, b
     table = parse_csv([tmp_path / "1.csv", tmp_path / "2.csv"])
     message = f"{tmp_path / bad_file}: ragged row 6: expected 3 cells, got 4"
     with pytest.raises(DataError, match=re.escape(message)):
-        clean_numeric(table, TWO_COL, XYZ)
+        clean_numeric(*table, TWO_COL, XYZ)
 
 
 def test_long_label_survives_intact():
     label = "DoS " + "Slowhttptest" * 8
     text = f"a,b,label\n1,2,{label}\n3,4, y \n"
-    labels = clean_numeric(parse_text(text), TWO_COL, {label, "y"})[1]
+    labels = clean_numeric(*parse_text(text), TWO_COL, {label, "y"})[1]
     assert len(label) > 64 and labels == [label, "y"]
 
 
@@ -490,7 +489,7 @@ def test_a_second_block_starts_one_worker(monkeypatch, n_rows, forks):
     counted = count_forks(monkeypatch)
     with leaves_nothing_open():
         values, labels, _, _, _ = clean_numeric(
-            parse_text(two_col_text(n_rows)), TWO_COL, {"x"}
+            *parse_text(two_col_text(n_rows)), TWO_COL, {"x"}
         )
     assert len(counted) == forks
     assert values[:, 0].tolist() == list(map(float, range(0, n_rows, 2)))
@@ -510,7 +509,7 @@ def test_both_processes_parse_a_short_input(tmp_path, monkeypatch, blocks):
     monkeypatch.setattr(dataio, "_parse_block", recording)
     with leaves_nothing_open():
         clean_numeric(
-            parse_text(two_col_text(blocks * dataio.BLOCK_ROWS)), TWO_COL, XYZ
+            *parse_text(two_col_text(blocks * dataio.BLOCK_ROWS)), TWO_COL, XYZ
         )
     parsed_by = pids.read_text().split()
     assert len(parsed_by) == blocks and str(os.getpid()) in parsed_by
@@ -533,7 +532,7 @@ def test_ragged_row_while_the_worker_parses_names_its_file_and_row(tmp_path, mon
     with leaves_nothing_open():
         table = parse_csv([tmp_path / "1.csv", tmp_path / "2.csv"])
         with pytest.raises(DataError, match=re.escape(message)):
-            clean_numeric(table, TWO_COL, XYZ)
+            clean_numeric(*table, TWO_COL, XYZ)
     assert len(counted) == fork
 
 
@@ -549,7 +548,7 @@ def test_worker_that_fails_makes_ingest_raise(monkeypatch):
     with leaves_nothing_open():
         message = "the worker parsing ingest blocks failed: RuntimeError: worker failed"
         with pytest.raises(OSError, match=message):
-            clean_numeric(parse_text(two_col_text(4000)), TWO_COL, XYZ)
+            clean_numeric(*parse_text(two_col_text(4000)), TWO_COL, XYZ)
 
 
 def test_worker_killed_by_a_signal_reads_its_exit_code(monkeypatch):
@@ -564,7 +563,7 @@ def test_worker_killed_by_a_signal_reads_its_exit_code(monkeypatch):
     with leaves_nothing_open():
         message = f"the worker parsing ingest blocks exited with {-signal.SIGKILL}"
         with pytest.raises(OSError, match=message):
-            clean_numeric(parse_text(two_col_text(4000)), TWO_COL, XYZ)
+            clean_numeric(*parse_text(two_col_text(4000)), TWO_COL, XYZ)
 
 
 @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, MemoryError])
@@ -583,7 +582,7 @@ def test_interrupted_fold_reaps_the_worker(monkeypatch, interrupt):
         # the error is held, and its traceback with it, while the check runs:
         # the worker, its pipes and the input file must be closed all the same
         with pytest.raises(interrupt) as caught:
-            clean_numeric(table, TWO_COL, XYZ)
+            clean_numeric(*table, TWO_COL, XYZ)
     assert caught.traceback
 
 PADS = st.sampled_from(["", " ", "\t", "  "])
@@ -700,8 +699,8 @@ def test_any_table_streams_bitwise_like_the_eager_reference(block_rows, text, wa
 # ------------------------------------------------------------- normalization
 
 def test_minmax_endpoints():
-    table = RawTable(["a", "b", "label"], ["0,1,x", "5,1,x", "10,1,x"])
-    values, _, _, _, stats = clean_numeric(table, TWO_COL, XYZ)
+    table = (["a", "b", "label"], ["0,1,x", "5,1,x", "10,1,x"])
+    values, _, _, _, stats = clean_numeric(*table, TWO_COL, XYZ)
     norm = minmax_normalize(values, stats)
     assert norm[:, 0].tolist() == [0.0, 0.5, 1.0]
     assert stats.col_min[0] == 0.0 and stats.col_max[0] == 10.0
@@ -723,10 +722,10 @@ def test_stats_cover_every_kept_row_and_a_zero_extreme_is_positive():
     # the max of 'a' and the min of 'b' sit in a row that is not selected; the
     # -Infinity in 'b' becomes that min, and the min of 'a', a zero written
     # both ways, is stored as +0.0
-    table = RawTable(["a", "b", "label"], [
+    table = (["a", "b", "label"], [
         "-0,5,x", "0,-Infinity,x", "-0,6,x", "9,-3,y", "4,junk,x",
     ])
-    values, labels, _, _, stats = clean_numeric(table, TWO_COL, {"x"})
+    values, labels, _, _, stats = clean_numeric(*table, TWO_COL, {"x"})
     assert (stats.col_min.tolist(), stats.col_max.tolist()) == ([0.0, -3.0], [9.0, 6.0])
     assert not np.signbit(stats.col_min[0])
     assert values[:, 1].tolist() == [5.0, -3.0, 6.0] and labels == ["x"] * 3
@@ -766,13 +765,13 @@ ONE_COL = FeatureSchema((Column("f0", NUMERIC), Column("label", LABEL)))
 
 
 def one_col_table(values, labels):
-    return RawTable(["f0", "label"], [f"{v!r},{lbl}" for v, lbl in zip(values, labels)])
+    return (["f0", "label"], [f"{v!r},{lbl}" for v, lbl in zip(values, labels)])
 
 
 def test_filter_keeps_matching_rows():
     assert filter_by_label(["smurf", "normal", "smurf"], {"smurf"}).tolist() == [True, False, True]
     table = one_col_table([0.1, 0.5, 0.3], ["smurf", "normal", "smurf"])
-    values, labels, label_counts, _, stats = clean_numeric(table, ONE_COL, {"smurf"})
+    values, labels, label_counts, _, stats = clean_numeric(*table, ONE_COL, {"smurf"})
     assert len(values) == 2
     assert labels == ["smurf", "smurf"]
     # the stats, and the label counts, are those of every kept row
@@ -783,25 +782,25 @@ def test_filter_keeps_matching_rows():
 def test_filter_is_case_insensitive_and_trimmed():
     assert filter_by_label(["smurf", " SMURF "], {"SMURF"}).all()
     table = one_col_table([0.1, 0.2], ["smurf", " SMURF "])
-    assert len(clean_numeric(table, ONE_COL, {" SMURF\t"})[0]) == 2
+    assert len(clean_numeric(*table, ONE_COL, {" SMURF\t"})[0]) == 2
 
 
 def test_filter_zero_matches_lists_available():
     table = one_col_table([0.1, 0.2], ["smurf", "normal"])
     with pytest.raises(DataError, match="normal.*smurf|smurf.*normal"):
-        clean_numeric(table, ONE_COL, {"teardrop"})
+        clean_numeric(*table, ONE_COL, {"teardrop"})
 
 
 def test_column_without_finite_values_wins_over_no_match():
-    table = RawTable(["a", "b", "label"], ["Infinity,1,x", "-Infinity,2,y"])
+    table = (["a", "b", "label"], ["Infinity,1,x", "-Infinity,2,y"])
     with pytest.raises(DataError, match="column 'a' has no finite values"):
-        clean_numeric(table, TWO_COL, {"teardrop"})
+        clean_numeric(*table, TWO_COL, {"teardrop"})
 
 
 def test_all_rows_dropped_is_the_empty_matrix_error_not_no_match():
-    table = RawTable(["a", "b", "label"], ["NaN,1,x", "junk,2,y", "Infinity,,x"])
+    table = (["a", "b", "label"], ["NaN,1,x", "junk,2,y", "Infinity,,x"])
     with pytest.raises(DataError, match=re.escape("cannot normalize matrix of shape (0, 2)")):
-        clean_numeric(table, TWO_COL, {"teardrop"})
+        clean_numeric(*table, TWO_COL, {"teardrop"})
 
 
 def test_ingest_memory_is_bounded_by_the_selected_rows():
@@ -822,7 +821,7 @@ def test_ingest_memory_is_bounded_by_the_selected_rows():
     tracemalloc.start()
     try:
         values, _, _, _, stats = clean_numeric(
-            RawTable(header, iter(lines)), schema, {"DoS GoldenEye"}
+            header, iter(lines), schema, {"DoS GoldenEye"}
         )
         minmax_normalize(values, stats)
         peak = tracemalloc.get_traced_memory()[1]
@@ -1003,9 +1002,6 @@ def test_dataset_cache_saves_are_byte_identical(tmp_path):
 
 def test_dataset_cache_rejects_corruption(tmp_path):
     path = tmp_path / "cache.json"
-    path.write_text('{"format": "other"}')
-    with pytest.raises(DataError, match="not a dataset cache"):
-        load_dataset(path)
     path.write_text("{truncated")
     with pytest.raises(DataError, match="corrupt"):
         load_dataset(path)
@@ -1016,9 +1012,6 @@ def test_dataset_cache_rejects_malformed_documents(tmp_path):
     path = tmp_path / "cache.json"
     save_dataset(data, path)
     doc = json.loads(path.read_text())
-    path.write_text("[]")
-    with pytest.raises(DataError, match="not a dataset cache"):
-        load_dataset(path)
     for key in ("schema", "stats", "labels", "features"):
         broken = {k: v for k, v in doc.items() if k != key}
         path.write_text(json.dumps(broken))
@@ -1035,10 +1028,10 @@ def test_dataset_matrix_validates_range():
 
 def test_row_count_conservation():
     text = "a,b,label\n1,2,x\nNaN,2,x\n3,4,y\n5,6,x\n"
-    table = parse_text(text)
-    table.rows = list(table.rows)
-    parsed = len(table.rows)
-    values, labels, label_counts, dropped, stats = clean_numeric(table, TWO_COL, {"x"})
+    header, rows = parse_text(text)
+    rows = list(rows)
+    parsed = len(rows)
+    values, labels, label_counts, dropped, stats = clean_numeric(header, rows, TWO_COL, {"x"})
     kept = DatasetMatrix(minmax_normalize(values, stats), labels, stats, TWO_COL)
     filtered_away = sum(label_counts.values()) - kept.n_rows
     assert (kept.n_rows, filtered_away, dropped) == (2, 1, 1)
@@ -1046,7 +1039,7 @@ def test_row_count_conservation():
 
 
 def test_feature_order_follows_schema():
-    table = RawTable(["b", "label", "a"], ["10,x,1"])
-    values, *_ = clean_numeric(table, TWO_COL, XYZ)
+    table = (["b", "label", "a"], ["10,x,1"])
+    values, *_ = clean_numeric(*table, TWO_COL, XYZ)
     # schema order (a, b), not file order
     assert values.tolist() == [[1.0, 10.0]]

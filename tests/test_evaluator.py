@@ -908,6 +908,24 @@ def test_evaluate_matches_the_stacked_protocol_byte_for_byte(n_real, n_synth, st
     assert json.dumps(asdict(report)) == json.dumps(asdict(want))
 
 
+def test_zero_span_column_is_scored_as_synthetic_csv_holds_it():
+    # 'b' has zero span in SCALED_STATS: denormalized, any synthetic value
+    # there is its one value, which minmax_normalize maps to 0
+    real = flow_dataset(200, SCALED_STATS, seed=3)
+    real.features[:, 2] = 0.0
+    synth = flow_dataset(200, SCALED_STATS, seed=4).features
+    synth[:, 0] = np.clip(synth[:, 0] + 0.1, 0.0, 1.0)
+    config = EvalConfig(n_trees=6, histogram_features=("b", "a"))
+    reports = []
+    for value in (0.0, 1.0, np.random.default_rng(0).uniform(size=len(synth))):
+        synth[:, 2] = value
+        report = evaluate(real, synth, config, np.random.default_rng(5))
+        reports.append(json.dumps(asdict(report)))
+        assert report.importances["b"] == 0.0
+        assert not synth[:, 2].any()  # zeroed in place: no second matrix
+    assert reports[1:] == reports[:-1]
+
+
 def test_evaluate_adds_little_beyond_the_fit_matrix(monkeypatch):
     # goldeneye-sized: 2423 + 2423 rows of 78 tie-heavy features, 3392 fit rows
     rng = np.random.default_rng(0)

@@ -70,3 +70,37 @@ def test_every_docstring_reference_names_a_synthflow_name():
             unresolved[path.name] = missing
     assert seen > 0
     assert unresolved == {}
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's, a class's,
+    or the plain names it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # code used only by its own tests goes: a public module-level name must
+    # be referenced, word for word, somewhere in src/, scripts/ or perfbench/
+    # beyond its own definition
+    root = SRC.parents[1]
+    texts = {
+        path: path.read_text(encoding="utf-8")
+        for part in ("src", "scripts", "perfbench")
+        for path in (root / part).rglob("*.py")
+    }
+    checked, unused = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        lines = texts[path].splitlines(keepends=True)
+        for node in ast.parse(texts[path]).body:
+            public = [n for n in _defined_names(node) if not n.startswith("_")]
+            rest = "".join(lines[: node.lineno - 1] + lines[node.end_lineno:])
+            for name in public:
+                checked += 1
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(word.search(rest if p == path else t) for p, t in texts.items()):
+                    unused.append(f"{path.stem}.{name}")
+    assert checked > 0
+    assert unused == []
