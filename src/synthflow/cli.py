@@ -429,13 +429,14 @@ def cmd_train(cfg: RunConfig) -> int:
     # BLAS threads; one BLAS thread lets training use a second core
     _keep_freed_heap()
     set_blas_threads(1)
+    timings_ms = {"critic": 0.0, "generator": 0.0}
     t0 = time.perf_counter()
     failure = None
     try:
-        model, records = train(data, cfg.gan, progress)
+        model, records = train(data, cfg.gan, progress, timings_ms)
     except TrainingDiverged as exc:
         model, records, failure = exc.model, exc.records, exc
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    timings_ms["total"] = (time.perf_counter() - t0) * 1000.0
 
     files = [(MODEL_FILE, MODEL_MATRIX_FILE), (LASTGOOD_MODEL_FILE, LASTGOOD_MODEL_MATRIX_FILE)]
     saved, stale = files if failure is None else files[::-1]
@@ -447,7 +448,7 @@ def cmd_train(cfg: RunConfig) -> int:
     save_checkpoint(model, cfg.out_dir / saved[0])
     write_train_log(records, cfg.out_dir / TRAIN_LOG_FILE)
     write_manifest(
-        cfg, "train", [*saved, TRAIN_LOG_FILE], {"total": wall_ms}, fingerprint,
+        cfg, "train", [*saved, TRAIN_LOG_FILE], timings_ms, fingerprint,
         status="ok" if failure is None else "diverged",
         extra=None if failure is None else {"failure_step": failure.step},
     )

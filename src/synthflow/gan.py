@@ -10,10 +10,12 @@ are ReLU MLPs whose layers follow from the config and the data width alone
 (:func:`_layer_sizes`, counted by :func:`parameter_count`), trained with
 RMSProp, alternating several critic updates per generator update. Everything
 is driven by one seeded generator so runs are bit reproducible. One loop in
-:func:`train` runs every critic update, in one process or two: a large
-critic shares each update with a forked worker, with the same bits
-(:func:`_penalty_worker`). The worker computes the x_hat branch while this
-process draws the next batch and computes the score terms, and each process
+:func:`train` runs every update, in one process or two: with a large
+critic, each critic and generator update is shared with a forked worker,
+with the same bits (:func:`_penalty_worker`). For a critic update the
+worker computes the x_hat branch while this process draws the next batch
+and computes the score terms; for a generator update it scores the fake
+rows while this process computes the generator's gradient. Each process
 then applies half of the RMSProp update.
 """
 
@@ -50,23 +52,23 @@ CHECKPOINT_VERSION = 3
 # once are bounded by the block, not by the number of rows asked for.
 GENERATE_BLOCK_ROWS = 1024
 
-# Critic parameters from which training shares each critic update with a
-# forked worker (:func:`_penalty_worker`). Each update then pays two pipe
-# round trips. Median step time of 60-step trains on 2500 x 78 rows, one
-# process against two (9 alternating runs each, each run a fresh process
-# with `train`'s heap setting and BLAS on one thread, on a shared 2-core
-# Xeon VM), critic hidden sizes with GanConfig.small's 32 x 32 generator,
-# or the reference nets, at batch 32 / batch 64, with the pairs of runs
-# that two processes won:
-#   32 x 32 (3,617 parameters)  2.19 -> 2.30 ms (4/9) / 3.05 -> 2.85 ms (5/9)
-#   48 x 48 (6,193)             2.75 -> 2.40 (5/9) / 3.75 -> 4.16 (7/9)
-#   64 x 64 (9,281)             3.19 -> 3.25 (4/9) / 4.59 -> 5.11 (7/9)
-#   80 x 80 (12,881)            3.80 -> 2.97 (7/9) / 8.87 -> 6.48 (6/9)
-#   96 x 96 (16,993)            4.40 -> 3.35 (7/9) / 8.33 -> 7.16 (6/9)
-#   128 x 128 (26,753)          6.17 -> 5.48 (7/9) / 13.57 -> 9.78 (9/9)
-#   reference (86,273)          20.51 -> 15.24 (9/9) / 37.42 -> 29.15 (9/9)
-# Below the gate the medians go both ways; from 80 x 80 up both batch sizes
-# gain.
+# Critic parameters from which training shares each critic and generator
+# update with a forked worker (:func:`_penalty_worker`). Each update then
+# pays two pipe round trips. Median step time of 60-step trains on 2500 x 78
+# rows, one process against two (9 alternating runs each, each run a fresh
+# process with `train`'s heap setting and BLAS on one thread, on a shared
+# 2-core Xeon VM), critic hidden sizes with GanConfig.small's 32 x 32
+# generator, or the reference nets, at batch 32 / batch 64, with the pairs
+# of runs that two processes won:
+#   32 x 32 (3,617 parameters)  2.24 -> 2.75 ms (2/9) / 3.57 -> 3.83 ms (4/9)
+#   48 x 48 (6,193)             4.28 -> 3.47 (7/9) / 5.49 -> 4.34 (8/9)
+#   64 x 64 (9,281)             3.33 -> 3.90 (3/9) / 6.04 -> 3.67 (8/9)
+#   80 x 80 (12,881)            3.90 -> 3.36 (6/9) / 5.91 -> 5.45 (7/9)
+#   96 x 96 (16,993)            4.67 -> 3.49 (7/9) / 6.85 -> 4.84 (9/9)
+#   128 x 128 (26,753)          8.59 -> 6.52 (8/9) / 10.07 -> 8.29 (9/9)
+#   reference (86,273)          20.89 -> 14.13 (9/9) / 35.34 -> 27.44 (9/9)
+# Below the gate the medians go both ways, and GanConfig.small's critic loses
+# in two processes at both batch sizes; from 96 x 96 up both sizes gain.
 _PENALTY_WORKER_PARAMETERS = 12_000
 
 
@@ -245,19 +247,28 @@ def critic_loss(model: GanModel, real_batch, fake_batch, x_hat, penalty=None) ->
     return CriticLoss(loss, fake_term, real_term, penalty_term, penalty_grad, grad_norm_mean)
 
 
-def generator_loss(model: GanModel, noise_batch) -> tuple[float, np.ndarray]:
-    """Generator loss -mean f(G(z)) and its generator-parameter gradient.
+def _generator_score(critic: MlpNetwork, fake) -> float:
+    """The score branch of a generator update: the loss -mean f(fake)."""
+    scores, _ = nets.mlp_forward(critic, fake)
+    return float(-scores.mean())
+
+
+def generator_loss(model: GanModel, fake, cache, score=None) -> tuple[float, np.ndarray]:
+    """Generator loss -mean f(G(z)) and its generator-parameter gradient, for
+    the generator's output ``fake`` on a noise batch and its forward
+    ``cache``.
 
     The critic contributes only through its input gradient, so its
-    parameters stay untouched.
+    parameters stay untouched. The loss (:func:`_generator_score`) needs
+    nothing from the gradient. It is computed here, after the gradient,
+    unless it already runs elsewhere: then ``score()`` waits for it.
     """
-    fake, gen_cache = nets.mlp_forward(model.generator, noise_batch)
-    scores, _ = nets.mlp_forward(model.critic, fake)
-    loss = float(-scores.mean())
+    upstream = -nets.mlp_input_grad(model.critic, fake) / fake.shape[0]
+    grad = nets.mlp_param_grad(model.generator, cache, upstream)
+    loss = _generator_score(model.critic, fake) if score is None else score()
     if not np.isfinite(loss):
         raise NonFiniteError(f"non-finite generator loss: {loss}")
-    upstream = -nets.mlp_input_grad(model.critic, fake) / fake.shape[0]
-    return loss, nets.mlp_param_grad(model.generator, gen_cache, upstream)
+    return loss, grad
 
 
 @dataclass
@@ -284,99 +295,150 @@ def write_train_log(records: list[TrainRecord], path) -> None:
     write_csv(path, TRAIN_LOG_COLUMNS, map(astuple, records))
 
 
+def _shared_arrays(counts) -> list[np.ndarray]:
+    """Zeroed float64 arrays of these lengths in one anonymous shared mapping,
+    each on pages of its own. Packed end to end instead, the arrays of both
+    networks slowed this process's half of the critic's RMSProp update from
+    about 0.33 to 0.43-0.52 ms (reference nets, batch 32, medians of
+    300-step trains)."""
+    import mmap  # imported here: at module level it adds about 0.1 MB to every verb's peak RSS
+
+    spans = [-(-8 * count // mmap.PAGESIZE) * mmap.PAGESIZE for count in counts]
+    mapping = np.frombuffer(mmap.mmap(-1, sum(spans)), np.uint8)
+    starts = np.cumsum([0, *spans])
+    return [
+        mapping[start:start + 8 * count].view(np.float64) for start, count in zip(starts, counts)
+    ]
+
+
 @contextmanager
 def _penalty_worker(model: GanModel, config: GanConfig):
-    """``(start, apply)`` for the block's duration: ``start(x_hat)`` starts
-    a critic update's x_hat branch and returns :func:`critic_loss`'s
-    ``penalty``, and ``apply(grad)`` applies RMSProp with its gradient.
+    """``(start, apply)`` for the block's duration. Each takes the name of
+    the network an update changes, ``"critic"`` or ``"generator"``.
+    ``start("critic", x_hat)`` starts a critic update's x_hat branch and
+    returns :func:`critic_loss`'s ``penalty``; ``start("generator", fake)``
+    starts a generator update's score branch and returns
+    :func:`generator_loss`'s ``score``. ``apply(name, grad)`` applies
+    RMSProp to that network's vector with its gradient.
 
-    In one process ``start`` returns None, so :func:`critic_loss` computes
-    the x_hat branch after the score branch, and ``apply`` is one
-    :func:`nets.rmsprop_step`. A worker made with ``os.fork``
-    (:func:`.worker.forked`) shares the work when ``os.fork`` exists, the
-    critic has at least :data:`_PENALTY_WORKER_PARAMETERS` parameters and
-    this process's BLAS runs one thread. The critic's parameter vector and
-    its RMSProp accumulator then move into an anonymous shared mapping,
-    beside the x_hat and gradient buffers, and each update takes two round
-    trips:
+    In one process ``start`` returns None, so the loss computes the branch
+    itself, and ``apply`` is one :func:`nets.rmsprop_step`. A worker made
+    with ``os.fork`` (:func:`.worker.forked`) shares the work when
+    ``os.fork`` exists, the critic has at least
+    :data:`_PENALTY_WORKER_PARAMETERS` parameters and this process's BLAS
+    runs one thread. Both networks' parameter vectors and RMSProp
+    accumulators then move into an anonymous shared mapping
+    (:func:`_shared_arrays`), beside a gradient buffer per network and one
+    batch buffer, and each update takes two round trips:
 
-    1. ``start`` writes x_hat and sends ``False``. The worker runs
-       :func:`_penalty_branch`, writes the penalty's gradient, and replies
-       with the penalty and the mean norm, or with the ``NonFiniteError`` it
-       raised, which the returned waiter raises here. Meanwhile
-       :func:`train` draws the next batch and :func:`critic_loss` adds the
-       score branch's gradient into the shared one.
+    1. ``start`` writes its rows into the batch buffer and sends the name.
+       For the critic, the worker runs :func:`_penalty_branch`, writes the
+       penalty's gradient into the critic's buffer, and replies with the
+       penalty and the mean norm; for the generator it replies with
+       :func:`_generator_score`. A ``NonFiniteError`` it raised is the reply
+       instead, and the returned waiter raises it here. Meanwhile
+       :func:`train` draws the next batch and the loss computes the rest:
+       :func:`critic_loss` adds the score branch's gradient into the shared
+       one, and :func:`generator_loss` computes the generator's gradient.
     2. ``apply`` checks the whole gradient as :func:`nets.rmsprop_step`
-       does and sends ``True``. The worker applies the upper half of the
-       RMSProp update while this process applies the lower half, and this
-       process waits for the worker's reply before the next score branch
-       reads the vector.
+       does, puts the generator's upper half into its buffer, and sends the
+       name again. The worker applies the upper half of the network's
+       RMSProp update while this process applies the lower half, neither
+       checking its half again, and this process waits for the worker's
+       reply before the vector is read again.
 
     The same numbers go through the same elementwise operations in the same
     order, so the bits are those of one process, and a failed check changes
     neither half. The model stays valid after the worker is reaped: the
-    mapping lives as long as the critic's vector.
+    mapping lives as long as the networks' vectors.
     """
-    critic = model.critic
-    size = critic.vector.size
-    if not hasattr(os, "fork") or size < _PENALTY_WORKER_PARAMETERS or blas_threads() != 1:
-        state = nets.rmsprop_state(critic.vector, config.lr, config.rho, config.epsilon)
-        yield (lambda x_hat: None), (lambda grad: nets.rmsprop_step(critic.vector, grad, state))
-        return
-    import mmap  # imported here: at module level it adds about 0.1 MB to every verb's peak RSS
+    names = ("generator", "critic")
+    hyper = config.lr, config.rho, config.epsilon
+    if (
+        not hasattr(os, "fork")
+        or model.critic.vector.size < _PENALTY_WORKER_PARAMETERS
+        or blas_threads() != 1
+    ):
+        states = {name: nets.rmsprop_state(getattr(model, name).vector, *hyper) for name in names}
 
-    shared = mmap.mmap(-1, 8 * (3 * size + config.batch_size * model.feature_count))  # float64s
-    vector, grad, cache, x_hat = np.split(np.frombuffer(shared), [size, 2 * size, 3 * size])
-    x_hat = x_hat.reshape(config.batch_size, model.feature_count)
-    vector[:] = critic.vector
-    (model.critic,) = nets.networks([critic.shapes], vector)
-    half = size // 2
-    lower, upper = (
-        nets.RmsPropState(config.lr, config.rho, config.epsilon, part)
-        for part in (cache[:half], cache[half:])  # the mapping starts zeroed
+        def apply_alone(name, grad):
+            nets.rmsprop_step(getattr(model, name).vector, grad, states[name])
+
+        yield (lambda name, rows: None), apply_alone
+        return
+    sizes = [getattr(model, name).vector.size for name in names]
+    rows, *arrays = _shared_arrays(
+        [config.batch_size * model.feature_count, *(size for size in sizes for _ in range(3))]
     )
+    rows = rows.reshape(config.batch_size, model.feature_count)
+    parts = {}  # each network's vector, gradient buffer, half and halves' RMSProp states
+    for name, (vector, grad, cache) in zip(names, (arrays[:3], arrays[3:])):
+        net = getattr(model, name)
+        vector[:] = net.vector
+        setattr(model, name, nets.networks([net.shapes], vector)[0])
+        half = vector.size // 2
+        parts[name] = vector, grad, half, [  # the mapping starts zeroed
+            nets.RmsPropState(*hyper, part) for part in (cache[:half], cache[half:])
+        ]
+
+    critic_grad = parts["critic"][1]
+
+    def branch(name):
+        if name == "generator":
+            return _generator_score(model.critic, rows)
+        penalty_term, penalty_grad, grad_norm_mean = _penalty_branch(
+            model.critic, rows, config.gp_lambda
+        )
+        critic_grad[:] = penalty_grad
+        return penalty_term, grad_norm_mean
 
     def serve(channel):
         while True:
-            if channel.receive():  # the gradient is checked: apply the upper half
-                nets.rmsprop_step(vector[half:], grad[half:], upper)
+            name, checked = channel.receive()
+            if checked:  # the gradient is checked: apply the upper half
+                params, part_grad, half, (_, upper) = parts[name]
+                nets.rmsprop_step(params[half:], part_grad[half:], upper, checked=True)
                 channel.send(None)
                 continue
             try:
-                penalty_term, penalty_grad, grad_norm_mean = _penalty_branch(
-                    model.critic, x_hat, config.gp_lambda
-                )
+                answer = branch(name)
             except NonFiniteError as exc:  # a reply: training diverged, the worker did not fail
-                channel.send(exc)
-                continue
-            grad[:] = penalty_grad
-            channel.send((penalty_term, grad_norm_mean))
+                answer = exc
+            channel.send(answer)
 
     with forked(serve, "computing the gradient penalty") as worker:
 
+        def reply():
+            out = worker.receive()
+            if isinstance(out, NonFiniteError):
+                raise out
+            return out
+
         def penalty():
-            reply = worker.receive()
-            if isinstance(reply, NonFiniteError):
-                raise reply
-            penalty_term, grad_norm_mean = reply
-            return penalty_term, grad, grad_norm_mean
+            penalty_term, grad_norm_mean = reply()
+            return penalty_term, critic_grad, grad_norm_mean
 
-        def start(batch_x_hat):
-            x_hat[:] = batch_x_hat
-            worker.send(False)
-            return penalty
+        waiters = {"critic": penalty, "generator": reply}
 
-        def apply(summed):  # critic_loss's sum lies in the shared gradient buffer
+        def start(name, batch_rows):
+            rows[:] = batch_rows
+            worker.send((name, False))
+            return waiters[name]
+
+        def apply(name, summed):
+            params, part_grad, half, (lower, _) = parts[name]
             nets.check_gradient(summed)
-            worker.send(True)
-            nets.rmsprop_step(vector[:half], summed[:half], lower)
+            if summed is not part_grad:  # critic_loss's sum already lies in the buffer
+                part_grad[half:] = summed[half:]
+            worker.send((name, True))
+            nets.rmsprop_step(params[:half], summed[:half], lower, checked=True)
             worker.receive()
 
         yield start, apply
 
 
 def train(
-    data: DatasetMatrix, config: GanConfig, progress=None
+    data: DatasetMatrix, config: GanConfig, progress=None, timings=None
 ) -> tuple[GanModel, list[TrainRecord]]:
     """Run the alternating training loop.
 
@@ -384,17 +446,22 @@ def train(
     ``critic_steps`` critic updates followed by one generator update, and
     appends one TrainRecord (also passed to ``progress`` when given). A
     non-finite loss or gradient aborts with :class:`TrainingDiverged`.
+    ``timings``, when given, maps ``"critic"`` and ``"generator"`` to wall
+    milliseconds, to which each completed step adds the time of its critic
+    updates and of its generator update.
 
-    Each critic update starts its x_hat branch, draws the next update's
-    batch (the generator is fixed through a step's critic updates, and the
-    updates draw nothing), computes :func:`critic_loss` and applies it; a
-    failure drawing the batch is raised once the update is applied. A large
-    enough critic shares each update with a worker process
-    (:func:`_penalty_worker`): the worker computes the x_hat branch and half
-    of the RMSProp update while this process draws, computes the score
-    branch and the other half, bit for bit as one process. A worker that
-    fails raises ``OSError("the worker computing the gradient penalty
-    ...")``, and is reaped on every path.
+    Each update starts its worker branch, computes its loss and applies it.
+    The generator is fixed through a step's critic updates, and they draw
+    nothing, so each critic update draws the next update's batch after its
+    start: the next critic batch, or during the last one the generator
+    update's noise and forward pass. A failure there is raised once the
+    update is applied. A large enough critic shares each update with a
+    worker process (:func:`_penalty_worker`): the worker computes the x_hat
+    branch of a critic update, or the score branch of a generator update,
+    and half of the RMSProp update, while this process draws, computes the
+    rest and the other half, bit for bit as one process. A worker that fails
+    raises ``OSError("the worker computing the gradient penalty ...")``, and
+    is reaped on every path.
     """
     n = data.n_rows
     if n < config.batch_size:
@@ -403,17 +470,18 @@ def train(
         )
     rng = np.random.default_rng(config.seed)
     model = build_model(config, data.features.shape[1], rng)
-    gen_state = nets.rmsprop_state(
-        model.generator.vector, config.lr, config.rho, config.epsilon
-    )
     features = data.features
+
+    def generated():
+        """The generator's output on a fresh noise batch, and its forward cache."""
+        noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
+        return nets.mlp_forward(model.generator, noise)
 
     def draw():
         """One critic update's real, fake and interpolated batches."""
         idx = rng.integers(0, n, size=config.batch_size)
         real = features[idx]
-        noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-        fake, _ = nets.mlp_forward(model.generator, noise)
+        fake, _ = generated()
         eps = rng.uniform(0.0, 1.0, size=config.batch_size)
         return real, fake, interpolate(real, fake, eps)
 
@@ -425,32 +493,36 @@ def train(
                 closs_sum = penalty_sum = norm_sum = 0.0
                 batch = draw()
                 for update in range(1, config.critic_steps + 1):
-                    penalty = start(batch[2])
+                    penalty = start("critic", batch[2])
                     try:  # drawn while a worker computes the x_hat branch
-                        following = draw() if update < config.critic_steps else None
+                        following = draw() if update < config.critic_steps else generated()
                     except NonFiniteError as exc:  # raised once this update is applied
                         following = exc
                     cl = critic_loss(model, *batch, penalty)
-                    apply(cl.grad)
+                    apply("critic", cl.grad)
                     if isinstance(following, NonFiniteError):
                         raise following
                     batch = following
                     closs_sum += cl.loss
                     penalty_sum += cl.penalty_term
                     norm_sum += cl.grad_norm_mean
-                noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-                gloss, ggrad = generator_loss(model, noise)
-                nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
+                t1 = time.perf_counter()
+                fake, cache = batch  # drawn during the last critic update
+                gloss, ggrad = generator_loss(model, fake, cache, start("generator", fake))
+                apply("generator", ggrad)
             except NonFiniteError as exc:
                 raise TrainingDiverged(step, model, records, exc) from exc
-            wall_ms = (time.perf_counter() - t0) * 1000.0
+            t2 = time.perf_counter()
+            if timings is not None:
+                timings["critic"] += (t1 - t0) * 1000.0
+                timings["generator"] += (t2 - t1) * 1000.0
             record = TrainRecord(
                 step=step,
                 critic_loss=closs_sum / config.critic_steps,
                 generator_loss=gloss,
                 penalty_mean=penalty_sum / config.critic_steps,
                 grad_norm_mean=norm_sum / config.critic_steps,
-                wall_ms=wall_ms,
+                wall_ms=(t2 - t0) * 1000.0,
             )
             records.append(record)
             if progress is not None:

@@ -284,16 +284,20 @@ def check_gradient(grad: np.ndarray) -> None:
         raise NonFiniteError(f"non-finite gradient for parameter {i}")
 
 
-def rmsprop_step(params: np.ndarray, grad: np.ndarray, state: RmsPropState) -> None:
+def rmsprop_step(
+    params: np.ndarray, grad: np.ndarray, state: RmsPropState, checked: bool = False
+) -> None:
     """One in-place update: cache <- rho*cache + (1-rho)*g^2, then
     params <- params - lr*g/(sqrt(cache) + epsilon).
 
     The gradient is checked (:func:`check_gradient`) before anything is
     mutated, so a failed update leaves the parameters and the accumulator as
-    they were. Every operation is elementwise: updating the two halves of a
-    vector in two calls gives the bits of one call.
+    they were; ``checked`` says the caller already checked it. Every
+    operation is elementwise: updating the two halves of a vector in two
+    calls gives the bits of one call.
     """
-    check_gradient(grad)
+    if not checked:
+        check_gradient(grad)
     state.cache *= state.rho
     state.cache += ((1.0 - state.rho) * grad) * grad
     params -= (state.lr * grad) / (np.sqrt(state.cache) + state.epsilon)

@@ -8,7 +8,8 @@ data the worker already holds need not travel. Three callers use it:
 ``synthetic.csv``; the evaluator's tree fit, whose worker runs the same
 boosting rounds and searches half of the features at every node, so only
 splits travel; and training, whose worker computes each critic update's
-gradient penalty and applies half of its RMSProp update.
+gradient penalty and each generator update's loss, and applies half of
+every RMSProp update.
 
 The worker leaves by ``os._exit`` alone: it flushes no inherited buffer,
 runs no ``atexit`` hook and never unwinds into the caller's frames. A fork

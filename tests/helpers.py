@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from synthflow import dataio, nets, toydata
+from synthflow import dataio, gan, nets, toydata
 from synthflow.gan import GanConfig
 from synthflow.worker import blas_threads
 
@@ -173,6 +173,59 @@ def nan_penalty_input(monkeypatch, call):
     monkeypatch.setattr(nets, "penalty_param_grad", patched)
 
 
+def nan_generator_input(monkeypatch, call):
+    """Make the noise of the ``call``-th generator forward pass NaN, so its
+    output is non-finite. Only this process runs the generator forward."""
+    calls, forward = [], nets.mlp_forward
+
+    def patched(net, x):
+        if net.out_dim != 1:  # the generator's
+            calls.append(1)
+            if len(calls) == call:
+                x = np.full_like(x, np.nan)
+        return forward(net, x)
+
+    monkeypatch.setattr(nets, "mlp_forward", patched)
+
+
+def spoil_generator_score(monkeypatch, call, spoil):
+    """Have the ``call``-th generator score return ``spoil(score, critic,
+    fake)`` instead of ``score(critic, fake)``, in whichever process scores
+    the rows. Returns this process's list of calls."""
+    calls, score = [], gan._generator_score
+
+    def patched(critic, fake):
+        calls.append(1)
+        if len(calls) == call:
+            return spoil(score, critic, fake)
+        return score(critic, fake)
+
+    monkeypatch.setattr(gan, "_generator_score", patched)
+    return calls
+
+
+def nan_scored_rows(score, critic, fake):
+    """A generator score of NaN rows: its critic forward pass is non-finite."""
+    return score(critic, np.full_like(fake, np.nan))
+
+
+def set_gradient_entry(monkeypatch, name, call, index, value, critic=True):
+    """Set entry ``index`` of the gradient vector returned by the ``call``-th
+    call of ``nets.<name>`` on a critic, or with ``critic=False`` on a
+    generator, in whichever process makes it."""
+    calls, fn = [], getattr(nets, name)
+
+    def patched(net, *args):
+        out = fn(net, *args)
+        if (net.out_dim == 1) == critic:
+            calls.append(1)
+            if len(calls) == call:
+                (out[1] if isinstance(out, tuple) else out)[index] = value
+        return out
+
+    monkeypatch.setattr(nets, name, patched)
+
+
 def count_forks(monkeypatch):
     """Count the os.fork calls of this process."""
     forks, fork = [], os.fork
@@ -211,14 +264,15 @@ def leaves_nothing_open(seconds=20):
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def act_in_the_worker(monkeypatch, owner, name, act):
+def act_in_the_worker(monkeypatch, owner, name, act, when=None):
     """Patch the function ``owner.name`` so that a call made in a forked
-    worker runs ``act()`` first; calls made in this process run as before."""
+    worker runs ``act()`` first, if ``when(*args)`` holds or no ``when`` is
+    given; calls made in this process run as before."""
     parent, fn = os.getpid(), getattr(owner, name)
 
-    def patched(*args):
-        if os.getpid() != parent:
+    def patched(*args, **kwargs):
+        if os.getpid() != parent and (when is None or when(*args)):
             act()
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, patched)

@@ -35,8 +35,12 @@ from helpers import (
     act_in_the_worker,
     count_forks,
     leaves_nothing_open,
+    nan_generator_input,
     nan_penalty_input,
+    nan_scored_rows,
     needs_openblas,
+    set_gradient_entry,
+    spoil_generator_score,
     write_toy_run,
 )
 
@@ -115,6 +119,13 @@ def test_evaluate_manifest_times_generate_and_write_beside_the_total(toy_pipelin
     assert set(timings) == {"total", "generate", "write"}
     assert min(timings.values()) >= 0.0
     assert timings["generate"] <= timings["total"]
+
+
+def test_train_manifest_times_critic_and_generator_updates_beside_the_total(toy_pipeline):
+    timings = json.loads((toy_pipeline / "train_manifest.json").read_text())["timings_ms"]
+    assert set(timings) == {"total", "critic", "generator"}
+    assert min(timings.values()) > 0.0
+    assert timings["critic"] + timings["generator"] <= timings["total"]
 
 
 def test_generate_count_over_the_cell_cap_is_config_error(tmp_path, capsys, monkeypatch):
@@ -1324,16 +1335,19 @@ def test_train_without_mallopt_writes_the_same_model(tmp_path, monkeypatch):
     assert models[1] == models[0]
 
 
-@needs_openblas
-def test_penalty_worker_divergence_exits_4_with_the_one_process_model(tmp_path, monkeypatch):
+def diverged_toy_trains(tmp_path, monkeypatch, capsys, spoil) -> list:
+    """For a 5-step toy ``train`` in one process, then in two, each run with
+    ``spoil(patch)`` applied: its failure step, last good model, train log
+    without ``wall_ms`` and stderr. Each exits 4 and leaves no model."""
     kept = []
     for name, gate, forks in (("alone", 2**62, 0), ("both", 0, 1)):
         (tmp_path / name).mkdir()
         config = write_toy_run(tmp_path / name, gan_overrides={"gen_steps": 5})
         assert run(config, "ingest") == EXIT_OK
+        capsys.readouterr()
         with monkeypatch.context() as patch:
             patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
-            nan_penalty_input(patch, call=13)  # the third update of step 3
+            spoil(patch)
             counted = count_forks(patch)
             with leaves_nothing_open():
                 assert run(config, "train") == EXIT_DIVERGED
@@ -1342,18 +1356,60 @@ def test_penalty_worker_divergence_exits_4_with_the_one_process_model(tmp_path, 
         assert not (out / cli.MODEL_FILE).exists()
         manifest = json.loads((out / "train_manifest.json").read_text())
         lastgood = (out / cli.LASTGOOD_MODEL_MATRIX_FILE).read_bytes()
-        kept.append((manifest["failure_step"], lastgood))
+        lines = (out / cli.TRAIN_LOG_FILE).read_text().splitlines()
+        log = [line.rsplit(",", 1)[0] for line in lines]  # wall_ms, the last column, goes
+        kept.append((manifest["failure_step"], lastgood, log, capsys.readouterr().err))
+    return kept
+
+
+@needs_openblas
+def test_penalty_worker_divergence_exits_4_with_the_one_process_model(
+    tmp_path, monkeypatch, capsys
+):
+    kept = diverged_toy_trains(  # the third update of step 3
+        tmp_path, monkeypatch, capsys, lambda patch: nan_penalty_input(patch, call=13)
+    )
     assert kept[1] == kept[0]
     assert kept[0][0] == 3
 
 
-def train_with_a_failing_penalty_worker(tmp_path, capsys, monkeypatch, name, act) -> str:
+# the toy generator's parameters: 8 noise inputs, 32 x 32 hidden, 2 features
+TOY_GENERATOR_SIZE = nets.parameter_count(nets.layer_shapes([8, 32, 32, 2]))
+
+
+@needs_openblas
+@pytest.mark.parametrize("spoil, message", [
+    (lambda patch: spoil_generator_score(patch, 3, nan_scored_rows),
+     "forward pass produced non-finite values"),
+    (lambda patch: spoil_generator_score(patch, 3, lambda score, critic, fake: -np.inf),
+     "non-finite generator loss: -inf"),
+    (lambda patch: set_gradient_entry(
+        patch, "mlp_param_grad", 3, TOY_GENERATOR_SIZE // 2, np.inf, critic=False
+    ), f"non-finite gradient for parameter {TOY_GENERATOR_SIZE // 2}"),
+    (lambda patch: nan_generator_input(patch, call=18),  # drawn during step 3's update 5
+     "forward pass produced non-finite values"),
+], ids=["score-forward", "score-loss", "gradient-upper-half", "batch-drawn-ahead"])
+def test_generator_divergence_in_two_processes_exits_4_as_one_process(
+    tmp_path, monkeypatch, capsys, spoil, message
+):
+    kept = diverged_toy_trains(tmp_path, monkeypatch, capsys, spoil)
+    assert kept[1] == kept[0]
+    step, _, log, err = kept[0]
+    assert step == 3
+    assert len(log) == 3  # the header and steps 1 and 2
+    assert err.splitlines()[-1] == f"error: training diverged at generator step 3: {message}"
+
+
+def train_with_a_failing_penalty_worker(
+    tmp_path, capsys, monkeypatch, name, act, owner=nets, when=None
+) -> str:
     """The stderr of a toy ``train`` whose penalty worker runs ``act()`` as it
-    calls ``nets.<name>``; the verb exits 3 and leaves no model."""
+    calls ``owner.<name>`` (:func:`act_in_the_worker`); the verb exits 3 and
+    leaves no model."""
     config = write_toy_run(tmp_path, gan_overrides={"gen_steps": 3})
     assert run(config, "ingest") == EXIT_OK
     monkeypatch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", 0)  # the toy critic forks too
-    act_in_the_worker(monkeypatch, nets, name, act)
+    act_in_the_worker(monkeypatch, owner, name, act, when)
     capsys.readouterr()
     with leaves_nothing_open():
         assert run(config, "train") == EXIT_DATA
@@ -1392,6 +1448,32 @@ def test_penalty_worker_failing_in_its_half_of_rmsprop_exits_3_and_leaves_no_mod
     tmp_path, capsys, monkeypatch, act, reason
 ):
     err = train_with_a_failing_penalty_worker(tmp_path, capsys, monkeypatch, "rmsprop_step", act)
+    assert err == f"error: the worker computing the gradient penalty {reason}\n"
+
+
+def raise_in_the_generator_half():
+    raise RuntimeError("generator half failed")
+
+
+def is_the_toy_generators_upper_half(params, *rest):
+    return params.size == TOY_GENERATOR_SIZE - TOY_GENERATOR_SIZE // 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("act, reason", [
+    (kill_this_process, f"exited with {-signal.SIGKILL}"),
+    (raise_in_the_generator_half, "failed: RuntimeError: generator half failed"),
+], ids=["killed", "raises"])
+@pytest.mark.parametrize("owner, name, when", [
+    (gan, "_generator_score", None),
+    (nets, "rmsprop_step", is_the_toy_generators_upper_half),
+], ids=["score", "rmsprop"])
+def test_penalty_worker_failing_in_its_generator_half_exits_3_and_leaves_no_model(
+    tmp_path, capsys, monkeypatch, act, reason, owner, name, when
+):
+    err = train_with_a_failing_penalty_worker(
+        tmp_path, capsys, monkeypatch, name, act, owner, when
+    )
     assert err == f"error: the worker computing the gradient penalty {reason}\n"
 
 

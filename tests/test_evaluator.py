@@ -875,14 +875,15 @@ def stacked_evaluate(real, synth, config, rng):
 
 
 def flow_dataset(n_rows, stats, seed):
-    """Tie-heavy rows of four features, the third constant, under ``stats``."""
+    """Tie-heavy rows of four features, the third constant, under ``stats``:
+    0 where ``stats`` gives it zero span, as ``minmax_normalize`` writes."""
     names = ["Flow Duration", "a", "b", "Packet Length Mean"]
     schema = dataio.FeatureSchema(
         tuple(dataio.Column(n, dataio.NUMERIC) for n in names)
         + (dataio.Column("label", dataio.LABEL),)
     )
     x = np.random.default_rng(seed).integers(0, 7, size=(n_rows, 4)) / 6.0
-    x[:, 2] = 0.5
+    x[:, 2] = 0.5 if stats.col_max[2] > stats.col_min[2] else 0.0
     return dataio.DatasetMatrix(x, ["attack"] * n_rows, stats, schema)
 
 
@@ -912,7 +913,6 @@ def test_zero_span_column_is_scored_as_synthetic_csv_holds_it():
     # 'b' has zero span in SCALED_STATS: denormalized, any synthetic value
     # there is its one value, which minmax_normalize maps to 0
     real = flow_dataset(200, SCALED_STATS, seed=3)
-    real.features[:, 2] = 0.0
     synth = flow_dataset(200, SCALED_STATS, seed=4).features
     synth[:, 0] = np.clip(synth[:, 0] + 0.1, 0.0, 1.0)
     config = EvalConfig(n_trees=6, histogram_features=("b", "a"))

@@ -46,9 +46,13 @@ from helpers import (
     fd_param_grad,
     leaves_nothing_open,
     mlp,
+    nan_generator_input,
     nan_penalty_input,
+    nan_scored_rows,
     needs_openblas,
     rel_err,
+    set_gradient_entry,
+    spoil_generator_score,
     toy_attack_dataset,
 )
 
@@ -171,16 +175,15 @@ def test_generator_loss_is_negated_mean_score():
     critic = scalar_linear_critic([[1.0]])
     generator = mlp((np.array([[1.0]]), np.zeros(1)))
     model = GanModel(generator, critic, config_for(generator, critic))
-    loss, _ = generator_loss(model, np.array([[2.0], [4.0]]))
+    loss, _ = generator_loss(model, *nets.mlp_forward(generator, np.array([[2.0], [4.0]])))
     assert loss == -3.0
 
 
 def test_generator_loss_zero_gradient_for_constant_critic():
     critic = mlp((np.zeros((1, 2)), np.array([5.0])))
     model = make_model_with_critic(critic)
-    loss, grad = generator_loss(
-        model, np.random.default_rng(0).uniform(-1, 1, (6, 2))
-    )
+    noise = np.random.default_rng(0).uniform(-1, 1, (6, 2))
+    loss, grad = generator_loss(model, *nets.mlp_forward(model.generator, noise))
     assert loss == -5.0
     assert np.all(grad == 0.0)
 
@@ -192,16 +195,17 @@ def test_generator_loss_gradient_matches_finite_differences():
         rng = np.random.default_rng(seed)
         model = build_model(cfg, 3, rng)
         noise = rng.uniform(-1, 1, size=(5, 2))
-        fake, _ = nets.mlp_forward(model.generator, noise)
+        fake, cache = nets.mlp_forward(model.generator, noise)
         if (
             margin_through(model.generator, noise) >= 1e-3
             and margin_through(model.critic, fake) >= 1e-3
         ):
             break
         seed += 1
-    _, analytic = generator_loss(model, noise)
-    oracle = fd_param_grad(
-        model.generator, lambda: generator_loss(model, noise)[0]
+    _, analytic = generator_loss(model, fake, cache)
+    oracle = fd_param_grad(  # a fresh forward for each perturbation
+        model.generator,
+        lambda: generator_loss(model, *nets.mlp_forward(model.generator, noise))[0],
     )
     assert rel_err(analytic, oracle) < 1e-4
 
@@ -211,7 +215,8 @@ def test_generator_update_leaves_critic_untouched():
     config = GanConfig.small(noise_dim=2)
     model = build_model(config, 2, rng)
     before = model.critic.vector.copy()
-    _, grad = generator_loss(model, rng.uniform(-1, 1, (4, 2)))
+    noise = rng.uniform(-1, 1, (4, 2))
+    _, grad = generator_loss(model, *nets.mlp_forward(model.generator, noise))
     state = nets.rmsprop_state(model.generator.vector, config.lr, config.rho, config.epsilon)
     nets.rmsprop_step(model.generator.vector, grad, state)
     assert np.array_equal(model.critic.vector, before)
@@ -360,7 +365,7 @@ def reference_train(data, config):
             nets.rmsprop_step(model.critic.vector, cl.grad, critic_state)
             updates.append(cl)
         noise = rng.uniform(-1.0, 1.0, size=(config.batch_size, config.noise_dim))
-        gloss, ggrad = generator_loss(model, noise)
+        gloss, ggrad = generator_loss(model, *nets.mlp_forward(model.generator, noise))
         nets.rmsprop_step(model.generator.vector, ggrad, gen_state)
         records.append((
             step,
@@ -432,23 +437,31 @@ def test_blas_threads_unreadable_without_a_loadable_library(monkeypatch):
     set_blas_threads(1)  # nothing to set, and no error
 
 
+def diverged_alone_and_in_two_processes(monkeypatch, data, config, spoil):
+    """The TrainingDiverged of one process, then of two, each run with
+    ``spoil(patch)`` applied; both leave nothing open."""
+    runs = []
+    for gate in (2**62, 0):  # one process, then two
+        with monkeypatch.context() as patch:
+            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
+            spoil(patch)
+            with leaves_nothing_open():
+                with pytest.raises(TrainingDiverged) as caught:
+                    train(data, config)
+        runs.append(caught.value)
+    return runs
+
+
 def test_non_finite_penalty_in_the_worker_diverges_as_one_process(
     monkeypatch, two_processes, tmp_path
 ):
     data = uniform_dataset(80, 3)
     config = GanConfig.small(gen_steps=5, seed=2)
     counted = count_forks(monkeypatch)
-    runs = []
-    for gate in (2**62, 0):  # one process, then two
-        with monkeypatch.context() as patch:
-            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
-            nan_penalty_input(patch, call=13)  # the third update of step 3
-            with leaves_nothing_open():
-                with pytest.raises(TrainingDiverged) as caught:
-                    train(data, config)
-        runs.append(caught.value)
+    alone, both = diverged_alone_and_in_two_processes(  # the third update of step 3
+        monkeypatch, data, config, lambda patch: nan_penalty_input(patch, call=13)
+    )
     assert len(counted) == 1
-    alone, both = runs
     assert both.step == alone.step == 3
     assert str(both) == str(alone)
     assert "forward pass produced non-finite values" in str(both)
@@ -460,22 +473,6 @@ def test_non_finite_penalty_in_the_worker_diverges_as_one_process(
     )
     rng = np.random.default_rng(0)
     assert generate(both.model, 5, rng).shape == (5, 3)
-
-
-def set_critic_gradient_entry(monkeypatch, name, call, index, value):
-    """Set entry ``index`` of the gradient vector returned by the ``call``-th
-    call of ``nets.<name>`` on a critic, in whichever process makes it."""
-    calls, fn = [], getattr(nets, name)
-
-    def patched(net, *args):
-        out = fn(net, *args)
-        if net.out_dim == 1:
-            calls.append(1)
-            if len(calls) == call:
-                (out[1] if isinstance(out, tuple) else out)[index] = value
-        return out
-
-    monkeypatch.setattr(nets, name, patched)
 
 
 BIG = 0.75 * np.finfo(float).max
@@ -494,22 +491,18 @@ def test_non_finite_critic_gradient_in_either_half_diverges_as_one_process(
     size = nets.parameter_count(nets.layer_shapes([3, *config.critic_hidden, 1]))
     assert size % 2  # the halves differ in length
     index = entry(size)
+
+    def spoil(patch):
+        # the third update of step 3; its fake batch's score gradient is
+        # the first of its two critic parameter gradients
+        set_gradient_entry(patch, "penalty_param_grad", 13, index, penalty_value)
+        if score_value is not None:
+            set_gradient_entry(patch, "mlp_param_grad", 25, index, score_value)
+
     counted = count_forks(monkeypatch)
-    runs = []
-    for gate in (2**62, 0):  # one process, then two
-        with monkeypatch.context() as patch:
-            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
-            # the third update of step 3; its fake batch's score gradient is
-            # the first of its two critic parameter gradients
-            set_critic_gradient_entry(patch, "penalty_param_grad", 13, index, penalty_value)
-            if score_value is not None:
-                set_critic_gradient_entry(patch, "mlp_param_grad", 25, index, score_value)
-            with leaves_nothing_open(), np.errstate(over="ignore"):
-                with pytest.raises(TrainingDiverged) as caught:
-                    train(data, config)
-        runs.append(caught.value)
+    with np.errstate(over="ignore"):
+        alone, both = diverged_alone_and_in_two_processes(monkeypatch, data, config, spoil)
     assert len(counted) == 1
-    alone, both = runs
     assert both.step == alone.step == 3
     assert str(both) == str(alone)
     assert str(both).endswith(f"non-finite gradient for parameter {index}")
@@ -521,30 +514,94 @@ def test_non_finite_batch_drawn_ahead_diverges_after_the_update_as_one_process(
 ):
     data = uniform_dataset(80, 3)
     config = GanConfig.small(gen_steps=5, seed=2)
-    calls, forward = [], nets.mlp_forward
-
-    def nan_generator_forward(net, x):
-        if net.out_dim != 1:  # the generator's
-            calls.append(1)
-            if len(calls) == 14:  # the batch of step 3's second critic update
-                x = np.full_like(x, np.nan)
-        return forward(net, x)
-
-    runs = []
-    for gate in (2**62, 0):  # one process, then two
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(gan, "_PENALTY_WORKER_PARAMETERS", gate)
-            patch.setattr(nets, "mlp_forward", nan_generator_forward)
-            with leaves_nothing_open():
-                with pytest.raises(TrainingDiverged) as caught:
-                    train(data, config)
-        runs.append(caught.value)
-    alone, both = runs
+    alone, both = diverged_alone_and_in_two_processes(  # the batch of step 3's second update
+        monkeypatch, data, config, lambda patch: nan_generator_input(patch, call=14)
+    )
     assert both.step == alone.step == 3
     assert str(both) == str(alone)
     assert "forward pass produced non-finite values" in str(both)
     # step 3's first critic update was applied before the failed draw
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+
+
+def generator_size(config, n_features):
+    return nets.parameter_count(
+        nets.layer_shapes([config.noise_dim, *config.generator_hidden, n_features])
+    )
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (nan_scored_rows, "forward pass produced non-finite values"),
+    (lambda score, critic, fake: np.inf, "non-finite generator loss: inf"),
+], ids=["non-finite-forward", "non-finite-loss"])
+def test_non_finite_generator_score_in_the_worker_diverges_as_one_process(
+    monkeypatch, two_processes, spoil, message
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    calls = []
+
+    def spoiled(patch):  # step 3's generator update
+        calls[:] = [spoil_generator_score(patch, 3, spoil)]
+
+    counted = count_forks(monkeypatch)
+    alone, both = diverged_alone_and_in_two_processes(monkeypatch, data, config, spoiled)
+    assert len(counted) == 1
+    assert calls == [[]]  # in two processes the worker scored every generator batch
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert str(both).endswith(message)
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda size: 0,
+    lambda size: size // 2 - 1,  # the last of the lower half
+    lambda size: size // 2,  # the first of the upper half
+    lambda size: size - 1,
+], ids=["first-entry", "lower-half-end", "upper-half-start", "last-entry"])
+def test_non_finite_generator_gradient_in_either_half_diverges_as_one_process(
+    monkeypatch, two_processes, entry
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    size = generator_size(config, 3)
+    assert size % 2  # the halves differ in length
+    index = entry(size)
+    counted = count_forks(monkeypatch)
+    alone, both = diverged_alone_and_in_two_processes(
+        monkeypatch, data, config,  # the third generator gradient: step 3's
+        lambda patch: set_gradient_entry(patch, "mlp_param_grad", 3, index, np.inf, critic=False),
+    )
+    assert len(counted) == 1
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert str(both).endswith(f"non-finite gradient for parameter {index}")
+    assert trained(both.model, both.records) == trained(alone.model, alone.records)
+
+
+def test_non_finite_generator_batch_drawn_ahead_diverges_after_the_update_as_one_process(
+    monkeypatch, two_processes
+):
+    data = uniform_dataset(80, 3)
+    config = GanConfig.small(gen_steps=5, seed=2)
+    updates, rmsprop_step = [], nets.rmsprop_step  # updates: one count per run
+
+    def counted_update(*args, **kwargs):  # in this process: the whole update, or its lower half
+        updates[-1] += 1
+        return rmsprop_step(*args, **kwargs)
+
+    def spoil(patch):
+        nan_generator_input(patch, call=18)  # step 3's generator batch, drawn during update 5
+        updates.append(0)
+        patch.setattr(nets, "rmsprop_step", counted_update)
+
+    alone, both = diverged_alone_and_in_two_processes(monkeypatch, data, config, spoil)
+    # steps 1 and 2 made six updates each; step 3 applied its five critic updates
+    assert updates == [17, 17]
+    assert both.step == alone.step == 3
+    assert str(both) == str(alone)
+    assert "forward pass produced non-finite values" in str(both)
     assert trained(both.model, both.records) == trained(alone.model, alone.records)
 
 
@@ -573,6 +630,25 @@ def test_worker_failing_in_its_half_of_rmsprop_raises_an_oserror_naming_it(
     monkeypatch, two_processes, act, reason
 ):
     act_in_the_worker(monkeypatch, nets, "rmsprop_step", act)
+    with leaves_nothing_open():
+        with pytest.raises(OSError, match=f"the worker computing the gradient penalty {reason}"):
+            train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))
+
+
+def is_the_generators_upper_half(params, *rest):
+    size = generator_size(GanConfig.small(), 3)
+    return params.size == size - size // 2
+
+
+@worker_failures
+@pytest.mark.parametrize("owner, name, when", [
+    (gan, "_generator_score", None),
+    (nets, "rmsprop_step", is_the_generators_upper_half),
+], ids=["score", "rmsprop"])
+def test_worker_failing_in_its_generator_half_raises_an_oserror_naming_it(
+    monkeypatch, two_processes, act, reason, owner, name, when
+):
+    act_in_the_worker(monkeypatch, owner, name, act, when)
     with leaves_nothing_open():
         with pytest.raises(OSError, match=f"the worker computing the gradient penalty {reason}"):
             train(uniform_dataset(80, 3), GanConfig.small(gen_steps=3))
